@@ -1213,6 +1213,28 @@ mod tests {
     }
 
     #[test]
+    fn span_exports_keep_their_bytes() {
+        // Digests of the bytes the tree-building span exporters wrote for
+        // this fleet; the streaming exporters must reproduce them exactly.
+        let mut cfg = churny_cfg();
+        cfg.seed = 42;
+        let mut fleet = Fleet::new(cfg).unwrap();
+        fleet.enable_provenance();
+        fleet.run().unwrap();
+        let jsonl = fleet.spans_jsonl().unwrap();
+        let chrome = fleet.spans_chrome().unwrap();
+        assert!(jsonl.contains("\"args\":{"), "annotations are exercised");
+        assert_eq!(
+            (telemetry::digest64(&jsonl), jsonl.len()),
+            ("bfb37c4fd430eb58".to_string(), 4493)
+        );
+        assert_eq!(
+            (telemetry::digest64(&chrome), chrome.len()),
+            ("4fa11bcf53db4ac9".to_string(), 2716)
+        );
+    }
+
+    #[test]
     fn provenance_is_deterministic_across_jobs() {
         let cfg = churny_cfg();
         let run = |jobs: usize| {

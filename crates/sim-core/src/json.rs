@@ -1,9 +1,13 @@
-//! Minimal JSON value type, parser, and writer.
+//! Minimal JSON value type, parser, and writers.
 //!
 //! The workspace exchanges small, trusted documents (scenario files, metric
 //! dumps, bench records), so a compact recursive-descent parser over a value
 //! enum is all that is needed. Object key order is preserved on parse and
 //! emit, which keeps serialized output stable for byte-level comparisons.
+//!
+//! Large per-record exports (traces, decision logs, span logs) skip the
+//! value tree: [`ObjWriter`] appends each object straight into one output
+//! `String`, byte-for-byte as [`Json`]'s compact form would print it.
 
 use std::fmt::Write as _;
 
@@ -23,7 +27,11 @@ impl Json {
     /// Parse a complete JSON document. Trailing non-whitespace is an error.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            text,
+            bytes,
+            pos: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -118,18 +126,7 @@ impl Json {
                 }
                 out.push(']');
             }
-            Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_str(out, k);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
+            Json::Obj(pairs) => write_pairs(out, pairs),
         }
     }
 
@@ -186,7 +183,7 @@ fn indent(out: &mut String, depth: usize) {
 }
 
 fn write_num(out: &mut String, n: f64) {
-    if n.is_finite() && n.fract() == 0.0 && n.abs() < 9.0e15 {
+    if n.is_finite() && n.fract() == 0.0 && n.abs() < EXACT_INT_LIMIT as f64 {
         let _ = write!(out, "{}", n as i64);
     } else if n.is_finite() {
         // Shortest representation that round-trips through f64.
@@ -197,25 +194,167 @@ fn write_num(out: &mut String, n: f64) {
     }
 }
 
+/// Integers below this print as their exact decimal (every such value is
+/// exact in an `f64`); larger ones go through [`write_num`] like any float.
+const EXACT_INT_LIMIT: u64 = 9_000_000_000_000_000;
+
+fn write_u64(out: &mut String, v: u64) {
+    if v < EXACT_INT_LIMIT {
+        let _ = write!(out, "{v}");
+    } else {
+        write_num(out, v as f64);
+    }
+}
+
+/// Escape `s` as a JSON string. Runs of bytes that need no escape are
+/// copied as one slice; every escaped byte is ASCII, so each slice
+/// boundary is a char boundary.
 fn write_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if esc.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(esc);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
+fn write_pairs(out: &mut String, pairs: &[(String, Json)]) {
+    out.push('{');
+    for (i, (k, v)) in pairs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_str(out, k);
+        out.push(':');
+        v.write(out);
+    }
+    out.push('}');
+}
+
+/// Streaming writer for one compact JSON object.
+///
+/// Each field appends straight into the caller's `String`, with the same
+/// bytes [`Json`]'s `Display` prints for the equivalent tree: integers
+/// below 9e15 as exact decimals and larger ones through the float rule,
+/// floats in shortest round-trip form (integral ones without a fraction,
+/// NaN and infinities as `null`), strings with the same escapes. Keys are
+/// static identifiers written verbatim, so they must need no escaping.
+pub struct ObjWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl ObjWriter<'_> {
+    /// Append one object to `out`: `{`, the fields `fill` writes, `}`.
+    pub fn write(out: &mut String, fill: impl FnOnce(&mut ObjWriter<'_>)) {
+        out.push('{');
+        fill(&mut ObjWriter { out, empty: true });
+        out.push('}');
+    }
+
+    fn key(&mut self, key: &'static str) -> &mut String {
+        debug_assert!(
+            key.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\'),
+            "object key {key:?} needs escaping"
+        );
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
+        self.out
+    }
+
+    pub fn u64(&mut self, key: &'static str, v: u64) -> &mut Self {
+        write_u64(self.key(key), v);
+        self
+    }
+
+    /// An integer field, or `null` for `None`.
+    pub fn opt_u64(&mut self, key: &'static str, v: Option<u64>) -> &mut Self {
+        match v {
+            Some(v) => self.u64(key, v),
+            None => self.null(key),
+        }
+    }
+
+    pub fn f64(&mut self, key: &'static str, v: f64) -> &mut Self {
+        write_num(self.key(key), v);
+        self
+    }
+
+    pub fn str(&mut self, key: &'static str, v: &str) -> &mut Self {
+        write_str(self.key(key), v);
+        self
+    }
+
+    pub fn bool(&mut self, key: &'static str, v: bool) -> &mut Self {
+        self.key(key).push_str(if v { "true" } else { "false" });
+        self
+    }
+
+    pub fn null(&mut self, key: &'static str) -> &mut Self {
+        self.key(key).push_str("null");
+        self
+    }
+
+    /// A nested object holding caller-supplied key/value pairs (keys are
+    /// escaped, values printed as [`Json`]).
+    pub fn pairs(&mut self, key: &'static str, pairs: &[(String, Json)]) -> &mut Self {
+        write_pairs(self.key(key), pairs);
+        self
+    }
+
+    /// A nested object whose fields `fill` writes.
+    pub fn object(
+        &mut self,
+        key: &'static str,
+        fill: impl FnOnce(&mut ObjWriter<'_>),
+    ) -> &mut Self {
+        ObjWriter::write(self.key(key), fill);
+        self
+    }
+
+    /// An array with one object per item, its fields written by `fill`.
+    pub fn array<T>(
+        &mut self,
+        key: &'static str,
+        items: impl IntoIterator<Item = T>,
+        mut fill: impl FnMut(&mut ObjWriter<'_>, T),
+    ) -> &mut Self {
+        let out = self.key(key);
+        out.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            ObjWriter::write(out, |w| fill(w, item));
+        }
+        out.push(']');
+        self
+    }
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -391,13 +530,13 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash. Both
+                    // are ASCII, so the run ends on a char boundary.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -564,6 +703,137 @@ mod tests {
         assert_eq!(v.as_str(), Some("😀"));
         let escaped = Json::parse("\"\\ud83d\\ude00\"").unwrap();
         assert_eq!(escaped.as_str(), Some("😀"));
+    }
+
+    /// The char-at-a-time escaper the run-copying `write_str` replaced.
+    fn oracle_write_str(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn write_str_matches_char_escaper() {
+        let every_ascii: String = (0u8..0x80).map(char::from).collect();
+        let cases = [
+            String::new(),
+            every_ascii.clone(),
+            every_ascii.chars().rev().collect(),
+            format!("ü{every_ascii}😀\u{80}\u{7ff}\u{800}\u{ffff}\u{10ffff}"),
+            "\u{1f}\"\\ü".repeat(3),
+        ];
+        for s in &cases {
+            let mut out = String::new();
+            write_str(&mut out, s);
+            assert_eq!(out, oracle_write_str(s), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn obj_writer_matches_tree_on_edge_values() {
+        let ints = [
+            0,
+            (1u64 << 53) - 1,
+            8_999_999_999_999_999,
+            9_000_000_000_000_000,
+            (1u64 << 53) + 1,
+            u64::MAX,
+        ];
+        let floats = [
+            2.0,
+            0.1,
+            -0.0,
+            -3.5e-300,
+            1e300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let strs = [
+            "",
+            "plain",
+            "q\"uote",
+            "back\\slash",
+            "\u{0}\u{1}\u{1f}\n\r\t\u{7f}",
+            "ünï©ødé 😀",
+            "a\"ü\\😀\u{8}z",
+        ];
+        for &v in &ints {
+            let mut out = String::new();
+            ObjWriter::write(&mut out, |w| {
+                w.u64("v", v).opt_u64("some", Some(v)).opt_u64("none", None);
+            });
+            let tree = Json::Obj(vec![
+                ("v".into(), Json::from(v)),
+                ("some".into(), Json::from(v)),
+                ("none".into(), Json::Null),
+            ]);
+            assert_eq!(out, tree.to_string(), "{v}");
+        }
+        for &v in &floats {
+            let mut out = String::new();
+            ObjWriter::write(&mut out, |w| {
+                w.f64("x", v);
+            });
+            assert_eq!(
+                out,
+                Json::Obj(vec![("x".into(), Json::Num(v))]).to_string(),
+                "{v}"
+            );
+        }
+        for &v in &strs {
+            let pairs = vec![
+                (v.to_string(), Json::from(v)),
+                ("b".into(), Json::Bool(false)),
+            ];
+            let mut out = String::new();
+            ObjWriter::write(&mut out, |w| {
+                w.str("s", v)
+                    .bool("t", true)
+                    .null("n")
+                    .pairs("p", &pairs)
+                    .object("o", |o| {
+                        o.str("s", v);
+                    })
+                    .array("a", [v, v], |a, x| {
+                        a.str("s", x);
+                    })
+                    .array("e", std::iter::empty::<u64>(), |_, _| {});
+            });
+            let tree = Json::Obj(vec![
+                ("s".into(), Json::from(v)),
+                ("t".into(), Json::Bool(true)),
+                ("n".into(), Json::Null),
+                ("p".into(), Json::Obj(pairs.clone())),
+                ("o".into(), Json::Obj(vec![("s".into(), Json::from(v))])),
+                (
+                    "a".into(),
+                    Json::Arr(vec![Json::Obj(vec![("s".into(), Json::from(v))]); 2]),
+                ),
+                ("e".into(), Json::Arr(vec![])),
+            ]);
+            assert_eq!(out, tree.to_string(), "{v:?}");
+            assert_eq!(
+                Json::parse(&out).unwrap().get("s").unwrap().as_str(),
+                Some(v)
+            );
+        }
+        let mut out = String::new();
+        ObjWriter::write(&mut out, |_| {});
+        assert_eq!(out, "{}");
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod stats;
 pub use clock::{Clock, SimDuration, SimTime};
 pub use error::SimError;
 pub use faults::{FaultConfig, FaultInjector, MigrationFault};
-pub use json::Json;
+pub use json::{Json, ObjWriter};
 pub use rng::SimRng;
 pub use series::TimeSeries;
 pub use stats::{Counter, Histogram, RunningStats};

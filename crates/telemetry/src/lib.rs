@@ -34,7 +34,7 @@ pub mod registry;
 pub mod rollup;
 pub mod span;
 
-pub use chrome::ChromeTrace;
+pub use chrome::{Arg, ChromeTrace};
 pub use perf::{digest64, BatchHistogram, CounterSet, PhaseTimers};
 pub use registry::{CounterId, GaugeId, HistogramId, Registry};
 pub use rollup::{rollup, try_rollup};

@@ -14,7 +14,7 @@
 //! at the supplied end-of-run timestamp (Chrome).
 
 use crate::ChromeTrace;
-use sim_core::Json;
+use sim_core::{Json, ObjWriter};
 
 /// One interval in a [`SpanLog`].
 #[derive(Debug, Clone)]
@@ -124,6 +124,47 @@ impl SpanLog {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for s in &self.spans {
+            ObjWriter::write(&mut out, |w| {
+                w.u64("id", s.id)
+                    .str("name", &s.name)
+                    .u64("track", s.track)
+                    .opt_u64("parent", s.parent)
+                    .u64("start_us", s.start_us)
+                    .opt_u64("end_us", s.end_us);
+                if !s.args.is_empty() {
+                    w.pairs("args", &s.args);
+                }
+            });
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Render as a Chrome Trace Event file: one named track per entry of
+    /// `tracks`, complete spans for every closed span, and spans still open
+    /// closed at `end_us`.
+    pub fn to_chrome(&self, tracks: &[(u64, String)], end_us: u64) -> String {
+        let mut t = ChromeTrace::new();
+        for (tid, name) in tracks {
+            t.thread_name(*tid, name);
+        }
+        for s in &self.spans {
+            let end = s.end_us.unwrap_or(end_us).max(s.start_us);
+            t.complete(s.track, &s.name, s.start_us, end - s.start_us);
+        }
+        t.finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chrome::oracle;
+
+    /// The tree-building `to_jsonl` the streaming writer replaced.
+    fn oracle_jsonl(log: &SpanLog) -> String {
+        let mut out = String::new();
+        for s in log.iter() {
             let mut fields: Vec<(String, Json)> = vec![
                 ("id".into(), Json::from(s.id)),
                 ("name".into(), Json::from(s.name.as_str())),
@@ -147,25 +188,63 @@ impl SpanLog {
         out
     }
 
-    /// Render as a Chrome Trace Event file: one named track per entry of
-    /// `tracks`, complete spans for every closed span, and spans still open
-    /// closed at `end_us`.
-    pub fn to_chrome(&self, tracks: &[(u64, String)], end_us: u64) -> String {
-        let mut t = ChromeTrace::new();
-        for (tid, name) in tracks {
-            t.thread_name(*tid, name);
-        }
-        for s in &self.spans {
+    /// The tree-building `to_chrome` the streaming builder replaced.
+    fn oracle_chrome(log: &SpanLog, tracks: &[(u64, String)], end_us: u64) -> String {
+        let mut events: Vec<Json> = tracks
+            .iter()
+            .map(|(tid, name)| oracle::thread_name(*tid, name))
+            .collect();
+        for s in log.iter() {
             let end = s.end_us.unwrap_or(end_us).max(s.start_us);
-            t.complete(s.track, &s.name, s.start_us, end - s.start_us);
+            events.push(oracle::complete(
+                s.track,
+                &s.name,
+                s.start_us,
+                end - s.start_us,
+            ));
         }
-        t.to_json_string()
+        oracle::file(events)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    #[test]
+    fn exports_match_tree_oracle_on_edge_values() {
+        let ints = [
+            0,
+            (1u64 << 53) - 1,
+            8_999_999_999_999_999,
+            9_000_000_000_000_000,
+            (1u64 << 53) + 1,
+            u64::MAX,
+        ];
+        let names = ["evac vm\"3\"", "a\\b", "ctl\u{0}\u{1f}\n\t", "ünï 😀", ""];
+        let floats = [3.0, 0.125, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let mut log = SpanLog::enabled();
+        let mut prev = None;
+        for (i, &v) in ints.iter().enumerate() {
+            let id = log.begin(names[i % names.len()], v, v, prev);
+            if i % 2 == 0 {
+                log.end(id, v);
+            }
+            log.annotate(id, "n", Json::from(v));
+            log.annotate(id, names[(i + 1) % names.len()], Json::Num(floats[i]));
+            log.annotate(id, "none", Json::Null);
+            prev = Some(id);
+        }
+        log.begin("bare", 1, 2, None);
+        let tracks = vec![
+            (0, "host0".to_string()),
+            (u64::MAX, "q\"ueue\u{7}".to_string()),
+        ];
+        assert_eq!(log.to_jsonl(), oracle_jsonl(&log));
+        for end_us in [0, 77, u64::MAX] {
+            assert_eq!(
+                log.to_chrome(&tracks, end_us),
+                oracle_chrome(&log, &tracks, end_us)
+            );
+        }
+        let empty = SpanLog::enabled();
+        assert_eq!(empty.to_chrome(&[], 5), oracle_chrome(&empty, &[], 5));
+    }
 
     #[test]
     fn disabled_log_records_nothing() {

@@ -12,99 +12,102 @@
 //! explicitly; `Machine::trace_jsonl` / `Machine::trace_chrome` supply it.
 
 use crate::trace::{Event, FaultEvent, TraceLog};
-use sim_core::Json;
-use telemetry::ChromeTrace;
+use sim_core::ObjWriter;
+use telemetry::{Arg, ChromeTrace};
 
 /// Serialize a trace as JSON Lines: one event object per line, each with
 /// `t_us` (microsecond timestamp) and `kind`, plus event-specific fields.
 pub fn to_jsonl(log: &TraceLog) -> String {
     let mut out = String::new();
     for (t, e) in log.iter() {
-        let mut fields: Vec<(String, Json)> = vec![("t_us".into(), Json::from(t.as_micros()))];
-        let kind: &str = match e {
-            Event::SwitchIn { .. } => "switch_in",
-            Event::SwitchOut { .. } => "switch_out",
-            Event::Steal { .. } => "steal",
-            Event::PartitionMove { .. } => "partition_move",
-            Event::IdlerWake { .. } => "idler_wake",
-            Event::CreditBoost { .. } => "credit_boost",
-            Event::SamplePeriod { .. } => "sample_period",
-            Event::PageMigration { .. } => "page_migration",
-            Event::Degrade { .. } => "degrade",
-            Event::Fault(f) => f.kind(),
-        };
-        if let Event::Fault(_) = e {
-            fields.push(("kind".into(), Json::from("fault")));
-            fields.push(("fault".into(), Json::from(kind)));
-        } else {
-            fields.push(("kind".into(), Json::from(kind)));
-        }
-        match e {
-            Event::SwitchIn { vcpu, pcpu } | Event::SwitchOut { vcpu, pcpu } => {
-                fields.push(("vcpu".into(), Json::from(vcpu.index())));
-                fields.push(("pcpu".into(), Json::from(pcpu.index())));
-            }
-            Event::Steal {
-                thief,
-                victim,
-                vcpu,
-                cross_node,
-            } => {
-                fields.push(("thief".into(), Json::from(thief.index())));
-                fields.push(("victim".into(), Json::from(victim.index())));
-                fields.push(("vcpu".into(), Json::from(vcpu.index())));
-                fields.push(("cross_node".into(), Json::from(*cross_node)));
-            }
-            Event::PartitionMove { vcpu, node } => {
-                fields.push(("vcpu".into(), Json::from(vcpu.index())));
-                fields.push(("node".into(), Json::from(node.index())));
-            }
-            Event::IdlerWake { vcpu, pcpu } | Event::CreditBoost { vcpu, pcpu } => {
-                fields.push(("vcpu".into(), Json::from(vcpu.index())));
-                fields.push(("pcpu".into(), Json::from(pcpu.index())));
-            }
-            Event::SamplePeriod { periods } => {
-                fields.push(("periods".into(), Json::from(*periods)));
-            }
-            Event::PageMigration { vcpu, node, bytes } => {
-                fields.push(("vcpu".into(), Json::from(vcpu.index())));
-                fields.push(("node".into(), Json::from(node.index())));
-                fields.push(("bytes".into(), Json::from(*bytes)));
-            }
-            Event::Degrade { fallback } => {
-                fields.push(("fallback".into(), Json::from(*fallback)));
-            }
-            Event::Fault(f) => match f {
-                FaultEvent::SampleLost { vcpu }
-                | FaultEvent::CounterNoise { vcpu }
-                | FaultEvent::AffinityCorrupted { vcpu } => {
-                    fields.push(("vcpu".into(), Json::from(vcpu.index())));
-                }
-                FaultEvent::MigrationFailed { vcpu, node } => {
-                    fields.push(("vcpu".into(), Json::from(vcpu.index())));
-                    fields.push(("node".into(), Json::from(node.index())));
-                }
-                FaultEvent::MigrationDelayed { vcpu, node, quanta } => {
-                    fields.push(("vcpu".into(), Json::from(vcpu.index())));
-                    fields.push(("node".into(), Json::from(node.index())));
-                    fields.push(("quanta".into(), Json::from(*quanta)));
-                }
-                FaultEvent::StealFailed { thief } => {
-                    fields.push(("thief".into(), Json::from(thief.index())));
-                }
-                FaultEvent::PcpuStall { pcpu, quanta } => {
-                    fields.push(("pcpu".into(), Json::from(pcpu.index())));
-                    fields.push(("quanta".into(), Json::from(*quanta)));
-                }
-                FaultEvent::NodeThrottled { node } => {
-                    fields.push(("node".into(), Json::from(node.index())));
-                }
-            },
-        }
-        out.push_str(&Json::Obj(fields).to_string());
+        ObjWriter::write(&mut out, |w| {
+            w.u64("t_us", t.as_micros());
+            write_event_fields(w, e);
+        });
         out.push('\n');
     }
     out
+}
+
+fn write_event_fields(w: &mut ObjWriter<'_>, e: &Event) {
+    let kind: &str = match e {
+        Event::SwitchIn { .. } => "switch_in",
+        Event::SwitchOut { .. } => "switch_out",
+        Event::Steal { .. } => "steal",
+        Event::PartitionMove { .. } => "partition_move",
+        Event::IdlerWake { .. } => "idler_wake",
+        Event::CreditBoost { .. } => "credit_boost",
+        Event::SamplePeriod { .. } => "sample_period",
+        Event::PageMigration { .. } => "page_migration",
+        Event::Degrade { .. } => "degrade",
+        Event::Fault(f) => f.kind(),
+    };
+    if let Event::Fault(_) = e {
+        w.str("kind", "fault").str("fault", kind);
+    } else {
+        w.str("kind", kind);
+    }
+    let ix = |i: usize| i as u64;
+    match e {
+        Event::SwitchIn { vcpu, pcpu }
+        | Event::SwitchOut { vcpu, pcpu }
+        | Event::IdlerWake { vcpu, pcpu }
+        | Event::CreditBoost { vcpu, pcpu } => {
+            w.u64("vcpu", ix(vcpu.index()))
+                .u64("pcpu", ix(pcpu.index()));
+        }
+        Event::Steal {
+            thief,
+            victim,
+            vcpu,
+            cross_node,
+        } => {
+            w.u64("thief", ix(thief.index()))
+                .u64("victim", ix(victim.index()))
+                .u64("vcpu", ix(vcpu.index()))
+                .bool("cross_node", *cross_node);
+        }
+        Event::PartitionMove { vcpu, node } => {
+            w.u64("vcpu", ix(vcpu.index()))
+                .u64("node", ix(node.index()));
+        }
+        Event::SamplePeriod { periods } => {
+            w.u64("periods", *periods);
+        }
+        Event::PageMigration { vcpu, node, bytes } => {
+            w.u64("vcpu", ix(vcpu.index()))
+                .u64("node", ix(node.index()))
+                .u64("bytes", *bytes);
+        }
+        Event::Degrade { fallback } => {
+            w.bool("fallback", *fallback);
+        }
+        Event::Fault(f) => match f {
+            FaultEvent::SampleLost { vcpu }
+            | FaultEvent::CounterNoise { vcpu }
+            | FaultEvent::AffinityCorrupted { vcpu } => {
+                w.u64("vcpu", ix(vcpu.index()));
+            }
+            FaultEvent::MigrationFailed { vcpu, node } => {
+                w.u64("vcpu", ix(vcpu.index()))
+                    .u64("node", ix(node.index()));
+            }
+            FaultEvent::MigrationDelayed { vcpu, node, quanta } => {
+                w.u64("vcpu", ix(vcpu.index()))
+                    .u64("node", ix(node.index()))
+                    .u64("quanta", *quanta);
+            }
+            FaultEvent::StealFailed { thief } => {
+                w.u64("thief", ix(thief.index()));
+            }
+            FaultEvent::PcpuStall { pcpu, quanta } => {
+                w.u64("pcpu", ix(pcpu.index())).u64("quanta", *quanta);
+            }
+            FaultEvent::NodeThrottled { node } => {
+                w.u64("node", ix(node.index()));
+            }
+        },
+    }
 }
 
 /// Context the Chrome exporter needs from the machine.
@@ -144,6 +147,9 @@ pub fn to_chrome(log: &TraceLog, ctx: &ChromeContext) -> String {
         }
     };
 
+    // Reused for the "fault:<kind>" instant names.
+    let mut fault_name = String::new();
+    let ix = |i: usize| i as u64;
     for (time, e) in log.iter() {
         let ts = time.as_micros();
         match e {
@@ -163,12 +169,16 @@ pub fn to_chrome(log: &TraceLog, ctx: &ChromeContext) -> String {
                 cross_node,
             } => {
                 t.instant(
-                    thief.index() as u64,
-                    if *cross_node { "steal(remote)" } else { "steal(local)" },
+                    ix(thief.index()),
+                    if *cross_node {
+                        "steal(remote)"
+                    } else {
+                        "steal(local)"
+                    },
                     ts,
-                    vec![
-                        ("victim".into(), Json::from(victim.index())),
-                        ("vcpu".into(), Json::from(label(vcpu.index()))),
+                    &[
+                        ("victim", Arg::U64(ix(victim.index()))),
+                        ("vcpu", Arg::Str(label(vcpu.index()))),
                     ],
                 );
             }
@@ -177,26 +187,26 @@ pub fn to_chrome(log: &TraceLog, ctx: &ChromeContext) -> String {
                     events_tid,
                     "partition_move",
                     ts,
-                    vec![
-                        ("vcpu".into(), Json::from(label(vcpu.index()))),
-                        ("node".into(), Json::from(node.index())),
+                    &[
+                        ("vcpu", Arg::Str(label(vcpu.index()))),
+                        ("node", Arg::U64(ix(node.index()))),
                     ],
                 );
             }
             Event::IdlerWake { vcpu, pcpu } => {
                 t.instant(
-                    pcpu.index() as u64,
+                    ix(pcpu.index()),
                     "idler_wake",
                     ts,
-                    vec![("vcpu".into(), Json::from(label(vcpu.index())))],
+                    &[("vcpu", Arg::Str(label(vcpu.index())))],
                 );
             }
             Event::CreditBoost { vcpu, pcpu } => {
                 t.instant(
-                    pcpu.index() as u64,
+                    ix(pcpu.index()),
                     "credit_boost",
                     ts,
-                    vec![("vcpu".into(), Json::from(label(vcpu.index())))],
+                    &[("vcpu", Arg::Str(label(vcpu.index())))],
                 );
             }
             Event::SamplePeriod { periods } => {
@@ -204,7 +214,7 @@ pub fn to_chrome(log: &TraceLog, ctx: &ChromeContext) -> String {
                     events_tid,
                     "sample_period",
                     ts,
-                    vec![("periods".into(), Json::from(*periods))],
+                    &[("periods", Arg::U64(*periods))],
                 );
             }
             Event::PageMigration { vcpu, node, bytes } => {
@@ -212,42 +222,316 @@ pub fn to_chrome(log: &TraceLog, ctx: &ChromeContext) -> String {
                     events_tid,
                     "page_migration",
                     ts,
-                    vec![
-                        ("vcpu".into(), Json::from(label(vcpu.index()))),
-                        ("node".into(), Json::from(node.index())),
-                        ("bytes".into(), Json::from(*bytes)),
+                    &[
+                        ("vcpu", Arg::Str(label(vcpu.index()))),
+                        ("node", Arg::U64(ix(node.index()))),
+                        ("bytes", Arg::U64(*bytes)),
                     ],
                 );
             }
             Event::Degrade { fallback } => {
                 t.instant(
                     events_tid,
-                    if *fallback { "degrade(enter)" } else { "degrade(recover)" },
+                    if *fallback {
+                        "degrade(enter)"
+                    } else {
+                        "degrade(recover)"
+                    },
                     ts,
-                    vec![],
+                    &[],
                 );
             }
             Event::Fault(f) => {
-                t.instant(
-                    events_tid,
-                    &format!("fault:{}", f.kind()),
-                    ts,
-                    vec![],
-                );
+                fault_name.clear();
+                fault_name.push_str("fault:");
+                fault_name.push_str(f.kind());
+                t.instant(events_tid, &fault_name, ts, &[]);
             }
         }
     }
     for p in 0..ctx.num_pcpus {
         close(&mut t, &mut open, p, ctx.end_us);
     }
-    t.to_json_string()
+    t.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use numa_topo::{NodeId, PcpuId, VcpuId};
-    use sim_core::{SimDuration, SimTime};
+    use sim_core::{Json, SimDuration, SimTime};
+
+    /// The tree-building Chrome builder the streaming one replaced.
+    #[derive(Default)]
+    struct OracleChrome {
+        events: Vec<Json>,
+    }
+
+    impl OracleChrome {
+        fn thread_name(&mut self, tid: u64, name: &str) {
+            self.events.push(Json::Obj(vec![
+                ("ph".into(), Json::from("M")),
+                ("pid".into(), Json::from(0u64)),
+                ("tid".into(), Json::from(tid)),
+                ("name".into(), Json::from("thread_name")),
+                (
+                    "args".into(),
+                    Json::Obj(vec![("name".into(), Json::from(name))]),
+                ),
+            ]));
+        }
+
+        fn complete(&mut self, tid: u64, name: &str, ts_us: u64, dur_us: u64) {
+            self.events.push(Json::Obj(vec![
+                ("ph".into(), Json::from("X")),
+                ("pid".into(), Json::from(0u64)),
+                ("tid".into(), Json::from(tid)),
+                ("ts".into(), Json::from(ts_us)),
+                ("dur".into(), Json::from(dur_us)),
+                ("name".into(), Json::from(name)),
+            ]));
+        }
+
+        fn instant(&mut self, tid: u64, name: &str, ts_us: u64, args: Vec<(String, Json)>) {
+            let mut fields = vec![
+                ("ph".into(), Json::from("i")),
+                ("pid".into(), Json::from(0u64)),
+                ("tid".into(), Json::from(tid)),
+                ("ts".into(), Json::from(ts_us)),
+                ("name".into(), Json::from(name)),
+                ("s".into(), Json::from("t")),
+            ];
+            if !args.is_empty() {
+                fields.push(("args".into(), Json::Obj(args)));
+            }
+            self.events.push(Json::Obj(fields));
+        }
+
+        fn finish(self) -> String {
+            Json::Obj(vec![
+                ("traceEvents".into(), Json::Arr(self.events)),
+                ("displayTimeUnit".into(), Json::from("ms")),
+            ])
+            .to_string()
+        }
+    }
+
+    /// The tree-building `to_jsonl` the streaming writer replaced.
+    fn oracle_jsonl(log: &TraceLog) -> String {
+        let mut out = String::new();
+        for (t, e) in log.iter() {
+            let mut fields: Vec<(String, Json)> = vec![("t_us".into(), Json::from(t.as_micros()))];
+            let kind: &str = match e {
+                Event::SwitchIn { .. } => "switch_in",
+                Event::SwitchOut { .. } => "switch_out",
+                Event::Steal { .. } => "steal",
+                Event::PartitionMove { .. } => "partition_move",
+                Event::IdlerWake { .. } => "idler_wake",
+                Event::CreditBoost { .. } => "credit_boost",
+                Event::SamplePeriod { .. } => "sample_period",
+                Event::PageMigration { .. } => "page_migration",
+                Event::Degrade { .. } => "degrade",
+                Event::Fault(f) => f.kind(),
+            };
+            if let Event::Fault(_) = e {
+                fields.push(("kind".into(), Json::from("fault")));
+                fields.push(("fault".into(), Json::from(kind)));
+            } else {
+                fields.push(("kind".into(), Json::from(kind)));
+            }
+            match e {
+                Event::SwitchIn { vcpu, pcpu } | Event::SwitchOut { vcpu, pcpu } => {
+                    fields.push(("vcpu".into(), Json::from(vcpu.index())));
+                    fields.push(("pcpu".into(), Json::from(pcpu.index())));
+                }
+                Event::Steal {
+                    thief,
+                    victim,
+                    vcpu,
+                    cross_node,
+                } => {
+                    fields.push(("thief".into(), Json::from(thief.index())));
+                    fields.push(("victim".into(), Json::from(victim.index())));
+                    fields.push(("vcpu".into(), Json::from(vcpu.index())));
+                    fields.push(("cross_node".into(), Json::from(*cross_node)));
+                }
+                Event::PartitionMove { vcpu, node } => {
+                    fields.push(("vcpu".into(), Json::from(vcpu.index())));
+                    fields.push(("node".into(), Json::from(node.index())));
+                }
+                Event::IdlerWake { vcpu, pcpu } | Event::CreditBoost { vcpu, pcpu } => {
+                    fields.push(("vcpu".into(), Json::from(vcpu.index())));
+                    fields.push(("pcpu".into(), Json::from(pcpu.index())));
+                }
+                Event::SamplePeriod { periods } => {
+                    fields.push(("periods".into(), Json::from(*periods)));
+                }
+                Event::PageMigration { vcpu, node, bytes } => {
+                    fields.push(("vcpu".into(), Json::from(vcpu.index())));
+                    fields.push(("node".into(), Json::from(node.index())));
+                    fields.push(("bytes".into(), Json::from(*bytes)));
+                }
+                Event::Degrade { fallback } => {
+                    fields.push(("fallback".into(), Json::from(*fallback)));
+                }
+                Event::Fault(f) => match f {
+                    FaultEvent::SampleLost { vcpu }
+                    | FaultEvent::CounterNoise { vcpu }
+                    | FaultEvent::AffinityCorrupted { vcpu } => {
+                        fields.push(("vcpu".into(), Json::from(vcpu.index())));
+                    }
+                    FaultEvent::MigrationFailed { vcpu, node } => {
+                        fields.push(("vcpu".into(), Json::from(vcpu.index())));
+                        fields.push(("node".into(), Json::from(node.index())));
+                    }
+                    FaultEvent::MigrationDelayed { vcpu, node, quanta } => {
+                        fields.push(("vcpu".into(), Json::from(vcpu.index())));
+                        fields.push(("node".into(), Json::from(node.index())));
+                        fields.push(("quanta".into(), Json::from(*quanta)));
+                    }
+                    FaultEvent::StealFailed { thief } => {
+                        fields.push(("thief".into(), Json::from(thief.index())));
+                    }
+                    FaultEvent::PcpuStall { pcpu, quanta } => {
+                        fields.push(("pcpu".into(), Json::from(pcpu.index())));
+                        fields.push(("quanta".into(), Json::from(*quanta)));
+                    }
+                    FaultEvent::NodeThrottled { node } => {
+                        fields.push(("node".into(), Json::from(node.index())));
+                    }
+                },
+            }
+            out.push_str(&Json::Obj(fields).to_string());
+            out.push('\n');
+        }
+        out
+    }
+
+    /// The tree-building `to_chrome` the streaming builder replaced.
+    fn oracle_chrome(log: &TraceLog, ctx: &ChromeContext) -> String {
+        let mut t = OracleChrome::default();
+        for p in 0..ctx.num_pcpus {
+            t.thread_name(p as u64, &format!("pcpu{p}"));
+        }
+        let events_tid = ctx.num_pcpus as u64;
+        t.thread_name(events_tid, "events");
+
+        let label = |v: usize| -> &str {
+            ctx.vcpu_labels
+                .get(v)
+                .map(|s| s.as_str())
+                .unwrap_or("vcpu?")
+        };
+        // Open occupancy per PCPU: (vcpu index, span start in us).
+        let mut open: Vec<Option<(usize, u64)>> = vec![None; ctx.num_pcpus];
+        let close =
+            |t: &mut OracleChrome, open: &mut Vec<Option<(usize, u64)>>, p: usize, ts: u64| {
+                if let Some((v, start)) = open[p].take() {
+                    t.complete(p as u64, label(v), start, ts.saturating_sub(start));
+                }
+            };
+
+        for (time, e) in log.iter() {
+            let ts = time.as_micros();
+            match e {
+                Event::SwitchIn { vcpu, pcpu } => {
+                    // A missing SwitchOut (dropped from the ring) leaves a
+                    // stale open span; close it at the hand-over instant.
+                    close(&mut t, &mut open, pcpu.index(), ts);
+                    open[pcpu.index()] = Some((vcpu.index(), ts));
+                }
+                Event::SwitchOut { pcpu, .. } => {
+                    close(&mut t, &mut open, pcpu.index(), ts);
+                }
+                Event::Steal {
+                    thief,
+                    victim,
+                    vcpu,
+                    cross_node,
+                } => {
+                    t.instant(
+                        thief.index() as u64,
+                        if *cross_node {
+                            "steal(remote)"
+                        } else {
+                            "steal(local)"
+                        },
+                        ts,
+                        vec![
+                            ("victim".into(), Json::from(victim.index())),
+                            ("vcpu".into(), Json::from(label(vcpu.index()))),
+                        ],
+                    );
+                }
+                Event::PartitionMove { vcpu, node } => {
+                    t.instant(
+                        events_tid,
+                        "partition_move",
+                        ts,
+                        vec![
+                            ("vcpu".into(), Json::from(label(vcpu.index()))),
+                            ("node".into(), Json::from(node.index())),
+                        ],
+                    );
+                }
+                Event::IdlerWake { vcpu, pcpu } => {
+                    t.instant(
+                        pcpu.index() as u64,
+                        "idler_wake",
+                        ts,
+                        vec![("vcpu".into(), Json::from(label(vcpu.index())))],
+                    );
+                }
+                Event::CreditBoost { vcpu, pcpu } => {
+                    t.instant(
+                        pcpu.index() as u64,
+                        "credit_boost",
+                        ts,
+                        vec![("vcpu".into(), Json::from(label(vcpu.index())))],
+                    );
+                }
+                Event::SamplePeriod { periods } => {
+                    t.instant(
+                        events_tid,
+                        "sample_period",
+                        ts,
+                        vec![("periods".into(), Json::from(*periods))],
+                    );
+                }
+                Event::PageMigration { vcpu, node, bytes } => {
+                    t.instant(
+                        events_tid,
+                        "page_migration",
+                        ts,
+                        vec![
+                            ("vcpu".into(), Json::from(label(vcpu.index()))),
+                            ("node".into(), Json::from(node.index())),
+                            ("bytes".into(), Json::from(*bytes)),
+                        ],
+                    );
+                }
+                Event::Degrade { fallback } => {
+                    t.instant(
+                        events_tid,
+                        if *fallback {
+                            "degrade(enter)"
+                        } else {
+                            "degrade(recover)"
+                        },
+                        ts,
+                        vec![],
+                    );
+                }
+                Event::Fault(f) => {
+                    t.instant(events_tid, &format!("fault:{}", f.kind()), ts, vec![]);
+                }
+            }
+        }
+        for p in 0..ctx.num_pcpus {
+            close(&mut t, &mut open, p, ctx.end_us);
+        }
+        t.finish()
+    }
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
@@ -333,7 +617,9 @@ mod tests {
         // 3 thread_name + 1 complete span + 5 instants.
         assert_eq!(events.len(), 9);
         // The span for vm0/v3 on pcpu1 runs 0 → 30ms.
-        assert!(s.contains("\"ph\":\"X\",\"pid\":0,\"tid\":1,\"ts\":0,\"dur\":30000,\"name\":\"vm0/v3\""));
+        assert!(s.contains(
+            "\"ph\":\"X\",\"pid\":0,\"tid\":1,\"ts\":0,\"dur\":30000,\"name\":\"vm0/v3\""
+        ));
         assert!(s.contains("steal(remote)"));
         assert!(s.contains("fault:pcpu_stall"));
     }
@@ -356,6 +642,129 @@ mod tests {
         };
         let s = to_chrome(&log, &ctx);
         assert!(s.contains("\"ts\":5000,\"dur\":4000"));
+    }
+
+    /// Every event variant, at timestamps and payloads on both sides of
+    /// the exact-integer limit, labelled with strings that need escaping.
+    fn edge_log() -> TraceLog {
+        let ints = [
+            0,
+            (1u64 << 53) - 1,
+            8_999_999_999_999_999,
+            9_000_000_000_000_000,
+            (1u64 << 53) + 1,
+            u64::MAX,
+        ];
+        let v = |k: usize| VcpuId::new(k as u32);
+        let p = |k: usize| PcpuId::new(k as u16);
+        let n = |k: usize| NodeId::new(k as u16);
+        let mut log = TraceLog::with_capacity(256);
+        for (i, &x) in ints.iter().enumerate() {
+            let at = SimTime::from_micros(i as u64);
+            let events = [
+                Event::SwitchIn {
+                    vcpu: v(i),
+                    pcpu: p(i % 2),
+                },
+                Event::SwitchOut {
+                    vcpu: v(i),
+                    pcpu: p(i % 2),
+                },
+                Event::SwitchIn {
+                    vcpu: v(i + 7),
+                    pcpu: p(1),
+                },
+                Event::Steal {
+                    thief: p(0),
+                    victim: p(1),
+                    vcpu: v(i),
+                    cross_node: i % 2 == 0,
+                },
+                Event::PartitionMove {
+                    vcpu: v(i),
+                    node: n(i),
+                },
+                Event::IdlerWake {
+                    vcpu: v(i),
+                    pcpu: p(0),
+                },
+                Event::CreditBoost {
+                    vcpu: v(i),
+                    pcpu: p(1),
+                },
+                Event::SamplePeriod { periods: x },
+                Event::PageMigration {
+                    vcpu: v(i),
+                    node: n(1),
+                    bytes: x,
+                },
+                Event::Degrade {
+                    fallback: i % 2 == 1,
+                },
+                Event::Fault(FaultEvent::SampleLost { vcpu: v(i) }),
+                Event::Fault(FaultEvent::CounterNoise { vcpu: v(i) }),
+                Event::Fault(FaultEvent::AffinityCorrupted { vcpu: v(i) }),
+                Event::Fault(FaultEvent::MigrationFailed {
+                    vcpu: v(i),
+                    node: n(0),
+                }),
+                Event::Fault(FaultEvent::MigrationDelayed {
+                    vcpu: v(i),
+                    node: n(1),
+                    quanta: x,
+                }),
+                Event::Fault(FaultEvent::StealFailed { thief: p(1) }),
+                Event::Fault(FaultEvent::PcpuStall {
+                    pcpu: p(0),
+                    quanta: x,
+                }),
+                Event::Fault(FaultEvent::NodeThrottled { node: n(i) }),
+            ];
+            for e in events {
+                log.record(at, e);
+            }
+        }
+        let mut stamps = ints;
+        stamps.sort_unstable();
+        for x in stamps.into_iter().skip(1) {
+            log.record(SimTime::from_micros(x), Event::SamplePeriod { periods: x });
+        }
+        log
+    }
+
+    #[test]
+    fn streamed_exports_match_tree_oracle_on_edge_values() {
+        let log = edge_log();
+        assert_eq!(to_jsonl(&log), oracle_jsonl(&log));
+        // Labels cover quotes, backslashes, control characters and
+        // non-ASCII text; VCPUs past the end fall back to "vcpu?".
+        let labels: Vec<String> = [
+            "vm\"0\"/v0",
+            "vm\\1",
+            "ctl\u{1}\n\t\r",
+            "ünï©ødé/😀",
+            "",
+            "plain",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        for end_us in [0, 9_000_000_000_000_000, u64::MAX] {
+            let ctx = ChromeContext {
+                num_pcpus: 2,
+                vcpu_labels: &labels,
+                end_us,
+            };
+            assert_eq!(to_chrome(&log, &ctx), oracle_chrome(&log, &ctx));
+        }
+        let empty = TraceLog::with_capacity(1);
+        let ctx = ChromeContext {
+            num_pcpus: 0,
+            vcpu_labels: &[],
+            end_us: 0,
+        };
+        assert_eq!(to_jsonl(&empty), oracle_jsonl(&empty));
+        assert_eq!(to_chrome(&empty, &ctx), oracle_chrome(&empty, &ctx));
     }
 
     #[test]

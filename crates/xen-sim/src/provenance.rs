@@ -17,7 +17,7 @@
 //! feeds back into the schedule.
 
 use numa_topo::{NodeId, PcpuId, VcpuId};
-use sim_core::{Json, SimTime};
+use sim_core::{ObjWriter, SimTime};
 use std::collections::VecDeque;
 
 use crate::policy::PartitionNote;
@@ -220,109 +220,192 @@ pub fn decision_from_note(note: &PartitionNote) -> Decision {
 pub fn to_jsonl(log: &ProvenanceLog) -> String {
     let mut out = String::new();
     for r in log.iter() {
-        let mut fields: Vec<(String, Json)> = vec![
-            ("t_us".into(), Json::from(r.t.as_micros())),
-            ("seq".into(), Json::from(r.seq)),
-            ("kind".into(), Json::from(r.decision.kind())),
-            ("rule".into(), Json::from(r.rule)),
-        ];
-        match &r.decision {
-            Decision::Steal {
-                thief,
-                thief_node,
-                would_idle,
-                chosen,
-                candidates,
-            } => {
-                fields.push(("thief".into(), Json::from(thief.index())));
-                fields.push(("thief_node".into(), Json::from(thief_node.index())));
-                fields.push(("would_idle".into(), Json::from(*would_idle)));
-                match chosen {
-                    Some((victim, vcpu)) => {
-                        fields.push(("victim".into(), Json::from(victim.index())));
-                        fields.push(("vcpu".into(), Json::from(vcpu.index())));
-                    }
-                    None => {
-                        fields.push(("victim".into(), Json::Null));
-                        fields.push(("vcpu".into(), Json::Null));
-                    }
-                }
-                let cands = candidates
-                    .iter()
-                    .map(|c| {
-                        Json::Obj(vec![
-                            ("pcpu".into(), Json::from(c.pcpu.index())),
-                            ("vcpu".into(), Json::from(c.vcpu.index())),
-                            ("node".into(), Json::from(c.node.index())),
-                            ("dist".into(), Json::from(u64::from(c.dist))),
-                            ("workload".into(), Json::from(c.workload)),
-                            ("pressure".into(), Json::Num(c.pressure)),
-                            ("prio".into(), Json::from(priority_name(c.prio))),
-                        ])
-                    })
-                    .collect();
-                fields.push(("candidates".into(), Json::Arr(cands)));
-            }
-            Decision::WakePlacement {
-                vcpu,
-                chosen,
-                num_candidates,
-            } => {
-                fields.push(("vcpu".into(), Json::from(vcpu.index())));
-                fields.push(("pcpu".into(), Json::from(chosen.index())));
-                fields.push(("num_candidates".into(), Json::from(*num_candidates)));
-            }
-            Decision::Placement {
-                vcpu,
-                node,
-                chosen,
-                num_candidates,
-            } => {
-                fields.push(("vcpu".into(), Json::from(vcpu.index())));
-                fields.push(("node".into(), Json::from(node.index())));
-                fields.push(("pcpu".into(), Json::from(chosen.index())));
-                fields.push(("num_candidates".into(), Json::from(*num_candidates)));
-            }
-            Decision::Partition {
-                vcpu,
-                node,
-                candidates,
-            } => {
-                fields.push(("vcpu".into(), Json::from(vcpu.index())));
-                fields.push((
-                    "node".into(),
-                    node.map(|n| Json::from(n.index())).unwrap_or(Json::Null),
-                ));
-                let cands = candidates
-                    .iter()
-                    .map(|&(n, load)| {
-                        Json::Obj(vec![
-                            ("node".into(), Json::from(n)),
-                            ("load".into(), Json::from(load)),
-                        ])
-                    })
-                    .collect();
-                fields.push(("candidates".into(), Json::Arr(cands)));
-            }
-            Decision::PageMigration { vcpu, node, bytes } => {
-                fields.push(("vcpu".into(), Json::from(vcpu.index())));
-                fields.push(("node".into(), Json::from(node.index())));
-                fields.push(("bytes".into(), Json::from(*bytes)));
-            }
-            Decision::Degrade { fallback } => {
-                fields.push(("fallback".into(), Json::from(*fallback)));
-            }
-        }
-        out.push_str(&Json::Obj(fields).to_string());
+        ObjWriter::write(&mut out, |w| {
+            w.u64("t_us", r.t.as_micros())
+                .u64("seq", r.seq)
+                .str("kind", r.decision.kind())
+                .str("rule", r.rule);
+            write_decision_fields(w, &r.decision);
+        });
         out.push('\n');
     }
     out
 }
 
+fn write_decision_fields(w: &mut ObjWriter<'_>, decision: &Decision) {
+    let ix = |i: usize| i as u64;
+    match decision {
+        Decision::Steal {
+            thief,
+            thief_node,
+            would_idle,
+            chosen,
+            candidates,
+        } => {
+            w.u64("thief", ix(thief.index()))
+                .u64("thief_node", ix(thief_node.index()))
+                .bool("would_idle", *would_idle)
+                .opt_u64("victim", chosen.map(|(victim, _)| ix(victim.index())))
+                .opt_u64("vcpu", chosen.map(|(_, vcpu)| ix(vcpu.index())))
+                .array("candidates", candidates, |cw, c| {
+                    cw.u64("pcpu", ix(c.pcpu.index()))
+                        .u64("vcpu", ix(c.vcpu.index()))
+                        .u64("node", ix(c.node.index()))
+                        .u64("dist", u64::from(c.dist))
+                        .u64("workload", ix(c.workload))
+                        .f64("pressure", c.pressure)
+                        .str("prio", priority_name(c.prio));
+                });
+        }
+        Decision::WakePlacement {
+            vcpu,
+            chosen,
+            num_candidates,
+        } => {
+            w.u64("vcpu", ix(vcpu.index()))
+                .u64("pcpu", ix(chosen.index()))
+                .u64("num_candidates", ix(*num_candidates));
+        }
+        Decision::Placement {
+            vcpu,
+            node,
+            chosen,
+            num_candidates,
+        } => {
+            w.u64("vcpu", ix(vcpu.index()))
+                .u64("node", ix(node.index()))
+                .u64("pcpu", ix(chosen.index()))
+                .u64("num_candidates", ix(*num_candidates));
+        }
+        Decision::Partition {
+            vcpu,
+            node,
+            candidates,
+        } => {
+            w.u64("vcpu", ix(vcpu.index()))
+                .opt_u64("node", node.map(|n| ix(n.index())))
+                .array("candidates", candidates, |cw, &(n, load)| {
+                    cw.u64("node", ix(n)).u64("load", load);
+                });
+        }
+        Decision::PageMigration { vcpu, node, bytes } => {
+            w.u64("vcpu", ix(vcpu.index()))
+                .u64("node", ix(node.index()))
+                .u64("bytes", *bytes);
+        }
+        Decision::Degrade { fallback } => {
+            w.bool("fallback", *fallback);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_core::SimDuration;
+    use sim_core::{Json, SimDuration};
+
+    /// The tree-building `to_jsonl` the streaming writer replaced.
+    fn oracle_jsonl(log: &ProvenanceLog) -> String {
+        let mut out = String::new();
+        for r in log.iter() {
+            let mut fields: Vec<(String, Json)> = vec![
+                ("t_us".into(), Json::from(r.t.as_micros())),
+                ("seq".into(), Json::from(r.seq)),
+                ("kind".into(), Json::from(r.decision.kind())),
+                ("rule".into(), Json::from(r.rule)),
+            ];
+            match &r.decision {
+                Decision::Steal {
+                    thief,
+                    thief_node,
+                    would_idle,
+                    chosen,
+                    candidates,
+                } => {
+                    fields.push(("thief".into(), Json::from(thief.index())));
+                    fields.push(("thief_node".into(), Json::from(thief_node.index())));
+                    fields.push(("would_idle".into(), Json::from(*would_idle)));
+                    match chosen {
+                        Some((victim, vcpu)) => {
+                            fields.push(("victim".into(), Json::from(victim.index())));
+                            fields.push(("vcpu".into(), Json::from(vcpu.index())));
+                        }
+                        None => {
+                            fields.push(("victim".into(), Json::Null));
+                            fields.push(("vcpu".into(), Json::Null));
+                        }
+                    }
+                    let cands = candidates
+                        .iter()
+                        .map(|c| {
+                            Json::Obj(vec![
+                                ("pcpu".into(), Json::from(c.pcpu.index())),
+                                ("vcpu".into(), Json::from(c.vcpu.index())),
+                                ("node".into(), Json::from(c.node.index())),
+                                ("dist".into(), Json::from(u64::from(c.dist))),
+                                ("workload".into(), Json::from(c.workload)),
+                                ("pressure".into(), Json::Num(c.pressure)),
+                                ("prio".into(), Json::from(priority_name(c.prio))),
+                            ])
+                        })
+                        .collect();
+                    fields.push(("candidates".into(), Json::Arr(cands)));
+                }
+                Decision::WakePlacement {
+                    vcpu,
+                    chosen,
+                    num_candidates,
+                } => {
+                    fields.push(("vcpu".into(), Json::from(vcpu.index())));
+                    fields.push(("pcpu".into(), Json::from(chosen.index())));
+                    fields.push(("num_candidates".into(), Json::from(*num_candidates)));
+                }
+                Decision::Placement {
+                    vcpu,
+                    node,
+                    chosen,
+                    num_candidates,
+                } => {
+                    fields.push(("vcpu".into(), Json::from(vcpu.index())));
+                    fields.push(("node".into(), Json::from(node.index())));
+                    fields.push(("pcpu".into(), Json::from(chosen.index())));
+                    fields.push(("num_candidates".into(), Json::from(*num_candidates)));
+                }
+                Decision::Partition {
+                    vcpu,
+                    node,
+                    candidates,
+                } => {
+                    fields.push(("vcpu".into(), Json::from(vcpu.index())));
+                    fields.push((
+                        "node".into(),
+                        node.map(|n| Json::from(n.index())).unwrap_or(Json::Null),
+                    ));
+                    let cands = candidates
+                        .iter()
+                        .map(|&(n, load)| {
+                            Json::Obj(vec![
+                                ("node".into(), Json::from(n)),
+                                ("load".into(), Json::from(load)),
+                            ])
+                        })
+                        .collect();
+                    fields.push(("candidates".into(), Json::Arr(cands)));
+                }
+                Decision::PageMigration { vcpu, node, bytes } => {
+                    fields.push(("vcpu".into(), Json::from(vcpu.index())));
+                    fields.push(("node".into(), Json::from(node.index())));
+                    fields.push(("bytes".into(), Json::from(*bytes)));
+                }
+                Decision::Degrade { fallback } => {
+                    fields.push(("fallback".into(), Json::from(*fallback)));
+                }
+            }
+            out.push_str(&Json::Obj(fields).to_string());
+            out.push('\n');
+        }
+        out
+    }
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
@@ -409,6 +492,94 @@ mod tests {
         assert!(lines[1].contains("\"candidates\":[{\"node\":0,\"load\":4},{\"node\":1,\"load\":2}]"));
         assert!(lines[2].contains("\"num_candidates\":4"));
         assert!(lines[3].contains("\"fallback\":true"));
+    }
+
+    #[test]
+    fn streamed_jsonl_matches_tree_oracle_on_edge_values() {
+        let ints = [
+            0,
+            (1u64 << 53) - 1,
+            8_999_999_999_999_999,
+            9_000_000_000_000_000,
+            (1u64 << 53) + 1,
+            u64::MAX,
+        ];
+        let pressures = [3.0, 14.25, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let rules = [
+            "plain",
+            "q\"uote",
+            "back\\slash",
+            "ctl\u{0}\u{1f}\n\r\t",
+            "ünï©ødé 😀",
+            "",
+        ];
+        let prios = [Priority::Boost, Priority::Under, Priority::Over];
+        let mut log = ProvenanceLog::with_capacity(256);
+        let mut stamps = ints;
+        stamps.sort_unstable();
+        for (i, &at) in stamps.iter().enumerate() {
+            let x = ints[i];
+            let rule = rules[i];
+            let cand = |k: usize| StealCandidate {
+                pcpu: PcpuId::new(k as u16),
+                vcpu: VcpuId::new(u32::MAX - k as u32),
+                node: NodeId::new(1),
+                dist: u32::MAX,
+                workload: x as usize,
+                pressure: pressures[(i + k) % pressures.len()],
+                prio: prios[(i + k) % prios.len()],
+            };
+            let decisions = [
+                Decision::Steal {
+                    thief: PcpuId::new(u16::MAX),
+                    thief_node: NodeId::new(0),
+                    would_idle: i % 2 == 0,
+                    chosen: Some((PcpuId::new(1), VcpuId::new(2))),
+                    candidates: (0..3).map(cand).collect(),
+                },
+                Decision::Steal {
+                    thief: PcpuId::new(0),
+                    thief_node: NodeId::new(1),
+                    would_idle: false,
+                    chosen: None,
+                    candidates: vec![],
+                },
+                Decision::WakePlacement {
+                    vcpu: VcpuId::new(3),
+                    chosen: PcpuId::new(4),
+                    num_candidates: x as usize,
+                },
+                Decision::Placement {
+                    vcpu: VcpuId::new(3),
+                    node: NodeId::new(1),
+                    chosen: PcpuId::new(5),
+                    num_candidates: usize::MAX,
+                },
+                Decision::Partition {
+                    vcpu: VcpuId::new(3),
+                    node: Some(NodeId::new(1)),
+                    candidates: vec![(0, x), (usize::MAX, 0)],
+                },
+                Decision::Partition {
+                    vcpu: VcpuId::new(4),
+                    node: None,
+                    candidates: vec![],
+                },
+                Decision::PageMigration {
+                    vcpu: VcpuId::new(3),
+                    node: NodeId::new(0),
+                    bytes: x,
+                },
+                Decision::Degrade {
+                    fallback: i % 2 == 1,
+                },
+            ];
+            for d in decisions {
+                log.record(SimTime::from_micros(at), rule, d);
+            }
+        }
+        assert_eq!(to_jsonl(&log), oracle_jsonl(&log));
+        assert_eq!(to_jsonl(&ProvenanceLog::disabled()), "");
     }
 
     #[test]
