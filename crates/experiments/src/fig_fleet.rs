@@ -239,6 +239,19 @@ mod tests {
     }
 
     #[test]
+    fn crashed_evacuation_target_loses_no_vm() {
+        // Fleet seed 20 of the smoke regime crashes a host while an
+        // evacuation copy is in flight to it. Counting that copy as a
+        // second displacement used to leave `vms_lost` at 1 (and trip
+        // the controller's debug assertion).
+        let mut cfg = sweep_config(FleetScheduler::VProbe, 24, 20, 8, true);
+        cfg.fault_seed = 20;
+        let report = Fleet::new(cfg).unwrap().run().unwrap();
+        assert!(report.metrics.crashes > 0);
+        assert_eq!(report.vms_lost, 0);
+    }
+
+    #[test]
     fn sweep_is_deterministic() {
         let opts = RunOptions {
             seed: 7,

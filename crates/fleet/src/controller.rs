@@ -532,7 +532,11 @@ impl Fleet {
             let (vms, in_flight) = self.hosts[h].crash(e + down_for);
             self.metrics.crashes += 1;
             self.registry.inc(self.tele.crashes, 1);
-            let displaced_now = (vms.len() + in_flight.len()) as u64;
+            // A copy that is already an evacuation was counted when its VM
+            // was first displaced, and it can land only once; only the
+            // residents and in-flight admissions are new displacements.
+            let new_in_flight = in_flight.iter().filter(|i| i.displaced_epoch.is_none()).count();
+            let displaced_now = (vms.len() + new_in_flight) as u64;
             self.metrics.displaced += displaced_now;
             self.registry.inc(self.tele.displaced, displaced_now);
             let rack = self.hosts[h].rack;

@@ -9,8 +9,9 @@
 use sim_core::stats::RunningStats;
 
 /// Aggregated fleet counters for one run. Event counters count *events*:
-/// a VM displaced by two different crashes contributes two displacements
-/// (and, once re-placed both times, two evacuations).
+/// a VM displaced, re-placed, and displaced again by a later crash
+/// contributes two displacements (and, once re-placed both times, two
+/// evacuations).
 #[derive(Debug, Clone, Default)]
 pub struct FleetMetrics {
     /// Hosts crashed (individual + rack-correlated).
@@ -18,7 +19,9 @@ pub struct FleetMetrics {
     /// Whole-rack correlated failures.
     pub rack_crashes: u64,
     pub recoveries: u64,
-    /// VMs displaced by host crashes (resident + in-flight at crash time).
+    /// Displacement events: VMs that a host crash turned into evacuations
+    /// (residents plus in-flight admissions at crash time). An in-flight
+    /// evacuation whose target crashes re-queues without counting again.
     pub displaced: u64,
     /// Displaced VMs successfully re-placed and landed.
     pub evacuated: u64,

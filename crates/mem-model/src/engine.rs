@@ -400,11 +400,13 @@ pub struct MemoryEngine {
     num_nodes: usize,
     llc: Vec<LlcModel>,
     imc: Vec<ImcModel>,
-    local_latency_ns: Vec<f64>,
+    /// Unloaded local DRAM latency per node, in core cycles.
+    local_cycles: Vec<f64>,
     qpi: Vec<Option<QpiModel>>, // per pair, row-major
-    hop_latency_ns: Vec<f64>,   // per pair, row-major
+    /// Unloaded interconnect hop latency per pair, in core cycles
+    /// (row-major; 0 on the diagonal and for unlinked pairs).
+    hop_cycles: Vec<f64>,
     latency: LatencyParams,
-    line_bytes: u32,
     freq_mhz: u32,
     imc_mult: Vec<f64>,
     qpi_mult: Vec<f64>, // per pair, row-major
@@ -447,21 +449,23 @@ impl MemoryEngine {
     /// Build with explicit calibration parameters.
     pub fn with_params(topo: &Topology, params: EngineParams) -> Self {
         let n = topo.num_nodes();
+        // The latencies convert to cycles once, with the expression the
+        // reference evaluates per round (`LatencyParams::miss_cycles`), so
+        // the per-round products see the same bits.
+        let latency = LatencyParams::new(topo.freq_mhz());
         let mut llc = Vec::with_capacity(n);
         let mut imc = Vec::with_capacity(n);
-        let mut local_latency_ns = Vec::with_capacity(n);
-        let mut line_bytes = 64;
+        let mut local_cycles = Vec::with_capacity(n);
         for node in topo.nodes() {
             let cfg = topo.node_config(node);
             llc.push(LlcModel::new(cfg.llc.size_bytes));
             imc.push(ImcModel::new(
                 ((cfg.imc_bandwidth_bytes_per_s as f64) * params.sustained_imc_frac) as u64,
             ));
-            local_latency_ns.push(cfg.local_latency_ns);
-            line_bytes = cfg.llc.line_bytes;
+            local_cycles.push(latency.ns_to_cycles(cfg.local_latency_ns));
         }
         let mut qpi = vec![None; n * n];
-        let mut hop_latency_ns = vec![0.0; n * n];
+        let mut hop_cycles = vec![0.0; n * n];
         for a in topo.nodes() {
             for b in topo.nodes() {
                 if a == b {
@@ -475,7 +479,7 @@ impl MemoryEngine {
                         ((first.bandwidth_bytes_per_s as f64) * params.sustained_qpi_frac) as u64,
                         links.len() as u32,
                     ));
-                    hop_latency_ns[idx] = first.hop_latency_ns;
+                    hop_cycles[idx] = latency.ns_to_cycles(first.hop_latency_ns);
                 }
             }
         }
@@ -484,11 +488,10 @@ impl MemoryEngine {
             num_nodes: n,
             llc,
             imc,
-            local_latency_ns,
+            local_cycles,
             qpi,
-            hop_latency_ns,
-            latency: LatencyParams::new(topo.freq_mhz()),
-            line_bytes,
+            hop_cycles,
+            latency,
             freq_mhz: topo.freq_mhz(),
             imc_mult: vec![1.0; n],
             qpi_mult: vec![1.0; n * n],
@@ -936,12 +939,8 @@ impl MemoryEngine {
         let mut round = 0;
         loop {
             let replay = round == 0 && reuse_ok;
-            for v in hot.node_demand.iter_mut() {
-                *v = 0.0;
-            }
-            for v in hot.pair_traffic.iter_mut() {
-                *v = 0.0;
-            }
+            hot.node_demand.fill(0.0);
+            hot.pair_traffic.fill(0.0);
 
             // Miss latency per (run, home) pair at the round's contention
             // levels: a pure function of the pair, so n² evaluations
@@ -949,116 +948,23 @@ impl MemoryEngine {
             let mut pair = 0;
             for run_node in 0..n {
                 for (home, &home_mult) in hot.cur_imc.iter().enumerate() {
-                    let hop = if home == run_node {
-                        None
+                    let dram = self.local_cycles[home] * home_mult;
+                    hot.miss_cycles_matrix[pair] = if home == run_node {
+                        dram
                     } else {
-                        Some(self.hop_latency_ns[pair])
+                        dram + self.hop_cycles[pair] * hot.cur_qpi[pair]
                     };
-                    hot.miss_cycles_matrix[pair] = self.latency.miss_cycles(
-                        self.local_latency_ns[home],
-                        home_mult,
-                        hop,
-                        hot.cur_qpi[pair],
-                    );
                     pair += 1;
                 }
             }
 
-            for &slot in hot.active.iter() {
-                let i = slot as usize;
-                let run_node = hot.node[i] as usize;
-                let row = i * n;
-                if replay && !hot.slot_changed[i] {
-                    self.perf.replay_fires += 1;
-                    // Outputs stand bitwise; re-offer the demand they
-                    // generate from the stored per-home counts. The counts,
-                    // the byte products, and the accumulation order all
-                    // match what the full body below would produce, so the
-                    // demand accumulators end up bitwise identical too.
-                    for (home, &c) in hot.out_node_acc[row..row + n].iter().enumerate() {
-                        if home != run_node {
-                            let bytes = c as f64 * self.params.traffic_per_miss_bytes;
-                            hot.node_demand[home] += bytes * self.params.remote_imc_overhead;
-                            hot.pair_traffic[run_node * n + home] += bytes;
-                            hot.pair_traffic[home * n + run_node] += bytes;
-                        }
-                    }
-                    let local_bytes = hot.out_node_acc[row + run_node] as f64
-                        * self.params.traffic_per_miss_bytes;
-                    hot.node_demand[run_node] += local_bytes;
-                    continue;
-                }
-
-                // Average cycle cost of a miss over the access distribution
-                // — dense over homes, exactly as the reference composes it
-                // (zero rows contribute an exact `+0.0`: every matrix entry
-                // is finite).
-                let dist_row = &hot.dist[row..row + n];
-                let mrow = &hot.miss_cycles_matrix[run_node * n..run_node * n + n];
-                let mut miss_cycles = 0.0;
-                for (&frac, &mc) in dist_row.iter().zip(mrow.iter()) {
-                    miss_cycles += frac * mc;
-                }
-
-                // Outstanding misses overlap: each miss (and L3 hit) stalls
-                // the core for latency / MLP cycles on average.
-                // The saturating `as u64` cast is `.floor().max(0.0) as
-                // u64` (truncation, zero for negatives/NaN, saturation at
-                // the top) without the libm floor call.
-                let cpi = if approx_cpi {
-                    // Reassociated (division hoisted to the derived pass);
-                    // approx mode only.
-                    hot.base_cpi[i]
-                        + hot.refs_over_mlp[i] * (hot.hit_term[i] + hot.m[i] * miss_cycles)
-                } else {
-                    hot.base_cpi[i]
-                        + hot.refs_per_instr[i] * (hot.hit_term[i] + hot.m[i] * miss_cycles)
-                            / hot.mlp_eff[i]
-                };
-                let instructions = (hot.cycles[i] / cpi) as u64;
-                let llc_refs = round_to_u64(instructions as f64 * hot.refs_per_instr[i]);
-                let llc_misses = round_to_u64(llc_refs as f64 * hot.m[i]);
-
-                // Scatter misses over home nodes and accumulate demand in
-                // one pass, dense in home order (the reference's own
-                // order; zero rows scatter a zero count and add an exact
-                // `+0.0` of demand). Each miss moves more than its demand
-                // line (prefetch, writeback); remote misses additionally
-                // tax the home IMC with coherence work and cross the
-                // interconnect. A remote home's count is final before its
-                // demand add — the rounding remainder only ever lands on
-                // the run node. Every row entry is (re)written, so the
-                // stored rows of replayed slots above never go stale.
-                let _ = self.line_bytes;
-                let misses_f = llc_misses as f64;
-                let mut assigned = 0u64;
-                for (home, &frac) in dist_row.iter().enumerate() {
-                    let c = (misses_f * frac) as u64;
-                    hot.out_node_acc[row + home] = c;
-                    assigned += c;
-                    if home != run_node {
-                        let bytes = c as f64 * self.params.traffic_per_miss_bytes;
-                        hot.node_demand[home] += bytes * self.params.remote_imc_overhead;
-                        hot.pair_traffic[run_node * n + home] += bytes;
-                        hot.pair_traffic[home * n + run_node] += bytes;
-                    }
-                }
-                // Give rounding remainder to the run node (arbitrary but local).
-                hot.out_node_acc[row + run_node] += llc_misses - assigned;
-
-                let local_accesses = hot.out_node_acc[row + run_node];
-                let remote_accesses = llc_misses - local_accesses;
-                let local_bytes =
-                    hot.out_node_acc[row + run_node] as f64 * self.params.traffic_per_miss_bytes;
-                hot.node_demand[run_node] += local_bytes;
-
-                hot.out_instructions[i] = instructions;
-                hot.out_cpi[i] = cpi;
-                hot.out_refs[i] = llc_refs;
-                hot.out_misses[i] = llc_misses;
-                hot.out_local[i] = local_accesses;
-                hot.out_remote[i] = remote_accesses;
-            }
+            // The paper's testbed has two nodes: a literal `2` lets the
+            // inlined copy unroll every per-home loop. Same code, same bits.
+            self.perf.replay_fires += if n == 2 {
+                round_slots(hot, 2, replay, approx_cpi, self.params)
+            } else {
+                round_slots(hot, n, replay, approx_cpi, self.params)
+            };
 
             // Recompute multipliers from this round's demand and relax.
             let damp = if round == 0 { 1.0 } else { 0.5 };
@@ -1078,7 +984,9 @@ impl MemoryEngine {
                 let before = *mult;
                 *mult += damp * (target - *mult);
                 changed |= *mult != before;
-                max_rel = max_rel.max((*mult - before).abs() / before);
+                if fp_tol > 0.0 {
+                    max_rel = max_rel.max((*mult - before).abs() / before);
+                }
             }
             for (idx, mult) in hot.cur_qpi.iter_mut().enumerate() {
                 let target = match &self.qpi[idx] {
@@ -1088,7 +996,9 @@ impl MemoryEngine {
                 let before = *mult;
                 *mult += damp * (target - *mult);
                 changed |= *mult != before;
-                max_rel = max_rel.max((*mult - before).abs() / before);
+                if fp_tol > 0.0 {
+                    max_rel = max_rel.max((*mult - before).abs() / before);
+                }
             }
             round += 1;
             if round == FIXED_POINT_ROUNDS || !changed {
@@ -1175,6 +1085,130 @@ fn materialize_results(hot: &HotState, results: &mut Vec<VcpuQuantumResult>, n: 
             });
         }
     }
+}
+
+/// The per-slot work of one fixed-point round, as two passes over the
+/// active slots. Returns the number of slots whose outputs were replayed.
+///
+/// * **Rate pass:** each recomputed slot's miss cost, CPI, instructions,
+///   references and misses. Slots are independent here, so the CPU can
+///   overlap one slot's dependent chain (dot product → division → casts)
+///   with the next one's.
+/// * **Ordered scatter pass:** in `active` order, each recomputed slot
+///   splits its misses over home nodes, and every slot — replayed ones
+///   with their stored row, at the same position — adds its traffic to the
+///   node and pair demand accumulators. The float adds happen in the
+///   reference's order (slot order, then home order, remote homes before
+///   the run node's local bytes), so the accumulators keep their bits.
+///
+/// Called with a literal `n` for two-node machines so the inlined copy
+/// unrolls the per-home loops.
+#[inline(always)]
+fn round_slots(
+    hot: &mut HotState,
+    n: usize,
+    replay: bool,
+    approx_cpi: bool,
+    params: EngineParams,
+) -> u64 {
+    // Bind every column once. The slices' pointers and lengths then stay
+    // in registers across the output stores, instead of being reloaded
+    // from `hot` (which the compiler cannot prove the stores leave alone).
+    let len = hot.len;
+    let node = &hot.node[..len];
+    let slot_changed = &hot.slot_changed[..len];
+    let dist = &hot.dist[..len * n];
+    let miss_cycles_matrix = &hot.miss_cycles_matrix[..n * n];
+    let base_cpi = &hot.base_cpi[..len];
+    let refs_over_mlp = &hot.refs_over_mlp[..len];
+    let refs_per_instr = &hot.refs_per_instr[..len];
+    let hit_term = &hot.hit_term[..len];
+    let m = &hot.m[..len];
+    let mlp_eff = &hot.mlp_eff[..len];
+    let cycles = &hot.cycles[..len];
+    let out_instructions = &mut hot.out_instructions[..len];
+    let out_cpi = &mut hot.out_cpi[..len];
+    let out_refs = &mut hot.out_refs[..len];
+    let out_misses = &mut hot.out_misses[..len];
+    let out_local = &mut hot.out_local[..len];
+    let out_remote = &mut hot.out_remote[..len];
+    let out_node_acc = &mut hot.out_node_acc[..len * n];
+    let node_demand = &mut hot.node_demand[..n];
+    let pair_traffic = &mut hot.pair_traffic[..n * n];
+
+    for &slot in hot.active.iter() {
+        let i = slot as usize;
+        if replay && !slot_changed[i] {
+            continue;
+        }
+        let run_node = node[i] as usize;
+        // Average cycle cost of a miss over the access distribution —
+        // dense over homes, exactly as the reference composes it (zero
+        // rows contribute an exact `+0.0`: every matrix entry is finite).
+        let dist_row = &dist[i * n..i * n + n];
+        let mrow = &miss_cycles_matrix[run_node * n..run_node * n + n];
+        let mut miss_cycles = 0.0;
+        for (&frac, &mc) in dist_row.iter().zip(mrow) {
+            miss_cycles += frac * mc;
+        }
+        // Outstanding misses overlap: each miss (and L3 hit) stalls the
+        // core for latency / MLP cycles on average. The saturating `as
+        // u64` cast is `.floor().max(0.0) as u64` (truncation, zero for
+        // negatives/NaN, saturation at the top) without the libm floor
+        // call.
+        let cpi = if approx_cpi {
+            // Reassociated (division hoisted to the derived pass); approx
+            // mode only.
+            base_cpi[i] + refs_over_mlp[i] * (hit_term[i] + m[i] * miss_cycles)
+        } else {
+            base_cpi[i] + refs_per_instr[i] * (hit_term[i] + m[i] * miss_cycles) / mlp_eff[i]
+        };
+        let instructions = (cycles[i] / cpi) as u64;
+        let llc_refs = round_to_u64(instructions as f64 * refs_per_instr[i]);
+        out_instructions[i] = instructions;
+        out_cpi[i] = cpi;
+        out_refs[i] = llc_refs;
+        out_misses[i] = round_to_u64(llc_refs as f64 * m[i]);
+    }
+
+    let mut fires = 0;
+    for &slot in hot.active.iter() {
+        let i = slot as usize;
+        let run_node = node[i] as usize;
+        let acc = &mut out_node_acc[i * n..i * n + n];
+        if replay && !slot_changed[i] {
+            // Outputs stand bitwise; only their demand is re-offered below.
+            fires += 1;
+        } else {
+            // Scatter misses over home nodes, dense in home order (zero
+            // rows scatter a zero count). The rounding remainder goes to
+            // the run node (arbitrary but local). Every row entry is
+            // rewritten, so replayed rows never go stale.
+            let misses = out_misses[i];
+            let misses_f = misses as f64;
+            let mut assigned = 0u64;
+            for (c, &frac) in acc.iter_mut().zip(&dist[i * n..i * n + n]) {
+                *c = (misses_f * frac) as u64;
+                assigned += *c;
+            }
+            acc[run_node] += misses - assigned;
+            out_local[i] = acc[run_node];
+            out_remote[i] = misses - acc[run_node];
+        }
+        // Each miss moves more than its demand line (prefetch,
+        // writeback); remote misses also tax the home IMC with coherence
+        // work and cross the interconnect.
+        for (home, &c) in acc.iter().enumerate() {
+            if home != run_node {
+                let bytes = c as f64 * params.traffic_per_miss_bytes;
+                node_demand[home] += bytes * params.remote_imc_overhead;
+                pair_traffic[run_node * n + home] += bytes;
+                pair_traffic[home * n + run_node] += bytes;
+            }
+        }
+        node_demand[run_node] += acc[run_node] as f64 * params.traffic_per_miss_bytes;
+    }
+    fires
 }
 
 

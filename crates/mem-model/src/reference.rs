@@ -453,7 +453,42 @@ mod equiv_proptests {
         overhead: f64,
     }
 
-    fn profiles() -> Vec<AccessProfile> {
+    /// Every topology the pins run on: the paper's two-node testbed (the
+    /// engine's two-node specialisation), a one-node and a four-node
+    /// machine (its generic path).
+    fn topologies() -> [Topology; 3] {
+        [presets::xeon_e5620(), presets::uma_quad(), presets::four_socket_32core()]
+    }
+
+    /// Default calibration with a fractional per-miss traffic. With the
+    /// default 115 B every demand term is a multiple of 0.5 and sums
+    /// exactly in any order; here the terms round, so the accumulators'
+    /// bits depend on the order of the adds and the pin covers it.
+    fn fractional_traffic() -> EngineParams {
+        EngineParams {
+            traffic_per_miss_bytes: 115.3,
+            ..EngineParams::default()
+        }
+    }
+
+    /// An `n`-node access distribution: `first` on node 0, the rest on the
+    /// last node when `spread` is false, else split evenly over nodes
+    /// `1..n` (on one node, everything is local).
+    fn dist(n: usize, first: f64, spread: bool) -> Vec<f64> {
+        if n == 1 {
+            return vec![1.0];
+        }
+        let mut d = vec![0.0; n];
+        d[0] = first;
+        if spread {
+            d[1..].fill((1.0 - first) / (n - 1) as f64);
+        } else {
+            d[n - 1] = 1.0 - first;
+        }
+        d
+    }
+
+    fn profiles(n: usize) -> Vec<AccessProfile> {
         vec![
             // LLC-fitting, mostly-local (an lu-like phase).
             AccessProfile {
@@ -461,23 +496,24 @@ mod equiv_proptests {
                 base_cpi: 1.1,
                 miss_curve: MissCurve::new(0.05, 0.6, 10 * MB),
                 mlp: 2.0,
-                node_access_dist: vec![0.7, 0.3],
+                node_access_dist: dist(n, 0.7, true),
             },
-            // LLC-thrashing, mostly-remote.
+            // LLC-thrashing, mostly-remote (zero rows in between on more
+            // than two nodes).
             AccessProfile {
                 rpti: 26.0,
                 base_cpi: 0.9,
                 miss_curve: MissCurve::new(0.4, 0.7, 64 * MB),
                 mlp: 4.0,
-                node_access_dist: vec![0.2, 0.8],
+                node_access_dist: dist(n, 0.2, false),
             },
             // CPU-only (the hungry loop).
-            AccessProfile::cpu_only(1.0, 2),
+            AccessProfile::cpu_only(1.0, n),
         ]
     }
 
     fn arb_slot() -> impl Strategy<Value = SlotSpec> {
-        (0usize..3, 0u16..2, 0.05f64..1.0, 0.5f64..1.6, 1.0f64..4.0, 0.0f64..300.0).prop_map(
+        (0usize..3, 0u16..4, 0.05f64..1.0, 0.5f64..1.6, 1.0f64..4.0, 0.0f64..300.0).prop_map(
             |(prof, node, share, scale, boost, overhead)| SlotSpec {
                 prof,
                 node,
@@ -496,12 +532,19 @@ mod equiv_proptests {
         proptest::collection::vec(proptest::collection::vec(arb_slot(), 0..8), 1..10)
     }
 
-    fn build_usages<'a>(step: &[SlotSpec], profs: &'a [AccessProfile]) -> Vec<QuantumUsage<'a>> {
+    /// The step's usages on `topo`: each slot's node wraps to the node
+    /// count, and its profile comes from `profs` (built for that count).
+    fn build_usages<'a>(
+        step: &[SlotSpec],
+        profs: &'a [AccessProfile],
+        topo: &Topology,
+    ) -> Vec<QuantumUsage<'a>> {
+        let n = topo.num_nodes() as u16;
         step.iter()
             .enumerate()
             .map(|(slot, s)| QuantumUsage {
                 key: slot as u64 + 1,
-                node: NodeId::new(s.node),
+                node: NodeId::new(s.node % n),
                 runtime_share: s.share,
                 profile: &profs[s.prof],
                 rpti_scale: s.scale,
@@ -514,28 +557,35 @@ mod equiv_proptests {
     proptest! {
         #[test]
         fn soa_exact_matches_reference_stepwise(stream in arb_stream()) {
-            let topo = presets::xeon_e5620();
-            let profs = profiles();
-            let mut soa = MemoryEngine::new(&topo);
-            let mut reference = ReferenceEngine::new(&topo);
-            let quantum = SimDuration::from_millis(1);
-            for (step_no, step) in stream.iter().enumerate() {
-                let usages = build_usages(step, &profs);
-                let a = soa.step_ref(quantum, &usages).to_vec();
-                let b = reference.step_ref(quantum, &usages).to_vec();
-                prop_assert_eq!(&a, &b, "results diverged at step {}", step_no);
-                prop_assert_eq!(
-                    soa.contention(),
-                    reference.contention(),
-                    "multipliers diverged at step {}",
-                    step_no
-                );
-                prop_assert_eq!(
-                    soa.last_step_stationary(),
-                    reference.last_step_stationary(),
-                    "stationarity diverged at step {}",
-                    step_no
-                );
+            for (topo, params) in topologies()
+                .into_iter()
+                .flat_map(|t| [(t.clone(), EngineParams::default()), (t, fractional_traffic())])
+            {
+                let n = topo.num_nodes();
+                let profs = profiles(n);
+                let mut soa = MemoryEngine::with_params(&topo, params);
+                let mut reference = ReferenceEngine::with_params(&topo, params);
+                let quantum = SimDuration::from_millis(1);
+                for (step_no, step) in stream.iter().enumerate() {
+                    let usages = build_usages(step, &profs, &topo);
+                    let a = soa.step_ref(quantum, &usages).to_vec();
+                    let b = reference.step_ref(quantum, &usages).to_vec();
+                    prop_assert_eq!(&a, &b, "{} nodes: results diverged at step {}", n, step_no);
+                    prop_assert_eq!(
+                        soa.contention(),
+                        reference.contention(),
+                        "{} nodes: multipliers diverged at step {}",
+                        n,
+                        step_no
+                    );
+                    prop_assert_eq!(
+                        soa.last_step_stationary(),
+                        reference.last_step_stationary(),
+                        "{} nodes: stationarity diverged at step {}",
+                        n,
+                        step_no
+                    );
+                }
             }
         }
 
@@ -546,23 +596,26 @@ mod equiv_proptests {
             // clone with the cache dropped (which re-solves everything
             // from the same multipliers). A skipped node whose inputs
             // actually changed would show up here.
-            let topo = presets::xeon_e5620();
-            let profs = profiles();
-            let mut warm = MemoryEngine::new(&topo);
-            let quantum = SimDuration::from_millis(1);
-            for (step_no, step) in stream.iter().enumerate() {
-                let usages = build_usages(step, &profs);
-                let mut cold = warm.clone();
-                cold.invalidate_cache();
-                let a = warm.step_ref(quantum, &usages).to_vec();
-                let b = cold.step_ref(quantum, &usages).to_vec();
-                prop_assert_eq!(&a, &b, "warm/cold diverged at step {}", step_no);
-                prop_assert_eq!(
-                    warm.contention(),
-                    cold.contention(),
-                    "warm/cold multipliers diverged at step {}",
-                    step_no
-                );
+            for topo in topologies() {
+                let n = topo.num_nodes();
+                let profs = profiles(n);
+                let mut warm = MemoryEngine::new(&topo);
+                let quantum = SimDuration::from_millis(1);
+                for (step_no, step) in stream.iter().enumerate() {
+                    let usages = build_usages(step, &profs, &topo);
+                    let mut cold = warm.clone();
+                    cold.invalidate_cache();
+                    let a = warm.step_ref(quantum, &usages).to_vec();
+                    let b = cold.step_ref(quantum, &usages).to_vec();
+                    prop_assert_eq!(&a, &b, "{} nodes: warm/cold diverged at step {}", n, step_no);
+                    prop_assert_eq!(
+                        warm.contention(),
+                        cold.contention(),
+                        "{} nodes: warm/cold multipliers diverged at step {}",
+                        n,
+                        step_no
+                    );
+                }
             }
         }
 
@@ -571,22 +624,25 @@ mod equiv_proptests {
             // Drive the same usage list until the fixed point converges
             // and beyond: the whole-step skip must keep reproducing what
             // the reference (which never skips) produces.
-            let topo = presets::xeon_e5620();
-            let profs = profiles();
-            let mut soa = MemoryEngine::new(&topo);
-            let mut reference = ReferenceEngine::new(&topo);
-            let quantum = SimDuration::from_millis(1);
-            let usages = build_usages(&step, &profs);
-            for rep in 0..16 {
-                let a = soa.step_ref(quantum, &usages).to_vec();
-                let b = reference.step_ref(quantum, &usages).to_vec();
-                prop_assert_eq!(&a, &b, "results diverged at repeat {}", rep);
-                prop_assert_eq!(
-                    soa.last_step_stationary(),
-                    reference.last_step_stationary(),
-                    "stationarity diverged at repeat {}",
-                    rep
-                );
+            for topo in topologies() {
+                let n = topo.num_nodes();
+                let profs = profiles(n);
+                let mut soa = MemoryEngine::new(&topo);
+                let mut reference = ReferenceEngine::new(&topo);
+                let quantum = SimDuration::from_millis(1);
+                let usages = build_usages(&step, &profs, &topo);
+                for rep in 0..16 {
+                    let a = soa.step_ref(quantum, &usages).to_vec();
+                    let b = reference.step_ref(quantum, &usages).to_vec();
+                    prop_assert_eq!(&a, &b, "{} nodes: results diverged at repeat {}", n, rep);
+                    prop_assert_eq!(
+                        soa.last_step_stationary(),
+                        reference.last_step_stationary(),
+                        "{} nodes: stationarity diverged at repeat {}",
+                        n,
+                        rep
+                    );
+                }
             }
         }
     }

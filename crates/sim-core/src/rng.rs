@@ -12,9 +12,21 @@
 //! expands the `u64` experiment seed into a 256-bit key with a PCG32 step,
 //! and integer ranges are drawn with widening-multiply rejection, so the
 //! byte stream and all derived draws are identical across platforms.
+//!
+//! A refill computes its four blocks side by side: state word *w* is one
+//! four-lane vector whose lane *l* belongs to block *l* (counter + *l*), so
+//! every quarter-round step advances all four blocks in one instruction.
+//! On `x86_64` the lanes are SSE2 registers (SSE2 is part of the baseline,
+//! so there is no runtime detection); a 4×4 transpose then stores each
+//! block's words contiguously, in the order the one-block-at-a-time
+//! `ChaCha8::block` writes them. Other architectures refill through that
+//! scalar `block`, which also serves as the test oracle for the lanes.
 
 /// Number of `u32` words buffered per refill (four 16-word ChaCha blocks).
 const BUF_WORDS: usize = 64;
+
+/// The ChaCha constant words ("expand 32-byte k").
+const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
 /// ChaCha8 block generator state: 256-bit key, 64-bit counter, 64-bit
 /// stream id (always zero here).
@@ -27,6 +39,7 @@ struct ChaCha8 {
     index: usize,
 }
 
+#[cfg(any(test, not(target_arch = "x86_64")))]
 #[inline(always)]
 fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
     state[a] = state[a].wrapping_add(state[b]);
@@ -50,8 +63,8 @@ impl ChaCha8 {
     }
 
     /// Compute one 64-byte ChaCha8 block for the given counter value.
+    #[cfg(any(test, not(target_arch = "x86_64")))]
     fn block(&self, counter: u64, out: &mut [u32]) {
-        const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
         let mut s: [u32; 16] = [
             SIGMA[0],
             SIGMA[1],
@@ -88,15 +101,29 @@ impl ChaCha8 {
     }
 
     fn refill(&mut self) {
-        for blk in 0..4 {
-            let counter = self.counter.wrapping_add(blk as u64);
-            let (lo, hi) = (blk * 16, blk * 16 + 16);
-            let mut words = [0u32; 16];
-            self.block(counter, &mut words);
-            self.buf[lo..hi].copy_from_slice(&words);
-        }
+        // SAFETY: `sse2_lanes::fill` only requires the SSE2 target feature,
+        // which is part of the `x86_64` baseline: every `x86_64` CPU has it
+        // and every `x86_64` target enables it.
+        #[cfg(target_arch = "x86_64")]
+        unsafe {
+            sse2_lanes::fill(&self.key, self.counter, &mut self.buf)
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        self.fill_scalar();
         self.counter = self.counter.wrapping_add(4);
         self.index = 0;
+    }
+
+    /// Fill `buf` with the blocks at `counter .. counter + 4`, one
+    /// [`ChaCha8::block`] call each.
+    #[cfg(any(test, not(target_arch = "x86_64")))]
+    fn fill_scalar(&mut self) {
+        for blk in 0..4 {
+            let counter = self.counter.wrapping_add(blk as u64);
+            let mut words = [0u32; 16];
+            self.block(counter, &mut words);
+            self.buf[blk * 16..blk * 16 + 16].copy_from_slice(&words);
+        }
     }
 
     #[inline]
@@ -130,6 +157,99 @@ impl ChaCha8 {
             let hi = self.buf[0];
             self.index = 1;
             (u64::from(hi) << 32) | u64::from(lo)
+        }
+    }
+}
+
+/// The four-lane ChaCha8 refill on SSE2 (see the module docs).
+#[cfg(target_arch = "x86_64")]
+mod sse2_lanes {
+    use super::{BUF_WORDS, SIGMA};
+    use std::arch::x86_64::*;
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn rotl<const L: i32, const R: i32>(x: __m128i) -> __m128i {
+        _mm_or_si128(_mm_slli_epi32::<L>(x), _mm_srli_epi32::<R>(x))
+    }
+
+    /// The scalar `quarter_round` on four blocks at once.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn quarter_round(s: &mut [__m128i; 16], a: usize, b: usize, c: usize, d: usize) {
+        s[a] = _mm_add_epi32(s[a], s[b]);
+        s[d] = rotl::<16, 16>(_mm_xor_si128(s[d], s[a]));
+        s[c] = _mm_add_epi32(s[c], s[d]);
+        s[b] = rotl::<12, 20>(_mm_xor_si128(s[b], s[c]));
+        s[a] = _mm_add_epi32(s[a], s[b]);
+        s[d] = rotl::<8, 24>(_mm_xor_si128(s[d], s[a]));
+        s[c] = _mm_add_epi32(s[c], s[d]);
+        s[b] = rotl::<7, 25>(_mm_xor_si128(s[b], s[c]));
+    }
+
+    /// Write the blocks at `counter .. counter + 4` (wrapping) into `buf`,
+    /// block `l` at words `16l .. 16l + 16`.
+    #[target_feature(enable = "sse2")]
+    pub(super) fn fill(key: &[u32; 8], counter: u64, buf: &mut [u32; BUF_WORDS]) {
+        let splat = |w: u32| _mm_set1_epi32(w as i32);
+        // Each lane's counter is a full 64-bit add, so lanes that straddle
+        // a carry into the high word (or the wrap) match `block` exactly.
+        let ctr: [u64; 4] = std::array::from_fn(|l| counter.wrapping_add(l as u64));
+        let lo = |l: usize| ctr[l] as u32 as i32;
+        let hi = |l: usize| (ctr[l] >> 32) as u32 as i32;
+        let init: [__m128i; 16] = [
+            splat(SIGMA[0]),
+            splat(SIGMA[1]),
+            splat(SIGMA[2]),
+            splat(SIGMA[3]),
+            splat(key[0]),
+            splat(key[1]),
+            splat(key[2]),
+            splat(key[3]),
+            splat(key[4]),
+            splat(key[5]),
+            splat(key[6]),
+            splat(key[7]),
+            _mm_setr_epi32(lo(0), lo(1), lo(2), lo(3)),
+            _mm_setr_epi32(hi(0), hi(1), hi(2), hi(3)),
+            _mm_setzero_si128(),
+            _mm_setzero_si128(),
+        ];
+        let mut s = init;
+        // ChaCha8: four double-rounds.
+        for _ in 0..4 {
+            quarter_round(&mut s, 0, 4, 8, 12);
+            quarter_round(&mut s, 1, 5, 9, 13);
+            quarter_round(&mut s, 2, 6, 10, 14);
+            quarter_round(&mut s, 3, 7, 11, 15);
+            quarter_round(&mut s, 0, 5, 10, 15);
+            quarter_round(&mut s, 1, 6, 11, 12);
+            quarter_round(&mut s, 2, 7, 8, 13);
+            quarter_round(&mut s, 3, 4, 9, 14);
+        }
+        // Transpose each group of four words from word-major lanes to
+        // block-major rows: row `l` of group `g` is words `4g .. 4g + 4` of
+        // block `l`, stored at `buf[16l + 4g ..]`.
+        for g in 0..4 {
+            let w = |j: usize| _mm_add_epi32(s[4 * g + j], init[4 * g + j]);
+            let (w0, w1, w2, w3) = (w(0), w(1), w(2), w(3));
+            let t0 = _mm_unpacklo_epi32(w0, w1); // words 0, 1 of blocks 0, 1
+            let t1 = _mm_unpacklo_epi32(w2, w3); // words 2, 3 of blocks 0, 1
+            let t2 = _mm_unpackhi_epi32(w0, w1); // words 0, 1 of blocks 2, 3
+            let t3 = _mm_unpackhi_epi32(w2, w3); // words 2, 3 of blocks 2, 3
+            let rows = [
+                _mm_unpacklo_epi64(t0, t1),
+                _mm_unpackhi_epi64(t0, t1),
+                _mm_unpacklo_epi64(t2, t3),
+                _mm_unpackhi_epi64(t2, t3),
+            ];
+            for (l, row) in rows.into_iter().enumerate() {
+                let dst = &mut buf[16 * l + 4 * g..16 * l + 4 * g + 4];
+                // SAFETY: `dst` is four in-bounds `u32`s, exactly the 16
+                // bytes the store writes, and `storeu` has no alignment
+                // requirement.
+                unsafe { _mm_storeu_si128(dst.as_mut_ptr().cast::<__m128i>(), row) };
+            }
         }
     }
 }
@@ -486,5 +606,59 @@ mod tests {
             chunk.copy_from_slice(&c.next_u32().to_le_bytes());
         }
         assert_eq!(got, expected_first_bytes);
+    }
+
+    /// The refill `next_u32` uses must produce, word for word, what four
+    /// scalar `block` calls at `counter .. counter + 4` produce.
+    fn assert_refill_matches_blocks(c: &mut ChaCha8) {
+        let counter = c.counter;
+        c.refill();
+        for blk in 0..4 {
+            let mut words = [0u32; 16];
+            c.block(counter.wrapping_add(blk), &mut words);
+            let lane = blk as usize * 16;
+            assert_eq!(&c.buf[lane..lane + 16], &words, "block {blk} at counter {counter:#x}");
+        }
+        assert_eq!(c.counter, counter.wrapping_add(4));
+    }
+
+    #[test]
+    fn refill_matches_four_scalar_blocks() {
+        for seed in [0, 1, 42, u64::MAX] {
+            let mut c = ChaCha8::new(expand_seed(seed));
+            // Consecutive refills from a fresh stream.
+            for _ in 0..5 {
+                assert_refill_matches_blocks(&mut c);
+            }
+            // Lanes straddling the carry into the counter's high word:
+            // 2^32 − 2 and − 1 have high word 0, 2^32 and + 1 have 1.
+            c.counter = (1 << 32) - 2;
+            assert_refill_matches_blocks(&mut c);
+            assert_refill_matches_blocks(&mut c);
+            // Lanes straddling the wrap of the 64-bit counter.
+            c.counter = u64::MAX - 1;
+            assert_refill_matches_blocks(&mut c);
+            assert_eq!(c.counter, 2);
+            assert_refill_matches_blocks(&mut c);
+        }
+    }
+
+    /// The scalar refill (the path of non-`x86_64` targets) reproduces the
+    /// published vector and the refill every target uses.
+    #[test]
+    fn scalar_refill_matches_refill() {
+        let mut scalar = ChaCha8::new([0u32; 8]);
+        scalar.fill_scalar();
+        assert_eq!(scalar.buf[0], 0x2fef_003e);
+        for seed in [3, 77] {
+            let mut a = ChaCha8::new(expand_seed(seed));
+            let mut b = a.clone();
+            for _ in 0..3 {
+                a.refill();
+                b.fill_scalar();
+                b.counter = b.counter.wrapping_add(4);
+                assert_eq!(a.buf, b.buf);
+            }
+        }
     }
 }
