@@ -1,7 +1,7 @@
 //! The memory engine alone on a replayed noisy per-quantum usage stream.
 //!
-//! The repro sweep's noisy runs (fig4–fig7) pin the macro-stepper's
-//! horizon to one quantum, so their cost is dominated by per-quantum
+//! The repro sweep's noisy runs (fig4–fig7) change every slot's
+//! intensity every quantum, so their cost is dominated by per-quantum
 //! engine solves. This bench replays the same shape of stream — 16
 //! saturated slots on two sockets, per-slot intensity following the
 //! machine's clamped Ornstein-Uhlenbeck process, occasional cold windows

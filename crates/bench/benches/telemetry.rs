@@ -25,7 +25,7 @@ enum Mode {
     EnabledWithTrace,
 }
 
-/// The macro-step bench's noisy machine: event-rich (steals, idler
+/// A noisy paper-style machine: event-rich (steals, idler
 /// wakes, partition moves every period), so the enabled path pays for
 /// every instrumented site.
 fn noisy_machine(mode: Mode) -> Machine {

@@ -2,7 +2,7 @@
 //! append-only `BENCH_history.jsonl`.
 //!
 //! Both the `repro` binary (per-artifact sweep timings, keyed
-//! `jobs_N`/`jobs_N_nomacro`) and the `trace` binary (the `trace_tool`
+//! `jobs_N`) and the `trace` binary (the `trace_tool`
 //! key) merge their entries into the same file in the working
 //! directory, so one JSON object holds every timing a checkout has
 //! produced. Every entry carries the [`stamp`] provenance prefix (git

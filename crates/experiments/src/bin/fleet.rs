@@ -224,7 +224,6 @@ fn compare_single_host(cfg: &FleetConfig) -> Result<(), SimError> {
         .sample_period(quiet.epoch_len)
         .seed(quiet.seed)
         .faults(faults)
-        .macro_step(quiet.macro_step)
         .engine(quiet.engine);
     for id in 0..quiet.initial_vms_per_host as u64 {
         let flavor = &quiet.flavors[id as usize % quiet.flavors.len()];

@@ -12,9 +12,8 @@
 //! Runs the [`experiments::perfreport`] scenario × engine matrix with
 //! perf introspection enabled and prints what the optimization machinery
 //! saved: whole-step skip rates, clean-node skips, memo hit rates,
-//! demand replays, fixed-point rounds per solving step, macro-step batch
-//! lengths with horizon-close attribution, and the exact-vs-approx
-//! effectiveness deltas.
+//! demand replays, fixed-point rounds per solving step, and the
+//! exact-vs-approx effectiveness deltas.
 //!
 //! Everything on stdout is a pure function of the simulated execution:
 //! byte-identical across `--jobs`, repeated runs, and machines, and

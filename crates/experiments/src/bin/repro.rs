@@ -10,7 +10,6 @@
 //! repro --fault-rate 0.05 --fault-seed 1 all   # run under fault injection
 //! repro fig-faults     # the robustness sweep (rates swept internally)
 //! repro fig-fleet      # the fleet sweep (churn + host failures at scale)
-//! repro --no-macro-step all   # reference per-quantum stepper (bisection)
 //! repro --reference-engine all # frozen pre-rewrite memory engine
 //! repro --approx-engine all    # quantized fast engine (bounded error)
 //! ```
@@ -55,7 +54,6 @@ fn main() {
     let seed = take_value(&mut args, "--seed").map(|v| parse_num(&v, "--seed"));
     let fault_rate = take_value(&mut args, "--fault-rate").map(|v| parse_rate(&v, "--fault-rate"));
     let fault_seed = take_value(&mut args, "--fault-seed").map(|v| parse_num(&v, "--fault-seed"));
-    let no_macro = take_flag(&mut args, "--no-macro-step");
     let reference_engine = take_flag(&mut args, "--reference-engine");
     let approx_engine = take_flag(&mut args, "--approx-engine");
     if reference_engine && approx_engine {
@@ -65,7 +63,7 @@ fn main() {
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
             "usage: repro [--quick] [--csv DIR] [--jobs N] [--seed N] \
-             [--fault-rate R] [--fault-seed N] [--no-macro-step] \
+             [--fault-rate R] [--fault-seed N] \
              [--reference-engine | --approx-engine] all | {}",
             ARTIFACTS.join(" | ")
         );
@@ -102,7 +100,6 @@ fn main() {
     if let Some(s) = seed {
         opts.seed = s;
     }
-    opts.macro_step = !no_macro;
     opts.engine = if reference_engine {
         EngineSelect::Reference
     } else if approx_engine {
@@ -146,7 +143,7 @@ fn main() {
     let total_s = total.elapsed().as_secs_f64();
     let effective_jobs = parallel::configured_jobs();
     eprintln!("total wall time: {total_s:.2} s ({effective_jobs} jobs)");
-    record_bench(effective_jobs, quick, !no_macro, opts.engine, &timings, total_s);
+    record_bench(effective_jobs, quick, opts.engine, &timings, total_s);
     if !failed.is_empty() {
         eprintln!("failed artifacts: {}", failed.join(", "));
         std::process::exit(1);
@@ -220,14 +217,12 @@ fn write_outputs(
 }
 
 /// Merge this run's wall-clock numbers into `BENCH_repro.json`, keyed by
-/// job count, stepping mode, and engine, so sequential/parallel,
-/// macro/per-quantum, and exact/approx/reference timings of the same
-/// selection sit side by side. The same record (plus the key) is
+/// job count and engine, so sequential/parallel and
+/// exact/approx/reference timings of the same selection sit side by side. The same record (plus the key) is
 /// appended to `BENCH_history.jsonl`, the append-only benchmark log.
 fn record_bench(
     jobs: usize,
     quick: bool,
-    macro_step: bool,
     engine: EngineSelect,
     timings: &[(String, f64)],
     total_s: f64,
@@ -242,16 +237,11 @@ fn record_bench(
     let mut fields = benchrec::stamp(regime, engine.name());
     fields.extend([
         ("jobs".into(), Json::from(jobs)),
-        ("macro_step".into(), Json::from(macro_step)),
         ("total_wall_s".into(), Json::Num(benchrec::round3(total_s))),
         ("artifact_wall_s".into(), artifacts),
     ]);
     let entry = Json::Obj(fields.clone());
-    let mut key = if macro_step {
-        format!("jobs_{jobs}")
-    } else {
-        format!("jobs_{jobs}_nomacro")
-    };
+    let mut key = format!("jobs_{jobs}");
     if engine != EngineSelect::Exact {
         key.push('_');
         key.push_str(engine.name());

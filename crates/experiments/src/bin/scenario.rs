@@ -5,7 +5,6 @@
 //! scenario --seed 9 path/to/scenario.json   # override the file's seed
 //! scenario --jobs 1 path/to/scenario.json   # worker-thread count
 //! scenario --fault-rate 0.05 --fault-seed 1 path/to/scenario.json
-//! scenario --no-macro-step path/to/scenario.json   # reference stepper
 //! scenario --print-example
 //! ```
 
@@ -46,7 +45,7 @@ fn main() {
 fn usage() {
     eprintln!(
         "usage: scenario [--jobs N] [--seed N] [--fault-rate R] [--fault-seed N] \
-         [--no-macro-step] <file.json> | --print-example"
+         <file.json> | --print-example"
     );
 }
 
@@ -57,7 +56,6 @@ fn run(mut args: Vec<String>) -> Result<(), SimError> {
     let seed = take_parsed::<u64>(&mut args, "--seed")?;
     let fault_rate = take_rate(&mut args, "--fault-rate")?;
     let fault_seed = take_parsed::<u64>(&mut args, "--fault-seed")?;
-    let no_macro = take_flag(&mut args, "--no-macro-step");
     match args.as_slice() {
         [flag] if flag == "--print-example" => {
             println!("{EXAMPLE}");
@@ -76,9 +74,6 @@ fn run(mut args: Vec<String>) -> Result<(), SimError> {
             if let Some(s) = fault_seed {
                 scenario.fault_seed = s;
             }
-            if no_macro {
-                scenario.macro_step = false;
-            }
             let table = scenario.run()?;
             println!("{}", table.to_text());
             Ok(())
@@ -87,15 +82,6 @@ fn run(mut args: Vec<String>) -> Result<(), SimError> {
             usage();
             std::process::exit(2);
         }
-    }
-}
-
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        args.remove(i);
-        true
-    } else {
-        false
     }
 }
 

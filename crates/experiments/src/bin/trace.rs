@@ -5,7 +5,6 @@
 //! trace path/to/scenario.json                  # writes into the cwd
 //! trace --out traces/run1 path/to/scenario.json
 //! trace --seed 9 --fault-rate 0.1 --fault-seed 1 path/to/scenario.json
-//! trace --no-macro-step path/to/scenario.json  # reference stepper
 //! trace --trace-cap 500000 path/to/scenario.json
 //! trace --print-example
 //! ```
@@ -69,7 +68,7 @@ fn main() {
 fn usage() {
     eprintln!(
         "usage: trace [--out DIR] [--seed N] [--fault-rate R] [--fault-seed N] \
-         [--trace-cap N] [--no-macro-step] <file.json> | --print-example"
+         [--trace-cap N] <file.json> | --print-example"
     );
 }
 
@@ -79,7 +78,6 @@ fn run(mut args: Vec<String>) -> Result<(), SimError> {
     let fault_rate = take_rate(&mut args, "--fault-rate")?;
     let fault_seed = take_parsed::<u64>(&mut args, "--fault-seed")?;
     let trace_cap = take_parsed::<usize>(&mut args, "--trace-cap")?.unwrap_or(DEFAULT_TRACE_CAP);
-    let no_macro = take_flag(&mut args, "--no-macro-step");
     match args.as_slice() {
         [flag] if flag == "--print-example" => {
             println!("{EXAMPLE}");
@@ -87,9 +85,7 @@ fn run(mut args: Vec<String>) -> Result<(), SimError> {
         }
         [path] => {
             let path = path.clone();
-            trace_one(
-                &path, &out_dir, seed, fault_rate, fault_seed, trace_cap, no_macro,
-            )
+            trace_one(&path, &out_dir, seed, fault_rate, fault_seed, trace_cap)
         }
         _ => {
             usage();
@@ -105,7 +101,6 @@ fn trace_one(
     fault_rate: Option<f64>,
     fault_seed: Option<u64>,
     trace_cap: usize,
-    no_macro: bool,
 ) -> Result<(), SimError> {
     let started = Instant::now();
     let json = std::fs::read_to_string(path)
@@ -119,9 +114,6 @@ fn trace_one(
     }
     if let Some(s) = fault_seed {
         scenario.fault_seed = s;
-    }
-    if no_macro {
-        scenario.macro_step = false;
     }
     let mut machine = scenario.build()?;
     machine.enable_trace(trace_cap.max(1));
@@ -144,7 +136,6 @@ fn trace_one(
     fields.extend([
         ("scenario".into(), Json::Str(path.into())),
         ("duration_s".into(), Json::from(scenario.duration_s)),
-        ("macro_step".into(), Json::from(scenario.macro_step)),
         ("events".into(), Json::from(machine.trace().recorded())),
         (
             "decisions".into(),
@@ -165,15 +156,6 @@ fn write_out(dir: &str, file: &str, contents: &str) -> Result<(), SimError> {
         .map_err(|e| SimError::InvalidConfig(format!("cannot write {p}: {e}")))?;
     eprintln!("wrote {p}");
     Ok(())
-}
-
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        args.remove(i);
-        true
-    } else {
-        false
-    }
 }
 
 fn take_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, SimError> {

@@ -107,8 +107,8 @@ pub fn sweep_config(
 }
 
 /// Run the paper-scale sweep: [`SCHEDULERS`] × [`FULL_SIZES`]. Only
-/// `opts.seed`, `opts.macro_step`, and `opts.engine` apply — fleet time
-/// is measured in epochs, not the single-machine duration/warmup window.
+/// `opts.seed` and `opts.engine` apply — fleet time is measured in
+/// epochs, not the single-machine duration/warmup window.
 pub fn run(opts: &RunOptions) -> Result<Vec<FleetPoint>, SimError> {
     run_grid(&SCHEDULERS, &FULL_SIZES, opts, 12, false)
 }
@@ -130,7 +130,6 @@ pub fn run_grid(
     for &scheduler in schedulers {
         for &hosts in sizes {
             let mut cfg = sweep_config(scheduler, hosts, opts.seed, epochs, smoke);
-            cfg.macro_step = opts.macro_step;
             cfg.engine = opts.engine;
             let report = Fleet::new(cfg)?.run()?;
             if report.vms_lost != 0 {

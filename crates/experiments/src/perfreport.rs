@@ -2,8 +2,8 @@
 //!
 //! The simulator's performance work — the incremental memory engine's
 //! whole-step skip and dirty-node tracking, the LLC solve memo, the
-//! demand replay, the approx engine's tolerance exit, event-horizon
-//! macro-stepping, fleet host sharding — is deliberately invisible in
+//! demand replay, the approx engine's tolerance exit, fleet host
+//! sharding — is deliberately invisible in
 //! the artifacts it is forbidden to change. This module makes it
 //! visible: it runs a small matrix of representative workloads with perf
 //! introspection enabled and reports the deterministic work-avoidance
@@ -23,7 +23,7 @@
 //!   on a run that still does real scheduling work.
 //! * **quiescent** — saturated hungry loops with the noise disabled.
 //!   The sim reaches a fixed point and this measures the *skipping*
-//!   path: macro-step batch lengths, horizon-close attribution.
+//!   path: whole-step skips replay the stationary solve each quantum.
 //! * **fleet** — the smoke-scale churn/failure fleet sweep config on one
 //!   scheduler, counters summed over every host and generation.
 //!
@@ -60,7 +60,7 @@ pub struct ReportOptions {
     pub noisy_s: u64,
     /// Simulated seconds of the phased (noise-free SPEC) scenario.
     pub phased_s: u64,
-    /// Simulated seconds of the quiescent macro-stepping scenario.
+    /// Simulated seconds of the quiescent (stationary) scenario.
     pub quiescent_s: u64,
     /// Hosts in the fleet scenario (0 skips it).
     pub fleet_hosts: usize,
@@ -216,7 +216,7 @@ fn phased_snapshot(opts: &ReportOptions, engine: EngineSelect) -> Result<PerfSna
 }
 
 /// Saturated hungry loops with intensity noise off: the run goes
-/// stationary and the macro-stepper takes over.
+/// stationary and the whole-step skip takes over.
 fn quiescent_snapshot(
     opts: &ReportOptions,
     engine: EngineSelect,
@@ -264,24 +264,6 @@ fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
-/// Top horizon-close reasons as `"name:count"`, most frequent first
-/// (count desc, then name asc — fully deterministic), `-` when the
-/// macro path never engaged.
-fn top_closes(snap: &PerfSnapshot) -> String {
-    let mut close = snap.horizon_close_named();
-    close.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-    if close.is_empty() {
-        "-".into()
-    } else {
-        close
-            .iter()
-            .take(3)
-            .map(|(name, n)| format!("{name}:{n}"))
-            .collect::<Vec<_>>()
-            .join(" ")
-    }
-}
-
 /// The counter matrix as a table (text / CSV via [`Table`]).
 pub fn render(points: &[PerfPoint]) -> Table {
     let mut t = Table::new(
@@ -296,8 +278,6 @@ pub fn render(points: &[PerfPoint]) -> Table {
             "rounds/solve",
             "replay",
             "tol exits",
-            "batch mean",
-            "top horizon closes",
         ],
     );
     for p in points {
@@ -312,8 +292,6 @@ pub fn render(points: &[PerfPoint]) -> Table {
             f3(e.rounds_per_solving_step()),
             e.replay_fires.to_string(),
             e.tolerance_exits.to_string(),
-            f3(p.snap.machine.batches.mean()),
-            top_closes(&p.snap),
         ]);
     }
     t
@@ -453,10 +431,9 @@ mod tests {
                 "fleet"
             ]
         );
-        // The quiescent exact run engages the macro-stepper...
+        // The quiescent exact run is mostly whole-step skips...
         let quiet = &points[4];
-        assert!(quiet.snap.machine.batches.mean() > 1.0);
-        assert!(quiet.snap.engine.whole_step_skips > 0);
+        assert!(quiet.snap.engine.whole_step_skips * 2 > quiet.snap.engine.steps);
         // ...and the fleet run aggregates every host.
         let fl = &points[6];
         assert_eq!(fl.snap.hosts as usize, tiny().fleet_hosts);

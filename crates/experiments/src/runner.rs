@@ -87,10 +87,6 @@ pub struct RunOptions {
     pub warmup: SimDuration,
     /// Fault injection (default [`FaultConfig::none`]: clean run).
     pub faults: FaultConfig,
-    /// Event-horizon macro-stepping (default on; byte-identical outputs
-    /// either way). `--no-macro-step` on the binaries clears it so
-    /// regressions can be bisected against the reference stepper.
-    pub macro_step: bool,
     /// Memory-engine implementation (default exact incremental;
     /// `--reference-engine` / `--approx-engine` on the binaries select the
     /// frozen pre-rewrite solver or the quantized fast path).
@@ -106,7 +102,6 @@ impl Default for RunOptions {
             shuffle: Some(SimDuration::from_secs(8)),
             warmup: SimDuration::from_secs(10),
             faults: FaultConfig::none(),
-            macro_step: true,
             engine: EngineSelect::Exact,
         }
     }
@@ -196,7 +191,6 @@ pub fn build_machine(
         .sample_period(opts.sample_period)
         .seed(opts.seed)
         .faults(opts.faults.clone())
-        .macro_step(opts.macro_step)
         .engine(opts.engine)
         .add_vm(vm1)
         .add_vm(vm2)

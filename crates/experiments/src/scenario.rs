@@ -71,9 +71,6 @@ pub struct Scenario {
     pub fault_rate: f64,
     /// Seed for the fault schedule (independent of `seed`).
     pub fault_seed: u64,
-    /// Event-horizon macro-stepping (default on; results are identical
-    /// either way, per-quantum stepping is just slower).
-    pub macro_step: bool,
     pub vms: Vec<VmSpec>,
 }
 
@@ -123,20 +120,40 @@ fn field_f64(obj: &Json, key: &str, default: f64) -> Result<f64, SimError> {
     }
 }
 
-fn field_bool(obj: &Json, key: &str, default: bool) -> Result<bool, SimError> {
-    match obj.get(key) {
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| parse_err(format!("'{key}' must be a boolean"))),
-        None => Ok(default),
+/// Reject any key of `obj` outside `known`, so a misspelled or retired
+/// field fails loudly instead of silently taking its default.
+fn reject_unknown_keys(
+    obj: &[(String, Json)],
+    known: &[&str],
+    what: &str,
+) -> Result<(), SimError> {
+    match obj.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+        Some((k, _)) => Err(parse_err(format!(
+            "unknown {what} field '{k}' (expected one of: {})",
+            known.join(", ")
+        ))),
+        None => Ok(()),
     }
 }
 
+const SCENARIO_KEYS: [&str; 7] = [
+    "topology",
+    "scheduler",
+    "duration_s",
+    "seed",
+    "fault_rate",
+    "fault_seed",
+    "vms",
+];
+
+const VM_KEYS: [&str; 7] = ["name", "vcpus", "mem_gb", "alloc", "workloads", "pin", "weight"];
+
 impl VmSpec {
     fn from_value(v: &Json) -> Result<VmSpec, SimError> {
-        if v.as_object().is_none() {
-            return Err(parse_err("each entry of 'vms' must be an object"));
-        }
+        let obj = v
+            .as_object()
+            .ok_or_else(|| parse_err("each entry of 'vms' must be an object"))?;
+        reject_unknown_keys(obj, &VM_KEYS, "VM")?;
         let workloads = v
             .get("workloads")
             .and_then(Json::as_array)
@@ -189,12 +206,14 @@ impl VmSpec {
 
 impl Scenario {
     /// Parse from JSON. Missing optional fields take the documented
-    /// defaults; `vms` is required.
+    /// defaults; `vms` is required; unknown keys are rejected, at top
+    /// level and per VM.
     pub fn from_json(json: &str) -> Result<Scenario, SimError> {
         let doc = Json::parse(json).map_err(parse_err)?;
-        if doc.as_object().is_none() {
-            return Err(parse_err("top level must be an object"));
-        }
+        let obj = doc
+            .as_object()
+            .ok_or_else(|| parse_err("top level must be an object"))?;
+        reject_unknown_keys(obj, &SCENARIO_KEYS, "scenario")?;
         let vms = doc
             .get("vms")
             .and_then(Json::as_array)
@@ -209,7 +228,6 @@ impl Scenario {
             seed: field_u64(&doc, "seed", Some(0))?,
             fault_rate: field_f64(&doc, "fault_rate", 0.0)?,
             fault_seed: field_u64(&doc, "fault_seed", Some(1))?,
-            macro_step: field_bool(&doc, "macro_step", true)?,
             vms,
         })
     }
@@ -227,9 +245,6 @@ impl Scenario {
         if self.fault_rate > 0.0 {
             pairs.push(("fault_rate".to_string(), Json::Num(self.fault_rate)));
             pairs.push(("fault_seed".to_string(), Json::from(self.fault_seed)));
-        }
-        if !self.macro_step {
-            pairs.push(("macro_step".to_string(), Json::from(false)));
         }
         pairs.push((
             "vms".to_string(),
@@ -267,8 +282,7 @@ impl Scenario {
         let topo = self.topology()?;
         let mut b = MachineBuilder::new(topo.clone())
             .policy(self.policy(topo.num_nodes())?)
-            .seed(self.seed)
-            .macro_step(self.macro_step);
+            .seed(self.seed);
         if self.fault_rate > 0.0 {
             b = b.faults(FaultConfig::uniform(self.fault_rate, self.fault_seed));
         }
@@ -460,26 +474,44 @@ mod tests {
         assert!(sc.run().is_err());
     }
 
+    fn assert_unknown_key(json: &str, key: &str) {
+        match Scenario::from_json(json) {
+            Err(SimError::InvalidConfig(msg)) => {
+                assert!(msg.contains(&format!("'{key}'")), "{msg}")
+            }
+            other => panic!("expected InvalidConfig naming '{key}', got {other:?}"),
+        }
+    }
+
     #[test]
-    fn macro_step_field_round_trips_and_defaults_on() {
-        let sc = Scenario::from_json(EXAMPLE).unwrap();
-        assert!(sc.macro_step);
-        assert!(!sc.to_json().contains("macro_step"));
-        let mut slow = sc.clone();
-        slow.macro_step = false;
-        let json = slow.to_json();
-        assert!(json.contains("\"macro_step\":false"));
-        let back = Scenario::from_json(&json).unwrap();
-        assert!(!back.macro_step);
-        assert_eq!(back.to_json(), json);
+    fn misspelled_top_level_key_is_rejected() {
+        let json = EXAMPLE.replacen("\"seed\": 7", "\"seed\": 7, \"fault_rat\": 0.5", 1);
+        assert_ne!(json, EXAMPLE);
+        assert_unknown_key(&json, "fault_rat");
+    }
+
+    #[test]
+    fn misspelled_vm_key_is_rejected() {
+        let json = EXAMPLE.replacen("\"vcpus\": 8", "\"vcpus\": 8, \"wieght\": 512", 1);
+        assert_ne!(json, EXAMPLE);
+        assert_unknown_key(&json, "wieght");
+    }
+
+    #[test]
+    fn retired_macro_step_key_is_rejected() {
+        let json = EXAMPLE.replacen("\"seed\": 7", "\"seed\": 7, \"macro_step\": false", 1);
+        assert_ne!(json, EXAMPLE);
+        assert_unknown_key(&json, "macro_step");
     }
 
     #[test]
     fn scenario_round_trips_through_json() {
-        let sc = Scenario::from_json(EXAMPLE).unwrap();
+        let mut sc = Scenario::from_json(EXAMPLE).unwrap();
+        sc.vms[0].pin = Some("node:0".into());
         let json = sc.to_json();
         let back = Scenario::from_json(&json).unwrap();
         assert_eq!(back.vms[0].name, "db");
+        assert_eq!(back.vms[0].pin.as_deref(), Some("node:0"));
         assert_eq!(back.vms[0].alloc, "split");
         assert_eq!(back.vms[1].weight, 256);
         assert_eq!(back.duration_s, 3);

@@ -6,8 +6,7 @@
 //! how much partition-move churn each sampling pass caused (Fig. 8's
 //! left-arm cost), and how each period's workers classified against the
 //! RPTI bounds (the Table 2 view of Eq. 3). All numbers come from the
-//! telemetry registry, so the report is deterministic and macro-step
-//! invariant.
+//! telemetry registry, so the report is deterministic.
 
 use crate::report::Table;
 use xen_sim::Machine;

@@ -258,15 +258,12 @@ pub struct FleetConfig {
     pub host_fault_rate: f64,
     /// Seed for per-host fault streams (host `i` uses `fault_seed + i`).
     pub fault_seed: u64,
-    /// Event-horizon macro-stepping on every host (byte-identical either
-    /// way; off only for bisection).
-    pub macro_step: bool,
     /// Memory-engine implementation on every host (default the exact
     /// incremental engine; `Approx` trades bounded model error for speed,
     /// `Reference` pins the frozen pre-rewrite solver).
     pub engine: EngineSelect,
     /// Perf introspection on every host machine (work-avoidance counters,
-    /// macro-batch histograms; see `xen_sim::perf`). Observation only —
+    /// see `xen_sim::perf`). Observation only —
     /// the report and every other output stay byte-identical.
     pub perf: bool,
     /// SLO budget for evacuation latency, in seconds: the burn-rate series
@@ -293,7 +290,6 @@ impl FleetConfig {
             admission: AdmissionConfig::default(),
             host_fault_rate: 0.0,
             fault_seed: 1,
-            macro_step: true,
             engine: EngineSelect::default(),
             perf: false,
             slo_evac_budget_s: 60.0,

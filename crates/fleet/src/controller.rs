@@ -341,7 +341,7 @@ impl Fleet {
     /// Perf counters merged across every host (each host folds its own
     /// retired machine generations), in host index order, so the result
     /// is byte-deterministic at any `--jobs`. Engine counters are always
-    /// maintained; the macro-batch statistics are nonzero only when
+    /// maintained; the step statistics are nonzero only when
     /// [`crate::config::FleetConfig::perf`] enabled collection.
     pub fn perf_snapshot(&self) -> xen_sim::PerfSnapshot {
         let mut snap = xen_sim::PerfSnapshot::default();
@@ -1140,7 +1140,6 @@ mod tests {
             .policy(cfg.scheduler.policy(num_nodes, cfg.seed))
             .sample_period(cfg.epoch_len)
             .seed(cfg.seed)
-            .macro_step(cfg.macro_step)
             .engine(cfg.engine);
         for id in 0..cfg.initial_vms_per_host as u64 {
             let flavor = &cfg.flavors[id as usize % cfg.flavors.len()];

@@ -228,7 +228,6 @@ impl Host {
             .sample_period(cfg.epoch_len)
             .seed(seed)
             .faults(faults)
-            .macro_step(cfg.macro_step)
             .engine(cfg.engine);
         for vm in &self.vms {
             builder = builder.add_vm(vm.flavor.vm_config(vm.id));

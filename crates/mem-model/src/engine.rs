@@ -42,8 +42,7 @@
 //! * **whole-step skip** — when every input is bitwise unchanged *and* the
 //!   previous solve was stationary (the damped update left every
 //!   multiplier bitwise unchanged), re-running would replay the identical
-//!   trajectory, so the cached outputs are rematerialized without solving
-//!   (the same argument [`MemoryEngine::step_batch`] already relied on).
+//!   trajectory, so the cached outputs are rematerialized without solving.
 //!
 //! Every solve warm-starts from the previous quantum's multipliers, as the
 //! original engine did. Exact mode ([`EngineMode::Exact`], the default) is
@@ -550,26 +549,10 @@ impl MemoryEngine {
         self.step_ref(quantum, usages).to_vec()
     }
 
-    /// Resolve up to `max_quanta` consecutive identical quanta with one
-    /// solve. The step is performed once; if it left the contention fixed
-    /// point stationary (bitwise-unchanged multipliers), re-running it with
-    /// the same inputs would reproduce the exact same trajectory, so the
-    /// returned results stand for all `max_quanta` quanta and the caller
-    /// may apply them `max_quanta` times in closed form. Otherwise only one
-    /// quantum is covered. Returns `(results, quanta_covered)`.
-    pub fn step_batch(
-        &mut self,
-        quantum: SimDuration,
-        usages: &[QuantumUsage],
-        max_quanta: u64,
-    ) -> (&[VcpuQuantumResult], u64) {
-        self.step_ref(quantum, usages);
-        let covered = if self.stationary { max_quanta.max(1) } else { 1 };
-        (&self.results, covered)
-    }
-
-    /// Whether the most recent solve was stationary (see
-    /// [`MemoryEngine::step_batch`]).
+    /// Whether the most recent solve was stationary: the damped update
+    /// left every contention multiplier bitwise unchanged, so re-running
+    /// it with the same inputs would replay the exact same trajectory
+    /// (what the whole-step skip relies on).
     pub fn last_step_stationary(&self) -> bool {
         self.stationary
     }
@@ -761,8 +744,8 @@ impl MemoryEngine {
         hot.valid = true;
 
         // --- Whole-step skip: identical inputs at a converged fixed point
-        // replay the identical trajectory (the `step_batch` argument), so
-        // the cached final round already is this step's answer. ---
+        // replay the identical trajectory, so the cached final round
+        // already is this step's answer. ---
         if !any_changed && self.stationary {
             self.perf.whole_step_skips += 1;
             materialize_results(hot, results, n);

@@ -168,19 +168,6 @@ impl ReferenceEngine {
         self.step_ref(quantum, usages).to_vec()
     }
 
-    /// Resolve up to `max_quanta` consecutive identical quanta with one
-    /// solve (see [`crate::MemoryEngine::step_batch`]).
-    pub fn step_batch(
-        &mut self,
-        quantum: SimDuration,
-        usages: &[QuantumUsage],
-        max_quanta: u64,
-    ) -> (&[VcpuQuantumResult], u64) {
-        self.step_ref(quantum, usages);
-        let covered = if self.stationary { max_quanta.max(1) } else { 1 };
-        (&self.results, covered)
-    }
-
     /// Whether the most recent solve was stationary.
     pub fn last_step_stationary(&self) -> bool {
         self.stationary
@@ -566,24 +553,24 @@ mod equiv_proptests {
                 let mut soa = MemoryEngine::with_params(&topo, params);
                 let mut reference = ReferenceEngine::with_params(&topo, params);
                 let quantum = SimDuration::from_millis(1);
-                for (step_no, step) in stream.iter().enumerate() {
+                for (step_idx, step) in stream.iter().enumerate() {
                     let usages = build_usages(step, &profs, &topo);
                     let a = soa.step_ref(quantum, &usages).to_vec();
                     let b = reference.step_ref(quantum, &usages).to_vec();
-                    prop_assert_eq!(&a, &b, "{} nodes: results diverged at step {}", n, step_no);
+                    prop_assert_eq!(&a, &b, "{} nodes: results diverged at step {}", n, step_idx);
                     prop_assert_eq!(
                         soa.contention(),
                         reference.contention(),
                         "{} nodes: multipliers diverged at step {}",
                         n,
-                        step_no
+                        step_idx
                     );
                     prop_assert_eq!(
                         soa.last_step_stationary(),
                         reference.last_step_stationary(),
                         "{} nodes: stationarity diverged at step {}",
                         n,
-                        step_no
+                        step_idx
                     );
                 }
             }
@@ -601,19 +588,19 @@ mod equiv_proptests {
                 let profs = profiles(n);
                 let mut warm = MemoryEngine::new(&topo);
                 let quantum = SimDuration::from_millis(1);
-                for (step_no, step) in stream.iter().enumerate() {
+                for (step_idx, step) in stream.iter().enumerate() {
                     let usages = build_usages(step, &profs, &topo);
                     let mut cold = warm.clone();
                     cold.invalidate_cache();
                     let a = warm.step_ref(quantum, &usages).to_vec();
                     let b = cold.step_ref(quantum, &usages).to_vec();
-                    prop_assert_eq!(&a, &b, "{} nodes: warm/cold diverged at step {}", n, step_no);
+                    prop_assert_eq!(&a, &b, "{} nodes: warm/cold diverged at step {}", n, step_idx);
                     prop_assert_eq!(
                         warm.contention(),
                         cold.contention(),
                         "{} nodes: warm/cold multipliers diverged at step {}",
                         n,
-                        step_no
+                        step_idx
                     );
                 }
             }

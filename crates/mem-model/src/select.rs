@@ -95,16 +95,15 @@ impl AnyEngine {
         }
     }
 
-    /// See [`MemoryEngine::step_batch`].
-    pub fn step_batch(
+    /// See [`MemoryEngine::step_ref`].
+    pub fn step_ref(
         &mut self,
         quantum: SimDuration,
         usages: &[QuantumUsage],
-        max_quanta: u64,
-    ) -> (&[VcpuQuantumResult], u64) {
+    ) -> &[VcpuQuantumResult] {
         match self {
-            AnyEngine::Soa(e) => e.step_batch(quantum, usages, max_quanta),
-            AnyEngine::Reference(e) => e.step_batch(quantum, usages, max_quanta),
+            AnyEngine::Soa(e) => e.step_ref(quantum, usages),
+            AnyEngine::Reference(e) => e.step_ref(quantum, usages),
         }
     }
 

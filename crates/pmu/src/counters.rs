@@ -133,31 +133,6 @@ impl VcpuPmu {
         }
     }
 
-    /// Record the same quantum result `times` times at once. Counter
-    /// addition is exact u64 arithmetic, so multiplying first is identical
-    /// to `times` separate [`VcpuPmu::record`] calls.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_scaled(
-        &mut self,
-        instructions: u64,
-        llc_refs: u64,
-        llc_misses: u64,
-        local: u64,
-        remote: u64,
-        node_accesses: &[u64],
-        times: u64,
-    ) {
-        debug_assert_eq!(node_accesses.len(), self.node_accesses.len());
-        self.instructions.add(instructions * times);
-        self.llc_refs.add(llc_refs * times);
-        self.llc_misses.add(llc_misses * times);
-        self.local_accesses.add(local * times);
-        self.remote_accesses.add(remote * times);
-        for (c, &n) in self.node_accesses.iter_mut().zip(node_accesses) {
-            c.add(n * times);
-        }
-    }
-
     /// Read the current window without closing it.
     pub fn peek_window(&self) -> PmuSample {
         PmuSample {

@@ -41,12 +41,6 @@ impl PeriodSampler {
         self.periods_completed
     }
 
-    /// The next time at which [`PeriodSampler::maybe_sample`] will fire.
-    /// Macro-stepping uses this as one of its event-horizon sources.
-    pub fn next_boundary(&self) -> SimTime {
-        self.next_boundary
-    }
-
     /// Record a quantum's results for VCPU `vcpu`.
     #[allow(clippy::too_many_arguments)]
     pub fn record(
@@ -60,32 +54,6 @@ impl PeriodSampler {
         node_accesses: &[u64],
     ) {
         self.pmus[vcpu].record(instructions, llc_refs, llc_misses, local, remote, node_accesses);
-    }
-
-    /// Record the same quantum result `times` times in one call — the
-    /// counters are additive in exact integers, so this matches `times`
-    /// individual [`PeriodSampler::record`] calls bit for bit.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_scaled(
-        &mut self,
-        vcpu: usize,
-        instructions: u64,
-        llc_refs: u64,
-        llc_misses: u64,
-        local: u64,
-        remote: u64,
-        node_accesses: &[u64],
-        times: u64,
-    ) {
-        self.pmus[vcpu].record_scaled(
-            instructions,
-            llc_refs,
-            llc_misses,
-            local,
-            remote,
-            node_accesses,
-            times,
-        );
     }
 
     /// If `now` has reached the period boundary, close every VCPU's window

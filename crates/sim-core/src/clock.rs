@@ -211,14 +211,6 @@ impl Clock {
         self.now
     }
 
-    /// Advance by `n` quanta at once and return the new time. Equivalent to
-    /// `n` calls to [`Clock::step`]; used by macro-stepping callers that
-    /// batch event-free quanta.
-    pub fn step_n(&mut self, n: u64) -> SimTime {
-        self.now += self.quantum * n;
-        self.now
-    }
-
     /// Number of multiples of `period` that were crossed by the most recent
     /// step, i.e. lie in the half-open interval `(now - quantum, now]`.
     ///

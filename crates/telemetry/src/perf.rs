@@ -2,7 +2,7 @@
 //! and explicitly non-deterministic wall-clock attribution.
 //!
 //! The simulator's optimization machinery (incremental memory engine,
-//! macro-stepping, fleet sharding) is invisible from the outputs it is
+//! fleet sharding) is invisible from the outputs it is
 //! required not to change. This module provides the two ingredients the
 //! perf layer records with — kept strictly apart:
 //!
@@ -83,8 +83,8 @@ impl CounterSet {
 /// Number of log2 buckets in a [`BatchHistogram`] (lengths 1 .. 2^16+).
 pub const BATCH_BUCKETS: usize = 17;
 
-/// A log2-bucket histogram of batch lengths (macro-step batches, hosts
-/// stepped per fleet epoch). Bucket `i` counts lengths in
+/// A log2-bucket histogram of batch lengths (quanta per machine step,
+/// hosts stepped per fleet epoch). Bucket `i` counts lengths in
 /// `[2^i, 2^(i+1))`; the last bucket absorbs everything larger.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchHistogram {

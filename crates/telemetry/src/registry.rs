@@ -7,11 +7,6 @@
 //! call and exports nothing — [`Registry::export`] returns `None`, letting
 //! callers omit the block entirely and keep disabled output byte-identical
 //! to builds without telemetry.
-//!
-//! *Diagnostic* gauges are the one exception to the gate: they are always
-//! writable and readable (the machine uses one for its macro-step batch
-//! counter) but are excluded from the export, so they never perturb
-//! golden-file comparisons between runs that batch differently.
 
 use sim_core::{Counter, Histogram, Json, SimTime, TimeSeries};
 
@@ -39,8 +34,6 @@ struct CounterState {
 struct GaugeState {
     name: &'static str,
     value: f64,
-    /// Excluded from export and snapshots; always writable.
-    diagnostic: bool,
     series: TimeSeries,
 }
 
@@ -75,8 +68,8 @@ impl Registry {
         self.enabled
     }
 
-    /// Turn recording (and export) on or off. Registrations and diagnostic
-    /// gauge values survive either way.
+    /// Turn recording (and export) on or off. Registrations survive either
+    /// way.
     pub fn set_enabled(&mut self, on: bool) {
         self.enabled = on;
     }
@@ -98,16 +91,6 @@ impl Registry {
 
     /// Register a gauge.
     pub fn gauge(&mut self, name: &'static str) -> GaugeId {
-        self.register_gauge(name, false)
-    }
-
-    /// Register a diagnostic gauge: always writable regardless of the
-    /// enabled flag, never exported.
-    pub fn diagnostic_gauge(&mut self, name: &'static str) -> GaugeId {
-        self.register_gauge(name, true)
-    }
-
-    fn register_gauge(&mut self, name: &'static str, diagnostic: bool) -> GaugeId {
         debug_assert!(
             self.gauges.iter().all(|g| g.name != name),
             "duplicate gauge '{name}'"
@@ -115,7 +98,6 @@ impl Registry {
         self.gauges.push(GaugeState {
             name,
             value: 0.0,
-            diagnostic,
             series: TimeSeries::new(),
         });
         GaugeId(self.gauges.len() - 1)
@@ -147,22 +129,19 @@ impl Registry {
         }
     }
 
-    /// Set a gauge. Diagnostic gauges accept the write even when disabled.
+    /// Set a gauge (no-op when disabled).
     #[inline]
     pub fn set_gauge(&mut self, id: GaugeId, v: f64) {
-        let g = &mut self.gauges[id.0];
-        if self.enabled || g.diagnostic {
-            g.value = v;
+        if self.enabled {
+            self.gauges[id.0].value = v;
         }
     }
 
-    /// Add to a gauge. Diagnostic gauges accept the write even when
-    /// disabled.
+    /// Add to a gauge (no-op when disabled).
     #[inline]
     pub fn add_gauge(&mut self, id: GaugeId, delta: f64) {
-        let g = &mut self.gauges[id.0];
-        if self.enabled || g.diagnostic {
-            g.value += delta;
+        if self.enabled {
+            self.gauges[id.0].value += delta;
         }
     }
 
@@ -205,7 +184,7 @@ impl Registry {
     }
 
     /// Close the current sampling period: push each counter's window delta,
-    /// each non-diagnostic gauge's value, and each histogram's sample-count
+    /// each gauge's value, and each histogram's sample-count
     /// delta as one `(now, value)` point. No-op when disabled, so disabled
     /// runs allocate nothing.
     pub fn snapshot(&mut self, now: SimTime) {
@@ -217,9 +196,7 @@ impl Registry {
             c.counter.reset_window();
         }
         for g in &mut self.gauges {
-            if !g.diagnostic {
-                g.series.push(now, g.value);
-            }
+            g.series.push(now, g.value);
         }
         for h in &mut self.histograms {
             h.series.push(now, (h.hist.count() - h.window_base) as f64);
@@ -228,7 +205,7 @@ impl Registry {
     }
 
     /// Zero all measurement state (counters, histograms, every series) but
-    /// keep registrations, the enabled flag, and diagnostic gauge values —
+    /// keep registrations and the enabled flag —
     /// the telemetry analogue of `Machine::reset_metrics`.
     pub fn reset(&mut self) {
         for c in &mut self.counters {
@@ -236,9 +213,7 @@ impl Registry {
             c.series = TimeSeries::new();
         }
         for g in &mut self.gauges {
-            if !g.diagnostic {
-                g.value = 0.0;
-            }
+            g.value = 0.0;
             g.series = TimeSeries::new();
         }
         for h in &mut self.histograms {
@@ -248,7 +223,7 @@ impl Registry {
         }
     }
 
-    /// Serialize every non-diagnostic metric as one JSON block, or `None`
+    /// Serialize every metric as one JSON block, or `None`
     /// when disabled (callers omit the block so disabled output stays
     /// byte-identical to pre-telemetry builds). Key order is registration
     /// order, so the export is byte-stable across runs.
@@ -279,7 +254,6 @@ impl Registry {
         let gauges = Json::Arr(
             self.gauges
                 .iter()
-                .filter(|g| !g.diagnostic)
                 .map(|g| {
                     Json::Obj(vec![
                         ("name".into(), Json::from(g.name)),
@@ -340,22 +314,6 @@ mod tests {
         assert_eq!(r.gauge_value(g), 0.0);
         assert_eq!(r.histogram_state(h).count(), 0);
         assert!(r.export().is_none());
-    }
-
-    #[test]
-    fn diagnostic_gauge_is_writable_when_disabled_but_not_exported() {
-        let mut r = Registry::new();
-        let d = r.diagnostic_gauge("macro_batches");
-        r.add_gauge(d, 1.0);
-        r.add_gauge(d, 1.0);
-        assert_eq!(r.gauge_value(d), 2.0);
-        r.set_enabled(true);
-        let json = r.export().unwrap().to_string();
-        assert!(!json.contains("macro_batches"), "{json}");
-        // Reset keeps the diagnostic value (it tracks mechanism, not
-        // measurement).
-        r.reset();
-        assert_eq!(r.gauge_value(d), 2.0);
     }
 
     #[test]

@@ -116,25 +116,6 @@ impl PhasedWorkload {
     pub fn spec_at(&self, t: SimTime) -> WorkloadSpec {
         self.spec_for_phase(self.phase_index_at(t))
     }
-
-    /// The first time strictly after the phase containing `t` begins at
-    /// which the active phase changes, or `None` for a single-phase
-    /// workload (its spec never changes). Used as an event-horizon source:
-    /// for any `t ≤ u < next_phase_change(t)`, `spec_at(u) == spec_at(t)`.
-    pub fn next_phase_change(&self, t: SimTime) -> Option<SimTime> {
-        if self.phases.len() <= 1 {
-            return None;
-        }
-        let offset = t.as_micros() % self.cycle.as_micros();
-        let mut end = 0u64;
-        for p in &self.phases {
-            end += p.duration.as_micros();
-            if offset < end {
-                return Some(SimTime::from_micros(t.as_micros() - offset + end));
-            }
-        }
-        unreachable!("offset < cycle implies a phase matches")
-    }
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@ pub use policy::{
     SchedPolicy, StealContext, VcpuAssignment, VcpuView,
 };
 pub use export::{to_chrome, to_jsonl, ChromeContext};
-pub use perf::{HorizonEvent, MachinePerf, PerfSnapshot};
+pub use perf::{MachinePerf, PerfSnapshot};
 pub use provenance::{Decision, DecisionRecord, ProvenanceLog, StealCandidate};
 pub use sim_core::{FaultConfig, FaultInjector};
 pub use trace::{Event, FaultEvent, TraceLog};

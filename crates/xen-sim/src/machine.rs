@@ -96,12 +96,6 @@ pub struct MachineConfig {
     /// own seeded streams, so the all-zero default leaves the simulation
     /// bit-identical to a build without fault injection.
     pub faults: FaultConfig,
-    /// Event-horizon macro-stepping: batch runs of event-free quanta
-    /// through one memory-engine solve. Pure execution strategy — every
-    /// metric and series is byte-identical either way; turn it off to
-    /// bisect a suspected batching bug against the reference per-quantum
-    /// stepper.
-    pub macro_step: bool,
     /// Which memory-engine implementation resolves execution (default the
     /// exact incremental engine; `Reference` pins the frozen pre-rewrite
     /// solver for byte-diffs, `Approx` trades bounded model error for
@@ -128,7 +122,6 @@ impl Default for MachineConfig {
             overhead: OverheadModel::default(),
             seed: 42,
             faults: FaultConfig::none(),
-            macro_step: true,
             engine: EngineSelect::Exact,
         }
     }
@@ -171,12 +164,6 @@ impl MachineBuilder {
     /// Enable fault injection (validated at [`MachineBuilder::build`]).
     pub fn faults(mut self, faults: FaultConfig) -> Self {
         self.cfg.faults = faults;
-        self
-    }
-
-    /// Enable or disable event-horizon macro-stepping (default on).
-    pub fn macro_step(mut self, on: bool) -> Self {
-        self.cfg.macro_step = on;
         self
     }
 
@@ -263,11 +250,6 @@ pub struct Machine {
     /// Cached `cfg.faults.enabled()`: gates every per-quantum fault hook so
     /// the fault-free hot path stays branch-cheap and draw-free.
     faults_enabled: bool,
-    /// Cached "macro-stepping could ever batch here" check: macro-step on,
-    /// no faults, no intensity noise. When false (every noisy or faulty
-    /// run), `step_quanta` skips `macro_horizon` entirely, so enabling
-    /// macro-stepping costs the noisy path nothing.
-    macro_candidate: bool,
     /// Per-VCPU validity of the latest period's samples (1 clean, 0 lost),
     /// reported to the policy through [`PeriodFeedback`].
     sample_validity: Vec<f64>,
@@ -296,15 +278,13 @@ pub struct Machine {
     /// rule behind every placement/steal/partition/degrade decision.
     /// Disabled by default (one branch per site).
     provenance: crate::provenance::ProvenanceLog,
-    /// Macro-stepping perf statistics (batch histogram, horizon-close
-    /// reasons). `None` (the default) costs one null-check per quantum
-    /// and leaves every output byte unchanged; see [`crate::perf`].
+    /// Per-quantum step statistics. `None` (the default) costs one
+    /// null-check per quantum and leaves every output byte unchanged; see
+    /// [`crate::perf`].
     perf: Option<Box<crate::perf::MachinePerf>>,
 }
 
-/// Handles to the machine's registered telemetry metrics. The macro-batch
-/// count lives here as a *diagnostic* gauge: always maintained, excluded
-/// from the export, so macro and reference runs stay byte-identical.
+/// Handles to the machine's registered telemetry metrics.
 struct TelemetryIds {
     c_steals_local: CounterId,
     c_steals_remote: CounterId,
@@ -318,7 +298,6 @@ struct TelemetryIds {
     c_rpti_fitting: CounterId,
     c_rpti_thrashing: CounterId,
     g_active_vcpus: GaugeId,
-    g_macro_batches: GaugeId,
     h_steal_latency: HistogramId,
     h_migration_distance: HistogramId,
     h_runq_depth: HistogramId,
@@ -431,9 +410,6 @@ impl Machine {
             noise_scratch: Vec::with_capacity(num_vcpus),
             injector: FaultInjector::new(cfg.faults.clone())?,
             faults_enabled: cfg.faults.enabled(),
-            macro_candidate: cfg.macro_step
-                && !cfg.faults.enabled()
-                && cfg.intensity_noise_sd == 0.0,
             sample_validity: vec![1.0; num_vcpus],
             failed_migrations: Vec::new(),
             delayed_moves: Vec::new(),
@@ -478,7 +454,6 @@ impl Machine {
             c_rpti_fitting: reg.counter("rpti_fitting"),
             c_rpti_thrashing: reg.counter("rpti_thrashing"),
             g_active_vcpus: reg.gauge("active_vcpus"),
-            g_macro_batches: reg.diagnostic_gauge("macro_batches"),
             h_steal_latency: reg.histogram("steal_latency", 0.0, 50.0, 10),
             h_migration_distance: reg.histogram("migration_distance", 0.0, 50.0, 10),
             h_runq_depth: reg.histogram("runqueue_depth", 0.0, 16.0, 16),
@@ -504,14 +479,6 @@ impl Machine {
 
     pub fn metrics(&self) -> &RunMetrics {
         &self.metrics
-    }
-
-    /// How many multi-quantum batches the macro-stepper has taken so far
-    /// (0 when disabled, or when the machine never went quiescent). Backed
-    /// by the diagnostic `macro_batches` telemetry gauge, which is always
-    /// maintained but never exported.
-    pub fn macro_batches(&self) -> u64 {
-        self.telemetry.gauge_value(self.tids.g_macro_batches) as u64
     }
 
     /// Enable xentrace-style event tracing, keeping the most recent
@@ -594,8 +561,7 @@ impl Machine {
         crate::provenance::to_jsonl(&self.provenance)
     }
 
-    /// Enable perf introspection: macro-step batch statistics plus the
-    /// engine's work-avoidance counters, exported into
+    /// Enable perf introspection: the engine's work-avoidance counters, exported into
     /// [`RunMetrics::perf`] at the end of [`Machine::run`]. Collection is
     /// observational only — enabling it changes no scheduling decision
     /// and no other output byte.
@@ -611,7 +577,7 @@ impl Machine {
     }
 
     /// Deterministic perf snapshot for this machine: the engine's
-    /// work-avoidance counters (always maintained) plus the macro-step
+    /// work-avoidance counters (always maintained) plus the step
     /// statistics gathered since [`Machine::enable_perf`] (zeroed stats
     /// if perf was never enabled).
     pub fn perf_snapshot(&self) -> crate::perf::PerfSnapshot {
@@ -670,9 +636,8 @@ impl Machine {
     /// Run for `duration` of simulated time.
     pub fn run(&mut self, duration: SimDuration) -> &RunMetrics {
         let quanta = duration / self.cfg.quantum;
-        let mut done = 0u64;
-        while done < quanta {
-            done += self.step_quanta(quanta - done);
+        for _ in 0..quanta {
+            self.step_quantum();
         }
         self.metrics.elapsed += self.cfg.quantum * quanta;
         self.metrics.overhead_us = self.overhead.overhead_us();
@@ -684,11 +649,9 @@ impl Machine {
         &self.metrics
     }
 
-    /// Advance one quantum, then — when the machine is quiescent — extend
-    /// the step across every following event-free quantum up to the event
-    /// horizon (capped at `max_quanta`), applying one memory-engine solve
-    /// in closed form. Returns the number of quanta consumed (≥ 1).
-    fn step_quanta(&mut self, max_quanta: u64) -> u64 {
+    /// Advance one quantum: timer events, scheduling, one memory-engine
+    /// solve, credit debit, then the sampling-period check.
+    fn step_quantum(&mut self) {
         self.clock.step();
         let now = self.clock.now();
 
@@ -704,39 +667,15 @@ impl Machine {
         self.wake_idlers(now);
         self.schedule_all();
 
-        let batch = if self.macro_candidate && max_quanta > 1 {
-            let (batch, why) = self.macro_horizon(now, max_quanta);
-            if let Some(p) = self.perf.as_deref_mut() {
-                p.consult(batch, why);
-            }
-            batch
-        } else {
-            if let Some(p) = self.perf.as_deref_mut() {
-                p.plain_step();
-            }
-            1
-        };
-        self.execute_quanta(now, batch);
-        self.debit_running(batch);
-        if batch > 1 {
-            self.telemetry.add_gauge(self.tids.g_macro_batches, 1.0);
-            // The batch's later quanta each take the schedule keep path,
-            // which burns one timeslice quantum; the horizon guarantees no
-            // slice expires inside the batch.
-            let extra = (batch - 1) as u32;
-            for p in 0..self.pcpus.len() {
-                if let Some(v) = self.pcpus[p].current {
-                    self.vcpus[v.index()].timeslice_left -= extra;
-                }
-            }
-            self.clock.step_n(batch - 1);
+        if let Some(p) = self.perf.as_deref_mut() {
+            p.plain_step();
         }
+        self.execute_quantum(now);
+        self.debit_running();
 
-        let now = self.clock.now();
         if let Some(samples) = self.sampler.maybe_sample(now) {
             self.handle_sample(now, samples);
         }
-        batch
     }
 
     /// Guest thread shuffles, via the precomputed per-VM fire times: the
@@ -750,139 +689,6 @@ impl Machine {
                 slot.0 += slot.1;
             }
         }
-    }
-
-    /// How many consecutive quanta, starting with the one just scheduled,
-    /// can be executed as one batch without changing any observable result.
-    ///
-    /// Returns 1 (plain stepping) unless the machine is *quiescent*: no
-    /// fault injection, no per-quantum intensity noise, and every PCPU
-    /// running exactly one warm, correctly-placed worker over an empty
-    /// queue with no pending overhead charge. In that state the schedule
-    /// decision is a fixed point and each further quantum differs from the
-    /// last only through timer events, so the batch may extend to the
-    /// *event horizon*: the earliest of the next timeslice expiry, workload
-    /// phase change, guest-timer wake, VM shuffle, effectful credit tick,
-    /// credit-accounting grant, and sampling-period boundary. Events that
-    /// fire *before* a quantum executes bound the batch to the quanta
-    /// strictly before them; the sampler fires *after* its quantum, so a
-    /// boundary landing exactly on the batch's last quantum is fine.
-    ///
-    /// Faults pin the horizon to 1 because `fault_tick` consumes seeded RNG
-    /// draws every quantum (and transient stalls / delayed migrations can
-    /// land anywhere); batching would desynchronize the fault streams that
-    /// PR 2 pinned byte-identical.
-    ///
-    /// Also returns which event closed the horizon (bounds the batch);
-    /// ties go to the earlier bound in scan order, so the attribution is
-    /// deterministic. The reason feeds perf introspection only — the
-    /// returned length is what it always was.
-    fn macro_horizon(&self, now: SimTime, max_quanta: u64) -> (u64, crate::perf::HorizonEvent) {
-        use crate::perf::HorizonEvent as Ev;
-        if self.faults_enabled || self.cfg.intensity_noise_sd > 0.0 {
-            return (1, Ev::NonQuiescent);
-        }
-        for p in &self.pcpus {
-            if !p.is_quiescent() {
-                return (1, Ev::NonQuiescent);
-            }
-            let v = &self.vcpus[p.current.expect("quiescent implies current").index()];
-            if v.kind != VcpuKind::Worker || v.cold_quanta > 0 || !v.allowed_on(p.node) {
-                return (1, Ev::NonQuiescent);
-            }
-        }
-
-        let q = self.cfg.quantum.as_micros();
-        let now_us = now.as_micros();
-        let tick = self.cfg.credit_tick.as_micros();
-        let window = self.cfg.accounting.as_micros();
-        let ticks_per = tick / q;
-        let slots = (window / q).max(1);
-        // The residue arithmetic below mirrors the fast paths in
-        // `credit_ticks` / `credit_accounting`; outside their preconditions
-        // (quantum divides tick and window, first period passed) fall back
-        // to per-quantum stepping.
-        if ticks_per < 1
-            || tick != ticks_per * q
-            || now_us < tick
-            || window != slots * q
-            || now_us < window
-        {
-            return (1, Ev::NonQuiescent);
-        }
-
-        let mut n = max_quanta;
-        let mut why = Ev::MaxQuanta;
-        // Apply a candidate bound: the first event to reach a given
-        // minimum keeps the attribution (strict `<`).
-        fn bound(n: &mut u64, why: &mut Ev, k: u64, ev: Ev) {
-            if k < *n {
-                *n = k;
-                *why = ev;
-            }
-        }
-        // An event at absolute time `e` that is processed before its
-        // quantum executes allows batching only the quanta strictly
-        // before it.
-        let pre_quanta = |event_us: u64| event_us.saturating_sub(now_us).div_ceil(q).max(1);
-
-        for p in &self.pcpus {
-            let v = &self.vcpus[p.current.expect("checked above").index()];
-            // Quantum k of the batch keeps the PCPU only while the slice
-            // lasts: k ≤ timeslice_left + 1.
-            bound(&mut n, &mut why, v.timeslice_left as u64 + 1, Ev::Timeslice);
-            let thread = self.vms[v.vm.index()].thread_for_slot(v.vm_idx);
-            if let Some(change) = thread.workload.next_phase_change(now) {
-                bound(&mut n, &mut why, pre_quanta(change.as_micros()), Ev::PhaseChange);
-            }
-        }
-
-        if let Some(&Reverse((t, _))) = self.idler_wakes.peek() {
-            bound(&mut n, &mut why, pre_quanta(t.as_micros()), Ev::IdlerWake);
-        }
-
-        for &(next, stride) in &self.shuffle_next {
-            if stride != 0 {
-                bound(&mut n, &mut why, pre_quanta(next), Ev::Shuffle);
-            }
-        }
-
-        // Credit ticks only matter when they charge something: the stock
-        // no-overhead tick adds exactly +0.0 and is a bitwise no-op. With
-        // every PCPU busy, the next effectful tick is the next quantum
-        // whose slot indexes an existing PCPU.
-        let runnable: usize = self.pcpus.iter().map(|p| p.workload()).sum();
-        if self.policy.uses_pmu() || self.policy.tick_overhead_us(runnable) != 0.0 {
-            let base = now_us / q;
-            for k in 1..=ticks_per {
-                if ((base + k) % ticks_per) < self.pcpus.len() as u64 {
-                    bound(&mut n, &mut why, k, Ev::CreditTick);
-                    break;
-                }
-            }
-        }
-
-        // Credit accounting: VCPU i's grant lands at quanta ≡ i (mod
-        // slots), and every grant is an event (it rewrites priority).
-        {
-            let base_slot = (now_us / q) % slots;
-            for (i, v) in self.vcpus.iter().enumerate() {
-                if v.blocked {
-                    continue;
-                }
-                let r = i as u64 % slots;
-                let k = (r + slots - base_slot) % slots;
-                let k = if k == 0 { slots } else { k };
-                bound(&mut n, &mut why, k, Ev::Accounting);
-            }
-        }
-
-        // Sampling fires after its quantum executes, so a boundary on the
-        // batch's final quantum is allowed.
-        let d = self.sampler.next_boundary().as_micros().saturating_sub(now_us);
-        bound(&mut n, &mut why, d.div_ceil(q) + 1, Ev::Sampler);
-
-        (n.max(1), why)
     }
 
     /// Per-quantum fault bookkeeping (only called with faults enabled):
@@ -1005,17 +811,17 @@ impl Machine {
     /// escape accounting entirely ("tick evasion"), which lets low-pressure
     /// VCPUs stay UNDER forever and distorts every steal policy that
     /// prefers them; Xen later fixed this the same way.
-    fn debit_running(&mut self, quanta: u64) {
+    fn debit_running(&mut self) {
         let per_quantum =
             (100 * self.cfg.quantum.as_micros() / self.cfg.credit_tick.as_micros()).max(1) as i32;
         for p in 0..self.pcpus.len() {
             // A stalled PCPU executed nothing this quantum, so its pinned
-            // VCPU owes nothing (stalls never overlap a macro batch).
+            // VCPU owes nothing.
             if self.pcpus[p].stall_left > 0 {
                 continue;
             }
             if let Some(v) = self.pcpus[p].current {
-                self.vcpus[v.index()].debit_n(per_quantum, quanta);
+                self.vcpus[v.index()].adjust_credits(-per_quantum);
             }
         }
     }
@@ -1472,7 +1278,7 @@ impl Machine {
         self.pcpus[target.index()].queue.push(vcpu);
     }
 
-    fn execute_quanta(&mut self, now: SimTime, quanta: u64) {
+    fn execute_quantum(&mut self, now: SimTime) {
         self.update_intensity_noise();
         let noise = &self.noise_scratch;
         let mut usages: Vec<QuantumUsage> = Vec::with_capacity(self.pcpus.len());
@@ -1482,7 +1288,7 @@ impl Machine {
                 continue;
             }
             let Some(vid) = p.current else { continue };
-            self.vcpus[vid.index()].run_quanta += quanta;
+            self.vcpus[vid.index()].run_quanta += 1;
             let v = &self.vcpus[vid.index()];
             let vm = &self.vms[v.vm.index()];
             // Workers borrow their thread's phase-cached profile with the
@@ -1518,57 +1324,43 @@ impl Machine {
                 overhead_us: std::mem::take(&mut p.pending_overhead_us),
             });
         }
-        // One solve covers every quantum it leaves the contention fixed
-        // point stationary for; otherwise it covers one and the loop
-        // re-solves with the same inputs. Either way the engine replays
-        // the reference per-quantum trajectory bit for bit, and the
-        // per-quantum applications below collapse to exact closed forms
-        // (u64 multiplies and integer-valued f64 sums).
-        let mut done = 0u64;
-        while done < quanta {
-            let covered = self
-                .engine
-                .step_batch(self.cfg.quantum, &usages, quanta - done)
-                .1;
-            done += covered;
-            let results = self.engine.take_results();
-            for r in &results {
-                let vid = VcpuId::new(r.key as u32);
-                let v = &mut self.vcpus[vid.index()];
-                if v.cold_quanta > 0 {
-                    v.cold_quanta -= 1;
-                }
-                if v.kind == VcpuKind::TimerIdler {
-                    // Idler bursts consume PCPU time but are guest-kernel
-                    // housekeeping, not application work: they count toward
-                    // machine busy time (Table III's denominator) only.
-                    if v.burst_left > 0 {
-                        v.burst_left -= 1;
-                    }
-                    self.overhead.add_busy_time(self.cfg.quantum * covered);
-                    continue;
-                }
-                self.sampler.record_scaled(
-                    vid.index(),
-                    r.instructions,
-                    r.llc_refs,
-                    r.llc_misses,
-                    r.local_accesses,
-                    r.remote_accesses,
-                    &r.node_accesses,
-                    covered,
-                );
-                let m = &mut self.metrics.per_vm[v.vm.index()];
-                m.instructions += r.instructions * covered;
-                m.llc_refs += r.llc_refs * covered;
-                m.llc_misses += r.llc_misses * covered;
-                m.local_accesses += r.local_accesses * covered;
-                m.remote_accesses += r.remote_accesses * covered;
-                m.busy_us += self.cfg.quantum.as_micros() * covered;
-                self.overhead.add_busy_time(self.cfg.quantum * covered);
+        self.engine.step_ref(self.cfg.quantum, &usages);
+        let results = self.engine.take_results();
+        for r in &results {
+            let vid = VcpuId::new(r.key as u32);
+            let v = &mut self.vcpus[vid.index()];
+            if v.cold_quanta > 0 {
+                v.cold_quanta -= 1;
             }
-            self.engine.put_back_results(results);
+            if v.kind == VcpuKind::TimerIdler {
+                // Idler bursts consume PCPU time but are guest-kernel
+                // housekeeping, not application work: they count toward
+                // machine busy time (Table III's denominator) only.
+                if v.burst_left > 0 {
+                    v.burst_left -= 1;
+                }
+                self.overhead.add_busy_time(self.cfg.quantum);
+                continue;
+            }
+            self.sampler.record(
+                vid.index(),
+                r.instructions,
+                r.llc_refs,
+                r.llc_misses,
+                r.local_accesses,
+                r.remote_accesses,
+                &r.node_accesses,
+            );
+            let m = &mut self.metrics.per_vm[v.vm.index()];
+            m.instructions += r.instructions;
+            m.llc_refs += r.llc_refs;
+            m.llc_misses += r.llc_misses;
+            m.local_accesses += r.local_accesses;
+            m.remote_accesses += r.remote_accesses;
+            m.busy_us += self.cfg.quantum.as_micros();
+            self.overhead.add_busy_time(self.cfg.quantum);
         }
+        self.engine.put_back_results(results);
     }
 
     /// Advance each worker's burstiness process one quantum (discrete

@@ -221,8 +221,8 @@ pub struct RunMetrics {
     /// called, in which case the block is omitted from the JSON so
     /// telemetry-off runs stay byte-identical to pre-telemetry builds.
     pub telemetry: Option<Json>,
-    /// Perf-introspection snapshot (work-avoidance counters, macro-batch
-    /// histogram, horizon-close reasons); `None` unless
+    /// Perf-introspection snapshot (the memory engine's work-avoidance
+    /// counters); `None` unless
     /// `Machine::enable_perf` was called, in which case the block is
     /// omitted so perf-off runs stay byte-identical.
     pub perf: Option<Json>,

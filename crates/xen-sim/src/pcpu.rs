@@ -40,20 +40,6 @@ impl PcpuState {
     pub fn is_idle(&self) -> bool {
         self.current.is_none() && self.queue.is_empty()
     }
-
-    /// Quiescent for macro-stepping: the PCPU is running exactly one VCPU
-    /// with nothing queued behind it, is not stalled, and carries no
-    /// pending overhead that would perturb the next quantum's usable time.
-    /// Under these conditions (and with the running VCPU's timeslice,
-    /// priority, and affinity stable — checked by the machine) the PCPU's
-    /// schedule decision is a fixed point: each further quantum reproduces
-    /// the same assignment.
-    pub fn is_quiescent(&self) -> bool {
-        self.stall_left == 0
-            && self.current.is_some()
-            && self.queue.is_empty()
-            && self.pending_overhead_us == 0.0
-    }
 }
 
 #[cfg(test)]

@@ -1,12 +1,12 @@
-//! Machine-level perf introspection: deterministic work-avoidance
-//! statistics for the macro-stepping layer, paired with the memory
-//! engine's own counters ([`EnginePerf`]).
+//! Machine-level perf introspection: the memory engine's deterministic
+//! work-avoidance counters ([`EnginePerf`]) for one machine or a merge of
+//! many hosts.
 //!
 //! Everything in this module is a pure function of the simulated
-//! execution — batch lengths, horizon-closing events, engine counters —
-//! so two runs at the same seed export byte-identical JSON regardless of
-//! wall-clock, `--jobs`, or host. That is what lets the perf report be
-//! pinned by golden files and digests the same way CSVs are.
+//! execution, so two runs at the same seed export byte-identical JSON
+//! regardless of wall-clock, `--jobs`, or host. That is what lets the
+//! perf report be pinned by golden files and digests the same way CSVs
+//! are.
 //!
 //! Collection is off by default. [`crate::Machine`] holds an
 //! `Option<Box<MachinePerf>>`; until `enable_perf` is called the hot
@@ -17,122 +17,38 @@ use mem_model::EnginePerf;
 use sim_core::Json;
 use telemetry::BatchHistogram;
 
-/// Which event closed a macro-step horizon (bound the batch length).
-///
-/// `macro_horizon` walks the event sources in a fixed order and keeps
-/// the first one to reach the minimum, so the attribution is
-/// deterministic: ties go to the earlier variant in this enum's order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HorizonEvent {
-    /// The machine was not quiescent (or a residue precondition failed);
-    /// the horizon collapsed to a single quantum before any event scan.
-    NonQuiescent,
-    /// A running VCPU's timeslice expires.
-    Timeslice,
-    /// A guest workload phase change lands.
-    PhaseChange,
-    /// A timer-idler wake fires.
-    IdlerWake,
-    /// A guest thread shuffle fires.
-    Shuffle,
-    /// An effectful credit tick (PMU / tick-overhead policies) lands.
-    CreditTick,
-    /// A credit-accounting grant rewrites a VCPU's priority.
-    Accounting,
-    /// The sampling-period boundary.
-    Sampler,
-    /// Nothing closed the horizon before the caller's `max_quanta` cap.
-    MaxQuanta,
-}
-
-/// Number of [`HorizonEvent`] variants (array-index domain).
-pub const HORIZON_EVENTS: usize = 9;
-
-impl HorizonEvent {
-    /// All variants in index order (matches [`HorizonEvent::index`]).
-    pub const ALL: [HorizonEvent; HORIZON_EVENTS] = [
-        HorizonEvent::NonQuiescent,
-        HorizonEvent::Timeslice,
-        HorizonEvent::PhaseChange,
-        HorizonEvent::IdlerWake,
-        HorizonEvent::Shuffle,
-        HorizonEvent::CreditTick,
-        HorizonEvent::Accounting,
-        HorizonEvent::Sampler,
-        HorizonEvent::MaxQuanta,
-    ];
-
-    /// Stable dense index for per-event counters.
-    pub fn index(self) -> usize {
-        match self {
-            HorizonEvent::NonQuiescent => 0,
-            HorizonEvent::Timeslice => 1,
-            HorizonEvent::PhaseChange => 2,
-            HorizonEvent::IdlerWake => 3,
-            HorizonEvent::Shuffle => 4,
-            HorizonEvent::CreditTick => 5,
-            HorizonEvent::Accounting => 6,
-            HorizonEvent::Sampler => 7,
-            HorizonEvent::MaxQuanta => 8,
-        }
-    }
-
-    /// Stable export name.
-    pub fn name(self) -> &'static str {
-        match self {
-            HorizonEvent::NonQuiescent => "non_quiescent",
-            HorizonEvent::Timeslice => "timeslice",
-            HorizonEvent::PhaseChange => "phase_change",
-            HorizonEvent::IdlerWake => "idler_wake",
-            HorizonEvent::Shuffle => "shuffle",
-            HorizonEvent::CreditTick => "credit_tick",
-            HorizonEvent::Accounting => "accounting",
-            HorizonEvent::Sampler => "sampler",
-            HorizonEvent::MaxQuanta => "max_quanta",
-        }
-    }
-}
-
-/// Macro-stepping statistics for one machine: every batch length the
-/// stepper produced, and — for the quanta where the horizon was actually
-/// consulted — which event closed it.
+/// Per-machine step statistics. The machine steps one quantum at a time,
+/// so these carry no information: `batches` records length 1 for every
+/// quantum and `horizon_consults` stays 0. Both fields remain only until
+/// the benchmark drops its `xen-sim.macro_batch_mean` and
+/// `xen-sim.horizon_consults` rows, which read them; they are not part of
+/// [`PerfSnapshot::to_json`].
 #[derive(Debug, Clone, Default)]
 pub struct MachinePerf {
-    /// Histogram of every batch length (plain quanta count as length 1).
+    /// Quanta stepped, each recorded as a batch of length 1.
     pub batches: BatchHistogram,
-    /// Horizon consultations (quanta where the macro path was eligible).
+    /// Always 0 (nothing consults an event horizon any more).
     pub horizon_consults: u64,
-    /// Per-event horizon closes, indexed by [`HorizonEvent::index`].
-    pub horizon_close: [u64; HORIZON_EVENTS],
 }
 
 impl MachinePerf {
-    /// Record a horizon consultation that produced `batch` quanta closed
-    /// by `why`.
-    pub fn consult(&mut self, batch: u64, why: HorizonEvent) {
-        self.horizon_consults += 1;
-        self.horizon_close[why.index()] += 1;
-        self.batches.observe(batch);
-    }
-
-    /// Record a plain (non-macro-eligible) single quantum.
+    /// Record one stepped quantum.
     pub fn plain_step(&mut self) {
         self.batches.observe(1);
     }
 }
 
 /// A point-in-time perf snapshot for one machine (or a merge of many
-/// hosts): engine work-avoidance counters plus macro-stepping stats.
+/// hosts): engine work-avoidance counters plus the step statistics.
 ///
-/// `to_json` is byte-stable: fixed key order, integers only, horizon
-/// events listed in declaration order with zero-count events omitted.
+/// `to_json` is byte-stable: fixed key order, integers only.
 #[derive(Debug, Clone, Default)]
 pub struct PerfSnapshot {
     /// Machines merged into this snapshot (1 for a single machine).
     pub hosts: u64,
     /// Memory-engine work-avoidance counters (summed across hosts).
     pub engine: EnginePerf,
-    /// Macro-stepping batch/horizon statistics (summed across hosts).
+    /// Step statistics (summed across hosts).
     pub machine: MachinePerf,
 }
 
@@ -144,24 +60,6 @@ impl PerfSnapshot {
         self.engine.accumulate(other.engine);
         self.machine.batches.merge(&other.machine.batches);
         self.machine.horizon_consults += other.machine.horizon_consults;
-        for (a, b) in self
-            .machine
-            .horizon_close
-            .iter_mut()
-            .zip(&other.machine.horizon_close)
-        {
-            *a += b;
-        }
-    }
-
-    /// Horizon-close counts as `(name, count)` pairs in declaration
-    /// order, zero counts skipped.
-    pub fn horizon_close_named(&self) -> Vec<(&'static str, u64)> {
-        HorizonEvent::ALL
-            .iter()
-            .map(|e| (e.name(), self.machine.horizon_close[e.index()]))
-            .filter(|&(_, n)| n > 0)
-            .collect()
     }
 
     /// Deterministic JSON export (see the type docs).
@@ -180,21 +78,9 @@ impl PerfSnapshot {
             ("tolerance_exits".into(), Json::from(e.tolerance_exits)),
             ("snap_backs".into(), Json::from(e.snap_backs)),
         ]);
-        let close = Json::Obj(
-            self.horizon_close_named()
-                .into_iter()
-                .map(|(k, n)| (k.to_string(), Json::from(n)))
-                .collect(),
-        );
         Json::Obj(vec![
             ("hosts".into(), Json::from(self.hosts)),
             ("engine".into(), engine),
-            ("batches".into(), self.machine.batches.to_json()),
-            (
-                "horizon_consults".into(),
-                Json::from(self.machine.horizon_consults),
-            ),
-            ("horizon_close".into(), close),
         ])
     }
 }
@@ -204,20 +90,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn horizon_event_index_matches_all_order() {
-        for (i, e) in HorizonEvent::ALL.iter().enumerate() {
-            assert_eq!(e.index(), i, "{}", e.name());
-        }
-    }
-
-    #[test]
     fn snapshot_merge_sums_everything() {
         let mut a = PerfSnapshot {
             hosts: 1,
             ..Default::default()
         };
         a.engine.steps = 10;
-        a.machine.consult(8, HorizonEvent::Sampler);
         a.machine.plain_step();
 
         let mut b = PerfSnapshot {
@@ -225,31 +103,28 @@ mod tests {
             ..Default::default()
         };
         b.engine.steps = 5;
-        b.machine.consult(4, HorizonEvent::Sampler);
-        b.machine.consult(2, HorizonEvent::Timeslice);
+        b.machine.plain_step();
+        b.machine.plain_step();
 
         a.merge(&b);
         assert_eq!(a.hosts, 2);
         assert_eq!(a.engine.steps, 15);
-        assert_eq!(a.machine.horizon_consults, 3);
-        assert_eq!(a.machine.batches.count(), 4);
-        assert_eq!(
-            a.horizon_close_named(),
-            vec![("timeslice", 1), ("sampler", 2)]
-        );
+        assert_eq!(a.machine.batches.count(), 3);
+        assert_eq!(a.machine.batches.mean(), 1.0);
+        assert_eq!(a.machine.horizon_consults, 0);
     }
 
     #[test]
-    fn snapshot_json_is_stable_and_skips_zero_events() {
+    fn snapshot_json_is_stable_and_carries_only_engine_counters() {
         let mut s = PerfSnapshot {
             hosts: 1,
             ..Default::default()
         };
-        s.machine.consult(16, HorizonEvent::MaxQuanta);
+        s.machine.plain_step();
         let json = s.to_json().to_string();
         assert_eq!(json, s.to_json().to_string());
-        assert!(json.contains("\"max_quanta\":1"), "{json}");
-        assert!(!json.contains("non_quiescent"), "{json}");
         assert!(json.starts_with("{\"hosts\":1,\"engine\":{\"steps\":0"), "{json}");
+        assert!(!json.contains("batches"), "{json}");
+        assert!(!json.contains("horizon"), "{json}");
     }
 }

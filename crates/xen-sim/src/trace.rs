@@ -9,9 +9,7 @@
 //! Event JSON for Perfetto.
 //!
 //! Events are recorded in non-decreasing time order (debug-asserted), so
-//! the ring can be exported as a valid trace without sorting — including
-//! runs that batch quanta with the event-horizon macro-stepper, which by
-//! construction emits the same event stream as per-quantum stepping.
+//! the ring can be exported as a valid trace without sorting.
 
 use numa_topo::{NodeId, PcpuId, VcpuId};
 use sim_core::SimTime;

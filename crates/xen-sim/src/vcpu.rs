@@ -114,22 +114,6 @@ impl VcpuState {
         };
     }
 
-    /// Apply `n` identical per-quantum debits in closed form. Each debit
-    /// subtracts `per_quantum` (> 0) and clamps at -900; once the floor is
-    /// hit every further debit is a no-op, so the sequence collapses to
-    /// `max(-900, credits - n·per_quantum)` with the same final priority as
-    /// `n` calls to [`VcpuState::adjust_credits`] with `-per_quantum`.
-    pub fn debit_n(&mut self, per_quantum: i32, n: u64) {
-        debug_assert!(per_quantum > 0);
-        let debited = self.credits as i64 - per_quantum as i64 * n as i64;
-        self.credits = debited.max(-900) as i32;
-        self.priority = if self.credits >= 0 {
-            Priority::Under
-        } else {
-            Priority::Over
-        };
-    }
-
     /// Wake-time priority: BOOST if the VCPU still holds credits.
     pub fn wake_priority(&self) -> Priority {
         if self.credits >= 0 {

@@ -1,13 +1,10 @@
 //! Trace-export and telemetry contracts at the `Machine` level.
 //!
 //! Three pins: (1) trace files and telemetry are deterministic — same seed,
-//! byte-identical output; (2) macro-stepping with tracing and telemetry
-//! enabled changes *nothing* — the event-horizon stepper emits exactly the
-//! per-quantum event stream, so JSONL, Chrome trace, and the RunMetrics
-//! JSON (telemetry block included) all match the reference stepper byte
-//! for byte; (3) fault-injected runs are auditable — every injected fault
-//! appears in the trace, and the `faults_injected` telemetry counter
-//! equals `FaultMetrics::injected()`.
+//! byte-identical output; (2) trace timestamps never go backwards, even on
+//! a stationary run where the engine skips every solve; (3) fault-injected
+//! runs are auditable — every injected fault appears in the trace, and the
+//! `faults_injected` telemetry counter equals `FaultMetrics::injected()`.
 
 use mem_model::AllocPolicy;
 use numa_topo::presets;
@@ -18,12 +15,11 @@ use xen_sim::{CreditPolicy, Event, Machine, MachineBuilder, MachineConfig, VmCon
 const GB: u64 = 1024 * 1024 * 1024;
 const TRACE_CAP: usize = 1_000_000;
 
-fn build(seed: u64, faults: FaultConfig, noise_sd: f64, macro_step: bool) -> Machine {
+fn build(seed: u64, faults: FaultConfig, noise_sd: f64) -> Machine {
     let cfg = MachineConfig {
         seed,
         faults,
         intensity_noise_sd: noise_sd,
-        macro_step,
         ..MachineConfig::default()
     };
     let mut m = MachineBuilder::new(presets::xeon_e5620())
@@ -51,12 +47,11 @@ fn build(seed: u64, faults: FaultConfig, noise_sd: f64, macro_step: bool) -> Mac
 }
 
 /// A saturated, noise-free machine (one worker per PCPU, no idlers) — the
-/// shape where the event-horizon macro-stepper actually engages.
-fn build_quiescent(seed: u64, macro_step: bool) -> Machine {
+/// shape where the memory engine goes stationary and skips whole steps.
+fn build_quiescent(seed: u64) -> Machine {
     let cfg = MachineConfig {
         seed,
         intensity_noise_sd: 0.0,
-        macro_step,
         ..MachineConfig::default()
     };
     let mut m = MachineBuilder::new(presets::xeon_e5620())
@@ -79,7 +74,7 @@ fn build_quiescent(seed: u64, macro_step: bool) -> Machine {
 #[test]
 fn same_seed_gives_byte_identical_trace_files() {
     let run = || {
-        let mut m = build(7, FaultConfig::none(), 0.0, true);
+        let mut m = build(7, FaultConfig::none(), 0.0);
         m.run(SimDuration::from_secs(2));
         (m.trace_jsonl(), m.trace_chrome(), m.metrics().to_json())
     };
@@ -90,48 +85,15 @@ fn same_seed_gives_byte_identical_trace_files() {
     assert_eq!(m1, m2, "RunMetrics JSON must be deterministic");
 }
 
-/// The macro-stepper batches only quanta in which no event can occur, so a
-/// quiescent run must produce the *same trace* as per-quantum stepping —
-/// not just the same metrics. This is the strongest form of the "synthesize
-/// batched events exactly" requirement: nothing to synthesize, because no
-/// event ever falls inside a batch.
 #[test]
-fn macro_stepping_preserves_trace_and_telemetry_exactly() {
-    for seed in [1, 7, 42] {
-        let mut fast = build_quiescent(seed, true);
-        let mut slow = build_quiescent(seed, false);
-        fast.run(SimDuration::from_secs(2));
-        slow.run(SimDuration::from_secs(2));
-        assert!(fast.macro_batches() > 0, "macro-stepper never engaged (seed {seed})");
-        assert_eq!(slow.macro_batches(), 0, "reference stepper must not batch");
-        assert_eq!(
-            fast.metrics().to_json(),
-            slow.metrics().to_json(),
-            "RunMetrics JSON (telemetry block included) diverged (seed {seed})"
-        );
-        assert_eq!(
-            fast.trace_jsonl(),
-            slow.trace_jsonl(),
-            "JSONL trace diverged (seed {seed})"
-        );
-        assert_eq!(
-            fast.trace_chrome(),
-            slow.trace_chrome(),
-            "Chrome trace diverged (seed {seed})"
-        );
-    }
-}
-
-#[test]
-fn trace_times_are_non_decreasing_across_macro_batches() {
-    let mut m = build_quiescent(42, true);
+fn trace_times_are_non_decreasing_on_a_stationary_run() {
+    let mut m = build_quiescent(42);
     m.run(SimDuration::from_secs(2));
-    assert!(m.macro_batches() > 0, "test requires batching to engage");
     let times: Vec<_> = m.trace().iter().map(|(t, _)| *t).collect();
     assert!(!times.is_empty());
     assert!(
         times.windows(2).all(|w| w[0] <= w[1]),
-        "trace must stay time-ordered across batched quanta"
+        "trace must stay time-ordered"
     );
     assert_eq!(m.trace().dropped(), 0, "capacity must hold the full run");
     assert_eq!(m.trace().recorded(), m.trace().len() as u64);
@@ -139,7 +101,7 @@ fn trace_times_are_non_decreasing_across_macro_batches() {
 
 #[test]
 fn every_injected_fault_is_traced_and_counted() {
-    let mut m = build(3, FaultConfig::uniform(0.1, 11), 0.0, true);
+    let mut m = build(3, FaultConfig::uniform(0.1, 11), 0.0);
     m.run(SimDuration::from_secs(2));
     let injected = m.metrics().faults.injected();
     assert!(injected > 0, "fault config must actually inject");
@@ -158,7 +120,7 @@ fn every_injected_fault_is_traced_and_counted() {
 
 #[test]
 fn jsonl_lines_parse_and_chrome_is_valid_json() {
-    let mut m = build(7, FaultConfig::uniform(0.05, 9), 0.0, true);
+    let mut m = build(7, FaultConfig::uniform(0.05, 9), 0.0);
     m.run(SimDuration::from_secs(2));
     let jsonl = m.trace_jsonl();
     assert_eq!(jsonl.lines().count(), m.trace().len());
@@ -215,7 +177,7 @@ fn telemetry_block_appears_only_when_enabled() {
 
 #[test]
 fn telemetry_counters_match_run_metrics() {
-    let mut m = build(7, FaultConfig::none(), 0.0, true);
+    let mut m = build(7, FaultConfig::none(), 0.0);
     m.run(SimDuration::from_secs(2));
     let reg = m.telemetry();
     let local = reg.counter_total_by_name("steals_local").unwrap();

@@ -12,9 +12,9 @@ use xen_sim::{CreditPolicy, Machine, MachineBuilder, VmConfig};
 
 const GB: u64 = 1024 * 1024 * 1024;
 
-/// Every scheduler the macro-stepper must be invisible to: the paper's
-/// five plus the gracefully-degrading vProbe variant.
-const MACRO_EQUIV_SCHEDULERS: [Scheduler; 6] = [
+/// Every scheduler the exact engine must match the reference engine
+/// under: the paper's five plus the gracefully-degrading vProbe variant.
+const EQUIV_SCHEDULERS: [Scheduler; 6] = [
     ALL_SCHEDULERS[0],
     ALL_SCHEDULERS[1],
     ALL_SCHEDULERS[2],
@@ -23,13 +23,10 @@ const MACRO_EQUIV_SCHEDULERS: [Scheduler; 6] = [
     Scheduler::VProbeGd,
 ];
 
-/// Run one (scheduler, seed, fault) configuration with macro-stepping on
-/// and off and demand byte-identical metrics and series.
-fn assert_macro_invisible(scheduler: Scheduler, seed: u64, fault_rate: f64) {
-    assert_macro_invisible_on(scheduler, seed, fault_rate, npb::lu(), npb::lu());
-}
-
-fn assert_macro_invisible_on(
+/// Run one (scheduler, seed, fault, mix) configuration under the exact
+/// incremental engine and the frozen reference engine and demand
+/// byte-identical metrics and series.
+fn assert_engine_invisible(
     scheduler: Scheduler,
     seed: u64,
     fault_rate: f64,
@@ -46,9 +43,9 @@ fn assert_macro_invisible_on(
     if fault_rate > 0.0 {
         opts.faults = FaultConfig::uniform(fault_rate, seed + 1);
     }
-    let run = |macro_step: bool| {
+    let run = |engine: EngineSelect| {
         let mut o = opts.clone();
-        o.macro_step = macro_step;
+        o.engine = engine;
         run_workload(
             scheduler,
             SetupKind::PaperEval,
@@ -59,62 +56,9 @@ fn assert_macro_invisible_on(
         .unwrap()
         .metrics
     };
-    let fast = run(true);
-    let slow = run(false);
-    let label = (scheduler.name(), seed, fault_rate);
-    assert_eq!(fast.to_json(), slow.to_json(), "metrics diverged: {label:?}");
-    assert_eq!(
-        fast.series_csv(),
-        slow.series_csv(),
-        "series diverged: {label:?}"
-    );
-}
-
-/// Golden equivalence of event-horizon macro-stepping: for every
-/// scheduler, across seeds and fault rates, macro-stepped runs are
-/// bit-identical to forced per-quantum stepping.
-#[test]
-fn macro_stepping_is_invisible_across_schedulers_seeds_and_faults() {
-    for scheduler in MACRO_EQUIV_SCHEDULERS {
-        for seed in [1, 2, 3] {
-            for fault_rate in [0.0, 0.15] {
-                assert_macro_invisible(scheduler, seed, fault_rate);
-            }
-        }
-    }
-}
-
-/// Run one (scheduler, seed, fault, macro) configuration under the exact
-/// incremental engine and the frozen reference engine and demand
-/// byte-identical metrics and series.
-fn assert_engine_invisible(scheduler: Scheduler, seed: u64, fault_rate: f64, macro_step: bool) {
-    let mut opts = RunOptions {
-        duration: SimDuration::from_secs(2),
-        warmup: SimDuration::from_secs(1),
-        seed,
-        shuffle: Some(SimDuration::from_millis(500)),
-        macro_step,
-        ..RunOptions::default()
-    };
-    if fault_rate > 0.0 {
-        opts.faults = FaultConfig::uniform(fault_rate, seed + 1);
-    }
-    let run = |engine: EngineSelect| {
-        let mut o = opts.clone();
-        o.engine = engine;
-        run_workload(
-            scheduler,
-            SetupKind::PaperEval,
-            vec![npb::lu()],
-            vec![npb::lu()],
-            &o,
-        )
-        .unwrap()
-        .metrics
-    };
     let soa = run(EngineSelect::Exact);
     let reference = run(EngineSelect::Reference);
-    let label = (scheduler.name(), seed, fault_rate, macro_step);
+    let label = (scheduler.name(), seed, fault_rate);
     assert_eq!(
         soa.to_json(),
         reference.to_json(),
@@ -128,16 +72,14 @@ fn assert_engine_invisible(scheduler: Scheduler, seed: u64, fault_rate: f64, mac
 }
 
 /// Golden equivalence of the incremental SoA engine: for every scheduler,
-/// across seeds, fault rates, and both stepping modes, exact-mode runs are
-/// bit-identical to the frozen pre-rewrite engine.
+/// across seeds and fault rates, exact-mode runs are bit-identical to the
+/// frozen pre-rewrite engine.
 #[test]
-fn soa_engine_is_byte_identical_across_schedulers_seeds_faults_and_stepping() {
-    for scheduler in MACRO_EQUIV_SCHEDULERS {
+fn soa_engine_is_byte_identical_across_schedulers_seeds_and_faults() {
+    for scheduler in EQUIV_SCHEDULERS {
         for seed in [1, 2, 3] {
             for fault_rate in [0.0, 0.15] {
-                for macro_step in [true, false] {
-                    assert_engine_invisible(scheduler, seed, fault_rate, macro_step);
-                }
+                assert_engine_invisible(scheduler, seed, fault_rate, npb::lu(), npb::lu());
             }
         }
     }
@@ -222,18 +164,18 @@ fn arb_workload() -> impl Strategy<Value = WorkloadSpec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Macro-stepping equivalence must also hold for arbitrary workload
-    /// mixes, not just the enumerated golden matrix above.
+    /// Exact-vs-reference engine equivalence must also hold for arbitrary
+    /// workload mixes, not just the enumerated golden matrix above.
     #[test]
-    fn macro_stepping_is_invisible_for_arbitrary_mixes(
-        sched_idx in 0usize..MACRO_EQUIV_SCHEDULERS.len(),
+    fn exact_engine_matches_reference_for_arbitrary_mixes(
+        sched_idx in 0usize..EQUIV_SCHEDULERS.len(),
         w1 in arb_workload(),
         w2 in arb_workload(),
         seed in 0u64..1000,
         faulty in any::<bool>(),
     ) {
         let rate = if faulty { 0.1 } else { 0.0 };
-        assert_macro_invisible_on(MACRO_EQUIV_SCHEDULERS[sched_idx], seed, rate, w1, w2);
+        assert_engine_invisible(EQUIV_SCHEDULERS[sched_idx], seed, rate, w1, w2);
     }
 
     /// Conservation: every memory access a VM makes is either local or
