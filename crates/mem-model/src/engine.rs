@@ -874,9 +874,9 @@ impl MemoryEngine {
                     let cpi = hot.base_cpi[i]
                         + hot.refs_per_instr[i] * (hot.hit_term[i] + hot.m[i] * 0.0)
                             / hot.mlp_eff[i];
-                    let instructions = (hot.cycles[i] / cpi) as u64;
-                    let llc_refs = round_to_u64(instructions as f64 * hot.refs_per_instr[i]);
-                    let llc_misses = round_to_u64(llc_refs as f64 * hot.m[i]);
+                    let instructions = f64_to_u64(hot.cycles[i] / cpi);
+                    let llc_refs = round_to_u64(u64_to_f64(instructions) * hot.refs_per_instr[i]);
+                    let llc_misses = round_to_u64(u64_to_f64(llc_refs) * hot.m[i]);
                     hot.out_instructions[i] = instructions;
                     hot.out_cpi[i] = cpi;
                     hot.out_refs[i] = llc_refs;
@@ -1084,6 +1084,12 @@ fn materialize_results(hot: &HotState, results: &mut Vec<VcpuQuantumResult>, n: 
 ///   reference's order (slot order, then home order, remote homes before
 ///   the run node's local bytes), so the accumulators keep their bits.
 ///
+/// Both passes take adjacent recomputed slots two at a time through
+/// [`lanes`], one per SSE2 lane; a pair the lanes cannot represent
+/// exactly, a replayed slot and the odd tail take the scalar body one slot
+/// at a time. Either way each slot's values are the same IEEE operations
+/// in the same order, so which path ran is invisible in the bits.
+///
 /// Called with a literal `n` for two-node machines so the inlined copy
 /// unrolls the per-home loops.
 #[inline(always)]
@@ -1094,106 +1100,394 @@ fn round_slots(
     approx_cpi: bool,
     params: EngineParams,
 ) -> u64 {
-    // Bind every column once. The slices' pointers and lengths then stay
-    // in registers across the output stores, instead of being reloaded
-    // from `hot` (which the compiler cannot prove the stores leave alone).
-    let len = hot.len;
-    let node = &hot.node[..len];
-    let slot_changed = &hot.slot_changed[..len];
-    let dist = &hot.dist[..len * n];
-    let miss_cycles_matrix = &hot.miss_cycles_matrix[..n * n];
-    let base_cpi = &hot.base_cpi[..len];
-    let refs_over_mlp = &hot.refs_over_mlp[..len];
-    let refs_per_instr = &hot.refs_per_instr[..len];
-    let hit_term = &hot.hit_term[..len];
-    let m = &hot.m[..len];
-    let mlp_eff = &hot.mlp_eff[..len];
-    let cycles = &hot.cycles[..len];
-    let out_instructions = &mut hot.out_instructions[..len];
-    let out_cpi = &mut hot.out_cpi[..len];
-    let out_refs = &mut hot.out_refs[..len];
-    let out_misses = &mut hot.out_misses[..len];
-    let out_local = &mut hot.out_local[..len];
-    let out_remote = &mut hot.out_remote[..len];
-    let out_node_acc = &mut hot.out_node_acc[..len * n];
-    let node_demand = &mut hot.node_demand[..n];
-    let pair_traffic = &mut hot.pair_traffic[..n * n];
+    let mut cols = RoundCols::new(hot, n, replay, approx_cpi, params);
+    let active = cols.active;
 
-    for &slot in hot.active.iter() {
-        let i = slot as usize;
-        if replay && !slot_changed[i] {
-            continue;
+    let mut k = 0;
+    while k < active.len() {
+        if let Some((a, b)) = cols.pair_at(k) {
+            if cols.rate_pair(a, b) {
+                k += 2;
+                continue;
+            }
         }
-        let run_node = node[i] as usize;
+        let i = active[k] as usize;
+        if cols.recomputed(i) {
+            cols.rate(i);
+        }
+        k += 1;
+    }
+
+    let mut fires = 0;
+    let mut k = 0;
+    while k < active.len() {
+        if let Some((a, b)) = cols.pair_at(k) {
+            if let Some([assigned_a, assigned_b]) = cols.split_pair(a, b) {
+                cols.settle(a, assigned_a);
+                cols.demand(a);
+                cols.settle(b, assigned_b);
+                cols.demand(b);
+                k += 2;
+                continue;
+            }
+        }
+        let i = active[k] as usize;
+        if cols.recomputed(i) {
+            cols.split(i);
+        } else {
+            // Outputs stand bitwise; only their demand is re-offered.
+            fires += 1;
+        }
+        cols.demand(i);
+        k += 1;
+    }
+    fires
+}
+
+/// The columns one fixed-point round reads and writes (see
+/// [`round_slots`]), with the scalar per-slot body as methods.
+struct RoundCols<'a> {
+    n: usize,
+    replay: bool,
+    approx_cpi: bool,
+    params: EngineParams,
+    active: &'a [u32],
+    slot_changed: &'a [bool],
+    node: &'a [u32],
+    dist: &'a [f64],
+    miss_cycles_matrix: &'a [f64],
+    base_cpi: &'a [f64],
+    refs_over_mlp: &'a [f64],
+    refs_per_instr: &'a [f64],
+    hit_term: &'a [f64],
+    m: &'a [f64],
+    mlp_eff: &'a [f64],
+    cycles: &'a [f64],
+    out_instructions: &'a mut [u64],
+    out_cpi: &'a mut [f64],
+    out_refs: &'a mut [u64],
+    out_misses: &'a mut [u64],
+    out_local: &'a mut [u64],
+    out_remote: &'a mut [u64],
+    out_node_acc: &'a mut [u64],
+    node_demand: &'a mut [f64],
+    pair_traffic: &'a mut [f64],
+}
+
+impl<'a> RoundCols<'a> {
+    /// Bind every column once. The slices' pointers and lengths then stay
+    /// in registers across the output stores, instead of being reloaded
+    /// from `hot` (which the compiler cannot prove the stores leave alone).
+    #[inline(always)]
+    fn new(
+        hot: &'a mut HotState,
+        n: usize,
+        replay: bool,
+        approx_cpi: bool,
+        params: EngineParams,
+    ) -> Self {
+        let len = hot.len;
+        RoundCols {
+            n,
+            replay,
+            approx_cpi,
+            params,
+            active: &hot.active,
+            slot_changed: &hot.slot_changed[..len],
+            node: &hot.node[..len],
+            dist: &hot.dist[..len * n],
+            miss_cycles_matrix: &hot.miss_cycles_matrix[..n * n],
+            base_cpi: &hot.base_cpi[..len],
+            refs_over_mlp: &hot.refs_over_mlp[..len],
+            refs_per_instr: &hot.refs_per_instr[..len],
+            hit_term: &hot.hit_term[..len],
+            m: &hot.m[..len],
+            mlp_eff: &hot.mlp_eff[..len],
+            cycles: &hot.cycles[..len],
+            out_instructions: &mut hot.out_instructions[..len],
+            out_cpi: &mut hot.out_cpi[..len],
+            out_refs: &mut hot.out_refs[..len],
+            out_misses: &mut hot.out_misses[..len],
+            out_local: &mut hot.out_local[..len],
+            out_remote: &mut hot.out_remote[..len],
+            out_node_acc: &mut hot.out_node_acc[..len * n],
+            node_demand: &mut hot.node_demand[..n],
+            pair_traffic: &mut hot.pair_traffic[..n * n],
+        }
+    }
+
+    /// Whether slot `i` is recomputed this round (not replayed).
+    #[inline(always)]
+    fn recomputed(&self, i: usize) -> bool {
+        !self.replay || self.slot_changed[i]
+    }
+
+    /// The pair of slots starting at `active[k]`, when both are
+    /// recomputed this round.
+    #[inline(always)]
+    fn pair_at(&self, k: usize) -> Option<(usize, usize)> {
+        let a = self.active[k] as usize;
+        let b = *self.active.get(k + 1)? as usize;
+        (self.recomputed(a) && self.recomputed(b)).then_some((a, b))
+    }
+
+    /// Rate pass, one slot.
+    #[inline(always)]
+    fn rate(&mut self, i: usize) {
+        let n = self.n;
+        let run_node = self.node[i] as usize;
         // Average cycle cost of a miss over the access distribution —
         // dense over homes, exactly as the reference composes it (zero
         // rows contribute an exact `+0.0`: every matrix entry is finite).
-        let dist_row = &dist[i * n..i * n + n];
-        let mrow = &miss_cycles_matrix[run_node * n..run_node * n + n];
+        let dist_row = &self.dist[i * n..i * n + n];
+        let mrow = &self.miss_cycles_matrix[run_node * n..run_node * n + n];
         let mut miss_cycles = 0.0;
         for (&frac, &mc) in dist_row.iter().zip(mrow) {
             miss_cycles += frac * mc;
         }
         // Outstanding misses overlap: each miss (and L3 hit) stalls the
-        // core for latency / MLP cycles on average. The saturating `as
-        // u64` cast is `.floor().max(0.0) as u64` (truncation, zero for
-        // negatives/NaN, saturation at the top) without the libm floor
-        // call.
-        let cpi = if approx_cpi {
+        // core for latency / MLP cycles on average. The saturating cast
+        // (`f64_to_u64`, which is `as u64`) is `.floor().max(0.0) as u64`
+        // (truncation, zero for negatives/NaN, saturation at the top)
+        // without the libm floor call.
+        let stall = self.hit_term[i] + self.m[i] * miss_cycles;
+        let cpi = if self.approx_cpi {
             // Reassociated (division hoisted to the derived pass); approx
             // mode only.
-            base_cpi[i] + refs_over_mlp[i] * (hit_term[i] + m[i] * miss_cycles)
+            self.base_cpi[i] + self.refs_over_mlp[i] * stall
         } else {
-            base_cpi[i] + refs_per_instr[i] * (hit_term[i] + m[i] * miss_cycles) / mlp_eff[i]
+            self.base_cpi[i] + self.refs_per_instr[i] * stall / self.mlp_eff[i]
         };
-        let instructions = (cycles[i] / cpi) as u64;
-        let llc_refs = round_to_u64(instructions as f64 * refs_per_instr[i]);
-        out_instructions[i] = instructions;
-        out_cpi[i] = cpi;
-        out_refs[i] = llc_refs;
-        out_misses[i] = round_to_u64(llc_refs as f64 * m[i]);
+        let instructions = f64_to_u64(self.cycles[i] / cpi);
+        let llc_refs = round_to_u64(u64_to_f64(instructions) * self.refs_per_instr[i]);
+        self.out_instructions[i] = instructions;
+        self.out_cpi[i] = cpi;
+        self.out_refs[i] = llc_refs;
+        self.out_misses[i] = round_to_u64(u64_to_f64(llc_refs) * self.m[i]);
     }
 
-    let mut fires = 0;
-    for &slot in hot.active.iter() {
-        let i = slot as usize;
-        let run_node = node[i] as usize;
-        let acc = &mut out_node_acc[i * n..i * n + n];
-        if replay && !slot_changed[i] {
-            // Outputs stand bitwise; only their demand is re-offered below.
-            fires += 1;
-        } else {
-            // Scatter misses over home nodes, dense in home order (zero
-            // rows scatter a zero count). The rounding remainder goes to
-            // the run node (arbitrary but local). Every row entry is
-            // rewritten, so replayed rows never go stale.
-            let misses = out_misses[i];
-            let misses_f = misses as f64;
-            let mut assigned = 0u64;
-            for (c, &frac) in acc.iter_mut().zip(&dist[i * n..i * n + n]) {
-                *c = (misses_f * frac) as u64;
-                assigned += *c;
-            }
-            acc[run_node] += misses - assigned;
-            out_local[i] = acc[run_node];
-            out_remote[i] = misses - acc[run_node];
+    /// Rate pass, slots `a` and `b` in the two lanes. False, with nothing
+    /// written, when the pair must take the scalar body instead.
+    #[inline(always)]
+    fn rate_pair(&mut self, a: usize, b: usize) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return lanes::rate_pair(self, a, b);
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = (a, b);
+            false
         }
-        // Each miss moves more than its demand line (prefetch,
-        // writeback); remote misses also tax the home IMC with coherence
-        // work and cross the interconnect.
+    }
+
+    /// Scatter slot `i`'s misses over home nodes, dense in home order
+    /// (zero rows scatter a zero count). Every row entry is rewritten, so
+    /// replayed rows never go stale.
+    #[inline(always)]
+    fn split(&mut self, i: usize) {
+        let n = self.n;
+        let misses_f = u64_to_f64(self.out_misses[i]);
+        let mut assigned = 0u64;
+        let acc = &mut self.out_node_acc[i * n..i * n + n];
+        for (c, &frac) in acc.iter_mut().zip(&self.dist[i * n..i * n + n]) {
+            *c = f64_to_u64(misses_f * frac);
+            assigned += *c;
+        }
+        self.settle(i, assigned);
+    }
+
+    /// [`RoundCols::split`] for slots `a < b` in the two lanes, up to the
+    /// per-slot [`RoundCols::settle`]: the rows are written and each
+    /// slot's assigned total returned. `None` when the pair must take the
+    /// scalar body instead (which rewrites both rows).
+    #[inline(always)]
+    fn split_pair(&mut self, a: usize, b: usize) -> Option<[u64; 2]> {
+        #[cfg(target_arch = "x86_64")]
+        return lanes::split_pair(self, a, b);
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = (a, b);
+            None
+        }
+    }
+
+    /// The rounding remainder of slot `i`'s split goes to the run node
+    /// (arbitrary but local).
+    #[inline(always)]
+    fn settle(&mut self, i: usize, assigned: u64) {
+        let n = self.n;
+        let run_node = self.node[i] as usize;
+        let misses = self.out_misses[i];
+        let acc = &mut self.out_node_acc[i * n..i * n + n];
+        acc[run_node] += misses - assigned;
+        self.out_local[i] = acc[run_node];
+        self.out_remote[i] = misses - acc[run_node];
+    }
+
+    /// Add slot `i`'s row to the demand accumulators. Each miss moves more
+    /// than its demand line (prefetch, writeback); remote misses also tax
+    /// the home IMC with coherence work and cross the interconnect.
+    #[inline(always)]
+    fn demand(&mut self, i: usize) {
+        let n = self.n;
+        let run_node = self.node[i] as usize;
+        let acc = &self.out_node_acc[i * n..i * n + n];
+        let params = self.params;
         for (home, &c) in acc.iter().enumerate() {
             if home != run_node {
-                let bytes = c as f64 * params.traffic_per_miss_bytes;
-                node_demand[home] += bytes * params.remote_imc_overhead;
-                pair_traffic[run_node * n + home] += bytes;
-                pair_traffic[home * n + run_node] += bytes;
+                let bytes = u64_to_f64(c) * params.traffic_per_miss_bytes;
+                self.node_demand[home] += bytes * params.remote_imc_overhead;
+                self.pair_traffic[run_node * n + home] += bytes;
+                self.pair_traffic[home * n + run_node] += bytes;
             }
         }
-        node_demand[run_node] += acc[run_node] as f64 * params.traffic_per_miss_bytes;
+        self.node_demand[run_node] += u64_to_f64(acc[run_node]) * params.traffic_per_miss_bytes;
     }
-    fires
 }
 
+/// Two slots per SSE2 instruction for [`round_slots`].
+///
+/// Each lane runs the scalar body's IEEE operations in its order, so a
+/// lane's doubles carry the scalar bits. The float↔integer casts are the
+/// one place the lanes differ: `cvttpd2dq` and `cvtepi32_pd` convert
+/// through `i32`, which is exact — and equal to the saturating `as u64` /
+/// `as f64` — for every lane value in `[0, 2^31 − 1)`. A pair with any
+/// other lane value (negative, NaN, infinite or too large) is refused and
+/// takes the scalar body: a refused rate pair has written nothing, and a
+/// refused split's partly written rows are rewritten whole by the scalar
+/// split. SSE2 is part of the `x86_64` baseline, so there is no runtime
+/// feature check.
+#[cfg(target_arch = "x86_64")]
+mod lanes {
+    use super::RoundCols;
+    use std::arch::x86_64::*;
+
+    /// `2^31 − 1`. A lane below it truncates exactly into an `i32`, and
+    /// the truncation plus a rounding carry still fits one.
+    const LIMIT: f64 = 2_147_483_647.0;
+
+    /// See [`RoundCols::rate_pair`].
+    #[inline(always)]
+    pub(super) fn rate_pair(c: &mut RoundCols, a: usize, b: usize) -> bool {
+        // SAFETY: `rate` only requires SSE2, which is part of the `x86_64`
+        // baseline: every `x86_64` CPU has it and every `x86_64` target
+        // enables it.
+        unsafe { rate(c, a, b) }
+    }
+
+    /// See [`RoundCols::split_pair`].
+    #[inline(always)]
+    pub(super) fn split_pair(c: &mut RoundCols, a: usize, b: usize) -> Option<[u64; 2]> {
+        // SAFETY: as for `rate_pair`, SSE2 is part of the `x86_64`
+        // baseline.
+        unsafe { split(c, a, b) }
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support SSE2 (true of every `x86_64` CPU). The same
+    /// holds for every `unsafe fn` below. They are `unsafe fn` rather than
+    /// `#[target_feature]` functions so that they can be
+    /// `#[inline(always)]`: the two-node copy of the round then unrolls
+    /// their per-home loops too.
+    #[inline(always)]
+    unsafe fn rate(c: &mut RoundCols, a: usize, b: usize) -> bool {
+        let n = c.n;
+        let pair = |col: &[f64]| _mm_set_pd(col[b], col[a]);
+        let (mrow_a, mrow_b) = (c.node[a] as usize * n, c.node[b] as usize * n);
+        let mut miss_cycles = _mm_setzero_pd();
+        for h in 0..n {
+            let frac = _mm_set_pd(c.dist[b * n + h], c.dist[a * n + h]);
+            let mc = _mm_set_pd(
+                c.miss_cycles_matrix[mrow_b + h],
+                c.miss_cycles_matrix[mrow_a + h],
+            );
+            miss_cycles = _mm_add_pd(miss_cycles, _mm_mul_pd(frac, mc));
+        }
+        let stall = _mm_add_pd(pair(c.hit_term), _mm_mul_pd(pair(c.m), miss_cycles));
+        let cpi = if c.approx_cpi {
+            _mm_add_pd(pair(c.base_cpi), _mm_mul_pd(pair(c.refs_over_mlp), stall))
+        } else {
+            let t = _mm_mul_pd(pair(c.refs_per_instr), stall);
+            _mm_add_pd(pair(c.base_cpi), _mm_div_pd(t, pair(c.mlp_eff)))
+        };
+        let (instructions, ok_i) = trunc(_mm_div_pd(pair(c.cycles), cpi));
+        let refs_x = _mm_mul_pd(_mm_cvtepi32_pd(instructions), pair(c.refs_per_instr));
+        let (refs, ok_r) = round(refs_x);
+        let (misses, ok_m) = round(_mm_mul_pd(_mm_cvtepi32_pd(refs), pair(c.m)));
+        if _mm_movemask_pd(_mm_and_pd(ok_i, _mm_and_pd(ok_r, ok_m))) != 0b11 {
+            return false;
+        }
+        c.out_cpi[a] = _mm_cvtsd_f64(cpi);
+        c.out_cpi[b] = _mm_cvtsd_f64(_mm_unpackhi_pd(cpi, cpi));
+        [c.out_instructions[a], c.out_instructions[b]] = to_u64(instructions);
+        [c.out_refs[a], c.out_refs[b]] = to_u64(refs);
+        [c.out_misses[a], c.out_misses[b]] = to_u64(misses);
+        true
+    }
+
+    #[inline(always)]
+    unsafe fn split(c: &mut RoundCols, a: usize, b: usize) -> Option<[u64; 2]> {
+        let limit = LIMIT as u64;
+        let (misses_a, misses_b) = (c.out_misses[a], c.out_misses[b]);
+        if misses_a >= limit || misses_b >= limit {
+            return None;
+        }
+        let misses = _mm_cvtepi32_pd(_mm_set_epi32(0, 0, misses_b as i32, misses_a as i32));
+        let n = c.n;
+        debug_assert!(a < b, "active slots are in index order");
+        let (lo, hi) = c.out_node_acc.split_at_mut(b * n);
+        let (row_a, row_b) = (&mut lo[a * n..a * n + n], &mut hi[..n]);
+        let mut ok = _mm_castsi128_pd(_mm_set1_epi32(-1));
+        let mut assigned = [0u64; 2];
+        for h in 0..n {
+            let frac = _mm_set_pd(c.dist[b * n + h], c.dist[a * n + h]);
+            let (count, in_range) = trunc(_mm_mul_pd(misses, frac));
+            ok = _mm_and_pd(ok, in_range);
+            let [count_a, count_b] = to_u64(count);
+            row_a[h] = count_a;
+            row_b[h] = count_b;
+            assigned[0] += count_a;
+            assigned[1] += count_b;
+        }
+        (_mm_movemask_pd(ok) == 0b11).then_some(assigned)
+    }
+
+    /// Per-lane truncation of `x` into the low two `i32`s, and the mask of
+    /// lanes where it equals `x as u64` (those in `[0, LIMIT)`; NaN fails
+    /// both ordered compares).
+    #[inline(always)]
+    unsafe fn trunc(x: __m128d) -> (__m128i, __m128d) {
+        let in_range = _mm_and_pd(
+            _mm_cmpge_pd(x, _mm_setzero_pd()),
+            _mm_cmplt_pd(x, _mm_set1_pd(LIMIT)),
+        );
+        (_mm_cvttpd_epi32(x), in_range)
+    }
+
+    /// Per-lane [`super::round_to_u64`] for `x < 2^53`: the truncation plus
+    /// the carry of `x − trunc(x) ≥ 0.5`, with the same in-range mask as
+    /// [`trunc`].
+    #[inline(always)]
+    unsafe fn round(x: __m128d) -> (__m128i, __m128d) {
+        let (t, in_range) = trunc(x);
+        let carry = _mm_cmpge_pd(_mm_sub_pd(x, _mm_cvtepi32_pd(t)), _mm_set1_pd(0.5));
+        // Each carry lane is a 64-bit 0 or −1: move its low dwords (0 and
+        // 2) next to `t`'s and subtract.
+        let carry = _mm_shuffle_epi32::<0b10_00>(_mm_castpd_si128(carry));
+        (_mm_sub_epi32(t, carry), in_range)
+    }
+
+    /// The low two `i32`s of `v`, which the caller has range-checked to
+    /// be non-negative, as `u64`s.
+    #[inline(always)]
+    unsafe fn to_u64(v: __m128i) -> [u64; 2] {
+        let wide = _mm_unpacklo_epi32(v, _mm_setzero_si128());
+        [
+            _mm_cvtsi128_si64(wide) as u64,
+            _mm_cvtsi128_si64(_mm_unpackhi_epi64(wide, wide)) as u64,
+        ]
+    }
+}
 
 /// Bitwise inequality: the dirty diff must treat any representational
 /// change as a change (and, unlike `!=`, must not treat NaN as always
@@ -1233,8 +1527,34 @@ pub(crate) fn round_to_u64(x: f64) -> u64 {
     if x >= 9_007_199_254_740_992.0 {
         return x.round() as u64;
     }
-    let t = x as u64;
-    t + u64::from(x - t as f64 >= 0.5)
+    let t = f64_to_u64(x);
+    t + u64::from(x - u64_to_f64(t) >= 0.5)
+}
+
+/// `x as u64`, through the signed conversion below `2^63`. Baseline
+/// `x86_64` has no unsigned conversion instruction, so `as u64` costs a
+/// two-conversion emulation; `as i64` is one `cvttsd2si`, and on
+/// `[0, 2^63)` it is the same truncation. Negatives clamp to the same
+/// zero; NaN and the top range keep the original cast.
+#[inline(always)]
+pub(crate) fn f64_to_u64(x: f64) -> u64 {
+    if x < 9_223_372_036_854_775_808.0 {
+        x.max(0.0) as i64 as u64
+    } else {
+        x as u64
+    }
+}
+
+/// `x as f64`, through the signed conversion below `2^63` (one
+/// `cvtsi2sd` instead of the unsigned emulation; both round to nearest,
+/// so the bits agree).
+#[inline(always)]
+pub(crate) fn u64_to_f64(x: u64) -> f64 {
+    if x < 1 << 63 {
+        x as i64 as f64
+    } else {
+        x as f64
+    }
 }
 
 #[cfg(test)]
@@ -1488,5 +1808,373 @@ mod tests {
                 );
             }
         }
+    }
+}
+
+/// The lane kernel against the scalar body it replaces, and the exact
+/// cast helpers against `as`.
+#[cfg(test)]
+mod lane_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// `2^31 − 1`, the first lane value the kernel refuses.
+    const LIMIT: f64 = 2_147_483_647.0;
+
+    /// Lane values at and around every edge of the exact range: both
+    /// zeros, the half-up carry, `2^31 − 1` and its neighbours, the `2^53`
+    /// and `2^63` cast edges, negatives, NaN and the infinities.
+    #[rustfmt::skip]
+    const EDGES: [f64; 17] = [
+        0.0, -0.0, 0.49, 0.5,
+        2_147_483_645.5, 2_147_483_646.0, 2_147_483_646.5, 2_147_483_646.999_999_8,
+        LIMIT, 2_147_483_647.5, 2_147_483_648.0,
+        9_007_199_254_740_992.0, 9_223_372_036_854_775_808.0,
+        -1.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY,
+    ];
+
+    /// Factors for `refs_per_instr` and the miss rate that move an
+    /// in-range product onto, past or below the edge.
+    #[rustfmt::skip]
+    const RATIOS: [f64; 9] = [
+        1.0, 0.5, LIMIT / 2_147_483_646.0, 1.5, 1e-9, 0.0, -1.0, f64::NAN, f64::INFINITY,
+    ];
+
+    /// Access fractions no real distribution has.
+    const BAD_FRACS: [f64; 5] = [-0.0, -0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+    #[test]
+    fn cast_helpers_equal_as_at_the_edges() {
+        let two63 = 9_223_372_036_854_775_808.0f64;
+        let ulp_around_two63 = [two63.to_bits() - 1, two63.to_bits() + 1].map(f64::from_bits);
+        for x in EDGES.into_iter().chain(ulp_around_two63) {
+            assert_eq!(f64_to_u64(x), x as u64, "f64_to_u64({x:e})");
+            for x in [x, x + 0.5] {
+                assert_eq!(round_to_u64(x), x.round() as u64, "round_to_u64({x:e})");
+            }
+        }
+        #[rustfmt::skip]
+        let ints = [
+            0, 1, (1 << 31) - 1, 1 << 53, (1 << 53) + 1,
+            (1 << 63) - 1, 1 << 63, (1 << 63) + 1, u64::MAX,
+        ];
+        for x in ints {
+            let (got, want) = (u64_to_f64(x), x as f64);
+            assert_eq!(got.to_bits(), want.to_bits(), "u64_to_f64({x})");
+        }
+    }
+
+    /// One generated slot of a synthetic round.
+    #[derive(Debug, Clone)]
+    struct Slot {
+        node: usize,
+        dist: Vec<f64>,
+        base_cpi: f64,
+        refs_per_instr: f64,
+        hit_term: f64,
+        m: f64,
+        mlp_eff: f64,
+        cycles: f64,
+        changed: bool,
+        active: bool,
+    }
+
+    /// Weights scaled to sum to `total` over the first `n` homes (a zero
+    /// row stays zero).
+    fn row(weights: &[f64], n: usize, total: f64) -> Vec<f64> {
+        let sum: f64 = weights[..n].iter().sum();
+        weights[..n]
+            .iter()
+            .map(|w| if sum > 0.0 { w / sum * total } else { 0.0 })
+            .collect()
+    }
+
+    /// Mostly realistic slots (access rows summing to 1). One in three is
+    /// forced onto the edges: a cycle budget from [`EDGES`] with a CPI of
+    /// exactly 1 (so the instruction count sits on the edge) or with a
+    /// computed CPI, edge reference and miss factors, or a bad access
+    /// fraction. Forced slots' rows sum to 63/64 (or are zero): with a
+    /// huge miss count the split's float products round, and the margin
+    /// keeps their truncations from overrunning the count, which the
+    /// scalar body's `misses - assigned` would reject in a debug build.
+    fn arb_slot(n: usize) -> impl Strategy<Value = Slot> {
+        (
+            (
+                0usize..4,
+                0u8..12,
+                0usize..EDGES.len(),
+                0usize..RATIOS.len(),
+                0usize..RATIOS.len(),
+            ),
+            (
+                proptest::collection::vec(0.0f64..1.0, 4),
+                0.5f64..2.0,
+                0.001f64..0.05,
+                0.0f64..40.0,
+                0.0f64..1.0,
+            ),
+            (1.0f64..8.0, 0.0f64..2.4e6, any::<bool>(), 0u8..4),
+        )
+            .prop_map(
+                move |(
+                    (node, kind, e, r1, r2),
+                    (w, base_cpi, rpi, hit_term, m),
+                    (mlp_eff, cycles, changed, active),
+                )| {
+                    let margin = 63.0 / 64.0;
+                    let mut s = Slot {
+                        node: node % n,
+                        dist: row(&w, n, 1.0),
+                        base_cpi,
+                        refs_per_instr: rpi,
+                        hit_term,
+                        m,
+                        mlp_eff,
+                        cycles,
+                        changed,
+                        active: active != 0,
+                    };
+                    match kind {
+                        8 => {
+                            s.dist = vec![0.0; n];
+                            s.base_cpi = 1.0;
+                            s.hit_term = 0.0;
+                            s.cycles = EDGES[e];
+                            s.refs_per_instr = RATIOS[r1];
+                            s.m = RATIOS[r2];
+                        }
+                        9 => {
+                            s.dist = row(&w, n, margin);
+                            s.cycles = EDGES[e];
+                        }
+                        10 => {
+                            s.dist = row(&w, n, margin);
+                            s.refs_per_instr = RATIOS[r1];
+                            s.m = RATIOS[r2];
+                        }
+                        11 => {
+                            s.dist = row(&w, n, margin);
+                            s.dist[r1 % n] = BAD_FRACS[e % BAD_FRACS.len()];
+                        }
+                        _ => {}
+                    }
+                    s
+                },
+            )
+    }
+
+    /// A hot state holding just what one round reads: the slots, the miss
+    /// cost matrix, and stale output rows for replayed slots to re-offer.
+    fn hot_for(n: usize, slots: &[Slot], matrix: &[f64]) -> HotState {
+        let len = slots.len();
+        let mut hot = HotState {
+            len,
+            ..HotState::default()
+        };
+        for (i, s) in slots.iter().enumerate() {
+            hot.node.push(s.node as u32);
+            hot.dist.extend_from_slice(&s.dist);
+            hot.base_cpi.push(s.base_cpi);
+            hot.refs_per_instr.push(s.refs_per_instr);
+            hot.refs_over_mlp.push(s.refs_per_instr / s.mlp_eff);
+            hot.hit_term.push(s.hit_term);
+            hot.m.push(s.m);
+            hot.mlp_eff.push(s.mlp_eff);
+            hot.cycles.push(s.cycles);
+            hot.slot_changed.push(s.changed);
+            if s.active {
+                hot.active.push(i as u32);
+            }
+        }
+        hot.miss_cycles_matrix = matrix[..n * n].to_vec();
+        hot.out_instructions = vec![0; len];
+        hot.out_cpi = vec![0.0; len];
+        hot.out_refs = vec![0; len];
+        hot.out_misses = vec![0; len];
+        hot.out_local = vec![0; len];
+        hot.out_remote = vec![0; len];
+        hot.out_node_acc = (0..len * n).map(|j| j as u64 * 7_919 + 13).collect();
+        hot.node_demand = vec![0.0; n];
+        hot.pair_traffic = vec![0.0; n * n];
+        hot
+    }
+
+    impl RoundCols<'_> {
+        /// [`round_slots`] with every slot through the scalar body.
+        fn round_scalar(&mut self) -> u64 {
+            let active = self.active;
+            for &i in active {
+                if self.recomputed(i as usize) {
+                    self.rate(i as usize);
+                }
+            }
+            let mut fires = 0;
+            for &i in active {
+                let i = i as usize;
+                if self.recomputed(i) {
+                    self.split(i);
+                } else {
+                    fires += 1;
+                }
+                self.demand(i);
+            }
+            fires
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every column a round writes, floats as bits.
+    fn outputs(hot: &HotState) -> Vec<Vec<u64>> {
+        vec![
+            hot.out_instructions.clone(),
+            bits(&hot.out_cpi),
+            hot.out_refs.clone(),
+            hot.out_misses.clone(),
+            hot.out_local.clone(),
+            hot.out_remote.clone(),
+            hot.out_node_acc.clone(),
+            bits(&hot.node_demand),
+            bits(&hot.pair_traffic),
+        ]
+    }
+
+    fn arb_round() -> impl Strategy<Value = (usize, Vec<Slot>, Vec<f64>, (bool, bool, bool))> {
+        (0usize..3).prop_flat_map(|k| {
+            let n = [1, 2, 4][k];
+            (
+                Just(n),
+                proptest::collection::vec(arb_slot(n), 0..10),
+                proptest::collection::vec(50.0f64..800.0, 16),
+                (any::<bool>(), any::<bool>(), any::<bool>()),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn round_lanes_match_the_scalar_body(
+            (n, slots, matrix, (replay, approx_cpi, fractional)) in arb_round()
+        ) {
+            let params = EngineParams {
+                traffic_per_miss_bytes: if fractional { 115.3 } else { 115.0 },
+                ..EngineParams::default()
+            };
+            let mut lanes = hot_for(n, &slots, &matrix);
+            let mut scalar = lanes.clone();
+            let fires = round_slots(&mut lanes, n, replay, approx_cpi, params);
+            let scalar_fires =
+                RoundCols::new(&mut scalar, n, replay, approx_cpi, params).round_scalar();
+            prop_assert_eq!(fires, scalar_fires);
+            prop_assert_eq!(outputs(&lanes), outputs(&scalar), "{} nodes: {:?}", n, slots);
+        }
+    }
+
+    /// A two-node hot state: slot 0 realistic, slot 1 with a CPI of
+    /// exactly 1 (no stall), so its instruction count is its cycle
+    /// budget truncated.
+    #[cfg(target_arch = "x86_64")]
+    fn edge_pair(cycles: f64, refs_per_instr: f64, m: f64, dist: [f64; 2]) -> HotState {
+        let plain = Slot {
+            node: 0,
+            dist: vec![0.7, 0.3],
+            base_cpi: 1.1,
+            refs_per_instr: 0.018,
+            hit_term: 12.0,
+            m: 0.4,
+            mlp_eff: 2.0,
+            cycles: 2.4e6,
+            changed: true,
+            active: true,
+        };
+        let edge = Slot {
+            node: 1,
+            dist: dist.to_vec(),
+            base_cpi: 1.0,
+            refs_per_instr,
+            hit_term: 0.0,
+            m,
+            cycles,
+            ..plain.clone()
+        };
+        // A zero miss cost keeps the edge slot's CPI at exactly 1 whatever
+        // its access row.
+        hot_for(2, &[plain, edge], &[300.0, 450.0, 0.0, 0.0])
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn lanes_take_in_range_pairs_and_refuse_the_rest() {
+        let rate = |cycles: f64, refs_per_instr: f64, m: f64| {
+            let mut lanes = edge_pair(cycles, refs_per_instr, m, [0.25, 0.75]);
+            let mut scalar = lanes.clone();
+            let params = EngineParams::default();
+            let took = RoundCols::new(&mut lanes, 2, false, false, params).rate_pair(0, 1);
+            let mut cols = RoundCols::new(&mut scalar, 2, false, false, params);
+            cols.rate(0);
+            cols.rate(1);
+            if took {
+                assert_eq!(outputs(&lanes), outputs(&scalar), "cycles {cycles:e}");
+            } else {
+                assert_eq!(
+                    lanes.out_instructions,
+                    [0, 0],
+                    "a refused pair writes nothing"
+                );
+            }
+            took
+        };
+        // Instructions: the last in-range budget and the first refused one.
+        assert!(rate(2_147_483_646.999_999_8, 1e-9, 0.5));
+        assert!(!rate(LIMIT, 1e-9, 0.5));
+        assert!(rate(0.0, 1e-9, 0.5) && rate(-0.0, 1e-9, 0.5));
+        for cycles in [
+            2_147_483_648.0,
+            -1.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert!(!rate(cycles, 1e-9, 0.5), "cycles {cycles:e}");
+        }
+        // References, then misses: an exact 2^31 − 2 passes, a product
+        // rounding to 2^31 − 1 does not.
+        assert!(rate(2_147_483_646.0, 1.0, 1.0));
+        assert!(!rate(2_147_483_646.0, LIMIT / 2_147_483_646.0, 0.5));
+        assert!(!rate(2_147_483_646.0, 1.0, LIMIT / 2_147_483_646.0));
+        assert!(!rate(2_147_483_646.0, 1.0, -1.0));
+        assert!(!rate(2_147_483_646.0, f64::NAN, 0.5));
+
+        let split = |misses: u64, dist: [f64; 2]| {
+            let mut lanes = edge_pair(0.0, 0.0, 0.0, dist);
+            lanes.out_misses = vec![1_000, misses];
+            let mut scalar = lanes.clone();
+            let params = EngineParams::default();
+            let pair = RoundCols::new(&mut lanes, 2, false, false, params).split_pair(0, 1);
+            let mut cols = RoundCols::new(&mut scalar, 2, false, false, params);
+            cols.split(0);
+            cols.split(1);
+            if let Some([a, b]) = pair {
+                let mut cols = RoundCols::new(&mut lanes, 2, false, false, params);
+                cols.settle(0, a);
+                cols.settle(1, b);
+                assert_eq!(outputs(&lanes), outputs(&scalar), "misses {misses}");
+            }
+            pair.is_some()
+        };
+        assert!(split(2_147_483_646, [0.0, 1.0]));
+        assert!(split(2_147_483_646, [0.3, 0.7]));
+        assert!(!split(2_147_483_647, [0.0, 1.0]));
+        // (+∞ is refused too, but the scalar body it falls back to
+        // overflows on it in a debug build; in a round a +∞ fraction
+        // makes the miss cost, and so the miss count, zero or NaN.)
+        for frac in [-0.5, f64::NAN, f64::NEG_INFINITY] {
+            assert!(!split(1_000, [frac, 0.5]), "frac {frac:e}");
+        }
+        assert!(split(1_000, [-0.0, 0.5]), "−0.0 truncates to the same zero");
     }
 }

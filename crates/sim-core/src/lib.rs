@@ -25,6 +25,6 @@ pub use clock::{Clock, SimDuration, SimTime};
 pub use error::SimError;
 pub use faults::{FaultConfig, FaultInjector, MigrationFault};
 pub use json::{Json, ObjWriter};
-pub use rng::SimRng;
+pub use rng::{ClampedNormal, SimRng};
 pub use series::TimeSeries;
 pub use stats::{Counter, Histogram, RunningStats};

@@ -254,6 +254,45 @@ mod sse2_lanes {
     }
 }
 
+/// [`SimRng::normal_clamped`] with its parameters fixed and its clamp
+/// bounds checked once, at construction (at compile time in a `const`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ClampedNormal {
+    mean: f64,
+    std_dev: f64,
+    min: f64,
+    max: f64,
+}
+
+impl ClampedNormal {
+    /// Panics unless `min <= max` (so also for a NaN bound).
+    pub const fn new(mean: f64, std_dev: f64, min: f64, max: f64) -> Self {
+        assert!(min <= max, "invalid clamp bounds");
+        ClampedNormal {
+            mean,
+            std_dev,
+            min,
+            max,
+        }
+    }
+
+    /// One draw from `rng`; the same draws, in the same order, as
+    /// [`SimRng::normal_clamped`] with these parameters.
+    pub fn sample(&self, rng: &mut SimRng) -> f64 {
+        for _ in 0..16 {
+            // Box-Muller transform.
+            let u1: f64 = rng.unit().max(f64::MIN_POSITIVE);
+            let u2: f64 = rng.unit();
+            let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+            let v = self.mean + self.std_dev * z;
+            if (self.min..=self.max).contains(&v) {
+                return v;
+            }
+        }
+        self.mean.clamp(self.min, self.max)
+    }
+}
+
 /// Expand a `u64` seed into a 256-bit ChaCha key, one 32-bit PCG step per
 /// word (the same expansion rand_core uses for `seed_from_u64`).
 fn expand_seed(mut state: u64) -> [u32; 8] {
@@ -400,20 +439,11 @@ impl SimRng {
     }
 
     /// Sample a truncated normal value (resampled into `[min, max]`, with a
-    /// clamp fallback after a bounded number of rejections).
+    /// clamp fallback after a bounded number of rejections). A caller
+    /// that draws with the same parameters in a loop builds a
+    /// [`ClampedNormal`] once instead: the bounds check then runs once.
     pub fn normal_clamped(&mut self, mean: f64, std_dev: f64, min: f64, max: f64) -> f64 {
-        assert!(min <= max, "invalid clamp bounds");
-        for _ in 0..16 {
-            // Box-Muller transform.
-            let u1: f64 = self.unit().max(f64::MIN_POSITIVE);
-            let u2: f64 = self.unit();
-            let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-            let v = mean + std_dev * z;
-            if (min..=max).contains(&v) {
-                return v;
-            }
-        }
-        (mean).clamp(min, max)
+        ClampedNormal::new(mean, std_dev, min, max).sample(self)
     }
 
     /// Next raw 32-bit draw from the stream.
@@ -557,6 +587,18 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.poisson(1.5), b.poisson(1.5));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid clamp bounds")]
+    fn clamped_normal_rejects_inverted_bounds() {
+        ClampedNormal::new(0.0, 1.0, 3.0, -3.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid clamp bounds")]
+    fn clamped_normal_rejects_nan_bounds() {
+        ClampedNormal::new(0.0, 1.0, f64::NAN, 3.0);
     }
 
     #[test]

@@ -19,6 +19,22 @@ pub struct Phase {
     pub ws_scale: f64,
 }
 
+/// Phase `index` is in effect at every time `t` with
+/// `start_us <= t.as_micros() < end_us`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PhaseSpan {
+    pub index: usize,
+    pub start_us: u64,
+    pub end_us: u64,
+}
+
+impl PhaseSpan {
+    /// Whether phase `index` is in effect at `t`.
+    pub fn contains(&self, t: SimTime) -> bool {
+        (self.start_us..self.end_us).contains(&t.as_micros())
+    }
+}
+
 /// A workload whose behaviour cycles through phases.
 #[derive(Debug, Clone)]
 pub struct PhasedWorkload {
@@ -81,18 +97,29 @@ impl PhasedWorkload {
 
     /// Index of the phase in effect at simulated time `t`.
     pub fn phase_index_at(&self, t: SimTime) -> usize {
-        let mut offset = t.as_micros() % self.cycle.as_micros();
-        self.phases
-            .iter()
-            .position(|p| {
-                if offset < p.duration.as_micros() {
-                    true
-                } else {
-                    offset -= p.duration.as_micros();
-                    false
-                }
-            })
-            .expect("offset < cycle implies a phase matches")
+        self.phase_span_at(t).index
+    }
+
+    /// The phase in effect at simulated time `t`, with the stretch of
+    /// time it stays in effect: a caller that keeps the span answers every
+    /// later `t` inside it without the modulo and the scan.
+    pub fn phase_span_at(&self, t: SimTime) -> PhaseSpan {
+        let t_us = t.as_micros();
+        let offset = t_us % self.cycle.as_micros();
+        let cycle_start = t_us - offset;
+        let mut start = 0;
+        for (index, p) in self.phases.iter().enumerate() {
+            let end = start + p.duration.as_micros();
+            if offset < end {
+                return PhaseSpan {
+                    index,
+                    start_us: cycle_start + start,
+                    end_us: cycle_start.saturating_add(end),
+                };
+            }
+            start = end;
+        }
+        unreachable!("offset < cycle implies a phase matches")
     }
 
     /// The spec of phase `idx` (see [`PhasedWorkload::phase_index_at`]).
@@ -146,6 +173,36 @@ mod tests {
     fn phases_wrap_around() {
         let p = PhasedWorkload::alternating(npb::lu(), SimDuration::from_secs(2));
         assert_eq!(p.spec_at(t(100)).rpti, p.spec_at(t(2_100)).rpti);
+    }
+
+    #[test]
+    fn phase_spans_tile_time_and_agree_with_a_walk() {
+        let phases = [3, 1, 5].map(|ms| Phase {
+            duration: SimDuration::from_millis(ms),
+            rpti_scale: 1.0,
+            ws_scale: 1.0,
+        });
+        let p = PhasedWorkload::new(npb::lu(), phases.to_vec());
+        // Walk phase by phase from time zero over several cycles: every
+        // microsecond of each phase maps to that phase's span.
+        let mut start = 0;
+        for k in 0..4 * phases.len() {
+            let index = k % phases.len();
+            let end = start + phases[index].duration.as_micros();
+            let want = PhaseSpan {
+                index,
+                start_us: start,
+                end_us: end,
+            };
+            for us in [start, start + 1, (start + end) / 2, end - 1] {
+                let at = SimTime::from_micros(us);
+                assert_eq!(p.phase_span_at(at), want, "t = {us} us");
+                assert_eq!(p.phase_index_at(at), index);
+                assert!(want.contains(at));
+            }
+            assert!(!want.contains(SimTime::from_micros(end)));
+            start = end;
+        }
     }
 
     #[test]

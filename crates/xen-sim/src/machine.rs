@@ -25,7 +25,8 @@ use mem_model::{AnyEngine, EngineSelect, NodeFree, QuantumUsage};
 use numa_topo::{NodeId, PcpuId, Topology, VcpuId, VmId};
 use pmu::{OverheadModel, OverheadTracker, PeriodSampler, PmuSample};
 use sim_core::{
-    Clock, FaultConfig, FaultInjector, MigrationFault, SimDuration, SimError, SimRng, SimTime,
+    ClampedNormal, Clock, FaultConfig, FaultInjector, MigrationFault, SimDuration, SimError,
+    SimRng, SimTime,
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -37,6 +38,18 @@ use telemetry::{CounterId, GaugeId, HistogramId, Registry};
 /// counters, never for scheduling decisions.
 const RPTI_FRIENDLY_MAX: f64 = 3.0;
 const RPTI_FITTING_MAX: f64 = 20.0;
+
+/// The burstiness process's standard-normal shock, truncated at ±3σ.
+const OU_SHOCK: ClampedNormal = ClampedNormal::new(0.0, 1.0, -3.0, 3.0);
+
+/// An empty `Vec` with `v`'s allocation, retyped. No element is ever
+/// moved: `v` is cleared first, and `collect` over its `IntoIter` reuses
+/// the buffer in place when the two element types share a layout (as
+/// `QuantumUsage`s of any two lifetimes do).
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter().filter_map(|_| None).collect()
+}
 
 fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
@@ -245,6 +258,14 @@ pub struct Machine {
     idler_profile: mem_model::AccessProfile,
     /// Reusable per-quantum intensity-noise buffer (one factor per VCPU).
     noise_scratch: Vec<f64>,
+    /// The burstiness process's per-quantum reversion rate `theta` and
+    /// shock scale `step` (see `update_intensity_noise`), fixed by the
+    /// config.
+    noise_theta: f64,
+    noise_step: f64,
+    /// The per-quantum `usages` buffer, kept empty between quanta so its
+    /// allocation is reused (see `recycle`).
+    usage_buf: Vec<QuantumUsage<'static>>,
     /// Fault schedule source (draws nothing when faults are disabled).
     injector: FaultInjector,
     /// Cached `cfg.faults.enabled()`: gates every per-quantum fault hook so
@@ -392,6 +413,11 @@ impl Machine {
         let mut telemetry = Registry::new();
         let tids = Machine::register_telemetry(&mut telemetry);
         let q_us = cfg.quantum.as_micros();
+        let noise_theta =
+            (q_us as f64 / cfg.intensity_noise_corr.as_micros().max(1) as f64).min(1.0);
+        // Stationary sd of x' = x + theta (1 - x) + step*eps is
+        // step / sqrt(theta (2 - theta)).
+        let noise_step = cfg.intensity_noise_sd * (noise_theta * (2.0 - noise_theta)).sqrt();
         let shuffle_next = vms
             .iter()
             .map(|vm| match vm.shuffle_period {
@@ -408,6 +434,9 @@ impl Machine {
             idler_wakes,
             idler_profile: mem_model::AccessProfile::cpu_only(1.0, num_nodes),
             noise_scratch: Vec::with_capacity(num_vcpus),
+            noise_theta,
+            noise_step,
+            usage_buf: Vec::new(),
             injector: FaultInjector::new(cfg.faults.clone())?,
             faults_enabled: cfg.faults.enabled(),
             sample_validity: vec![1.0; num_vcpus],
@@ -1281,7 +1310,7 @@ impl Machine {
     fn execute_quantum(&mut self, now: SimTime) {
         self.update_intensity_noise();
         let noise = &self.noise_scratch;
-        let mut usages: Vec<QuantumUsage> = Vec::with_capacity(self.pcpus.len());
+        let mut usages: Vec<QuantumUsage> = recycle(std::mem::take(&mut self.usage_buf));
         for p in &mut self.pcpus {
             // A stalled PCPU makes no forward progress this quantum.
             if p.stall_left > 0 {
@@ -1325,6 +1354,7 @@ impl Machine {
             });
         }
         self.engine.step_ref(self.cfg.quantum, &usages);
+        self.usage_buf = recycle(usages);
         let results = self.engine.take_results();
         for r in &results {
             let vid = VcpuId::new(r.key as u32);
@@ -1368,20 +1398,14 @@ impl Machine {
     /// `noise_scratch` (reused across quanta instead of reallocated).
     fn update_intensity_noise(&mut self) {
         self.noise_scratch.clear();
-        let sd = self.cfg.intensity_noise_sd;
-        if sd <= 0.0 {
+        if self.cfg.intensity_noise_sd <= 0.0 {
             self.noise_scratch.resize(self.vcpus.len(), 1.0);
             return;
         }
-        let theta = (self.cfg.quantum.as_micros() as f64
-            / self.cfg.intensity_noise_corr.as_micros().max(1) as f64)
-            .min(1.0);
-        // Stationary sd of x' = x + theta (1 - x) + step*eps is
-        // step / sqrt(theta (2 - theta)).
-        let step = sd * (theta * (2.0 - theta)).sqrt();
+        let (theta, step) = (self.noise_theta, self.noise_step);
         for v in &mut self.vcpus {
             if v.kind == VcpuKind::Worker {
-                let eps = self.rng.normal_clamped(0.0, 1.0, -3.0, 3.0);
+                let eps = OU_SHOCK.sample(&mut self.rng);
                 v.intensity_noise =
                     (v.intensity_noise + theta * (1.0 - v.intensity_noise) + step * eps)
                         .clamp(0.4, 1.8);
@@ -1809,6 +1833,18 @@ mod tests {
             phase_period: None,
             weight: 256,
         }
+    }
+
+    #[test]
+    fn recycle_keeps_the_allocation() {
+        let text = String::from("borrowed");
+        let mut v: Vec<(u64, &str)> = Vec::with_capacity(16);
+        v.push((1, &text));
+        let ptr = v.as_ptr() as usize;
+        let w: Vec<(u64, &'static str)> = recycle(v);
+        assert!(w.is_empty());
+        assert_eq!(w.capacity(), 16);
+        assert_eq!(w.as_ptr() as usize, ptr);
     }
 
     fn basic_machine() -> Machine {

@@ -3,7 +3,8 @@
 use mem_model::{AllocPolicy, NodeFree, VmMemoryLayout};
 use numa_topo::{VcpuId, VmId};
 use sim_core::{SimDuration, SimError, SimTime};
-use workloads::phases::PhasedWorkload;
+use std::cell::Cell;
+use workloads::phases::{PhaseSpan, PhasedWorkload};
 use workloads::WorkloadSpec;
 
 /// Static description of one VM.
@@ -119,7 +120,7 @@ impl VmConfig {
 /// distribution of the memory it touches.
 #[derive(Debug, Clone)]
 pub struct GuestThread {
-    pub workload: PhasedWorkload,
+    workload: PhasedWorkload,
     /// Fraction of this thread's accesses landing on each node; fixed at
     /// VM creation because machine pages are fixed at domain creation
     /// (page migration is the one exception — it goes through
@@ -129,11 +130,17 @@ pub struct GuestThread {
     /// execution path borrows a profile instead of rebuilding spec + node
     /// distribution every time a VCPU runs.
     profiles: Vec<mem_model::AccessProfile>,
+    /// The span of the phase [`GuestThread::profile_at`] last answered.
+    /// Simulated time only moves forward, so nearly every query lands in
+    /// it and skips [`PhasedWorkload::phase_span_at`]'s modulo and scan;
+    /// any other query recomputes it.
+    phase: Cell<PhaseSpan>,
 }
 
 impl GuestThread {
     fn new(workload: PhasedWorkload, access_dist: Vec<f64>) -> Self {
         let mut t = GuestThread {
+            phase: Cell::new(workload.phase_span_at(SimTime::ZERO)),
             workload,
             access_dist,
             profiles: Vec::new(),
@@ -161,7 +168,12 @@ impl GuestThread {
     /// `spec_at(t).access_profile(access_dist.clone())` without the
     /// allocations.
     pub fn profile_at(&self, t: SimTime) -> &mem_model::AccessProfile {
-        &self.profiles[self.workload.phase_index_at(t)]
+        let mut span = self.phase.get();
+        if !span.contains(t) {
+            span = self.workload.phase_span_at(t);
+            self.phase.set(span);
+        }
+        &self.profiles[span.index]
     }
 }
 
@@ -438,5 +450,29 @@ mod phase_tests {
         let a = vm.threads[0].spec_at(SimTime::ZERO);
         let b = vm.threads[0].spec_at(SimTime::ZERO + SimDuration::from_secs(100));
         assert_eq!(a.rpti, b.rpti);
+    }
+
+    #[test]
+    fn phase_cursor_matches_the_modulo_form_forwards_and_backwards() {
+        let mut cfg = VmConfig::new("phased", 4, 4 * GB, AllocPolicy::MostFree, vec![npb::lu()]);
+        cfg.phase_period = Some(SimDuration::from_millis(10));
+        let mut free = NodeFree::new(vec![12 * GB, 12 * GB]);
+        let vm = VmRuntime::create(VmId::new(0), &cfg, &mut free, 0).unwrap();
+        let thread = &vm.threads[0];
+        assert!(thread.workload.num_phases() > 1);
+        let check = |us: u64| {
+            let t = SimTime::from_micros(us);
+            let want = &thread.profiles[thread.workload.phase_index_at(t)];
+            assert!(std::ptr::eq(thread.profile_at(t), want), "t = {us} us");
+        };
+        // Forward one quantum at a time over several cycles, crossing
+        // every phase boundary.
+        for us in (0..35_000).step_by(1_000) {
+            check(us);
+        }
+        // Backwards within a cycle, across cycles, and back to the start.
+        for us in [34_999, 30_000, 4_999, 5_000, 0, 12_345, 7, 100_000_000_000] {
+            check(us);
+        }
     }
 }
