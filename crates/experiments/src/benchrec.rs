@@ -127,12 +127,12 @@ mod tests {
 
     #[test]
     fn stamp_carries_rev_regime_engine() {
-        let s = stamp("quick", "approx");
+        let s = stamp("quick", "reference");
         assert_eq!(s.len(), 3);
         assert_eq!(s[0].0, "git_rev");
         assert!(matches!(&s[0].1, Json::Str(r) if !r.is_empty()));
         assert_eq!(s[1], ("regime".into(), Json::Str("quick".into())));
-        assert_eq!(s[2], ("engine".into(), Json::Str("approx".into())));
+        assert_eq!(s[2], ("engine".into(), Json::Str("reference".into())));
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! from the recorded files alone, so output is byte-identical for any
 //! value.
 
-use experiments::{explain, parallel};
+use experiments::explain;
+use sim_core::parallel;
 use sim_core::SimError;
 
 fn main() {

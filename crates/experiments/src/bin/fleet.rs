@@ -25,8 +25,8 @@
 //! simulation it hosts, and the process exits 1. Every run is
 //! seed-deterministic: the report is byte-identical for any `--jobs`.
 
-use experiments::parallel;
 use fleet::{Fleet, FleetConfig, FleetScheduler, HostPreset};
+use sim_core::parallel;
 use sim_core::{SimDuration, SimError};
 use xen_sim::MachineBuilder;
 
@@ -56,7 +56,7 @@ fn usage() {
          [--trace-host IDX] [--trace-out FILE] [--provenance-dir DIR] \
          [--slo-budget-s S] [--engine E] [--perf-out FILE] [--compare-single]\n\
          schedulers: credit, vprobe, vprobe-gd; presets: xeon-e5620, 4s32c, uma-quad; \
-         engines: exact, approx, reference"
+         engines: exact, reference"
     );
 }
 
@@ -121,7 +121,7 @@ fn run(mut args: Vec<String>) -> Result<(), SimError> {
     }
     if let Some(e) = take_value(&mut args, "--engine")? {
         cfg.engine = mem_model::EngineSelect::parse(&e).ok_or_else(|| {
-            SimError::UnknownName(format!("engine '{e}' (known: exact, approx, reference)"))
+            SimError::UnknownName(format!("engine '{e}' (known: exact, reference)"))
         })?;
     }
     let perf_out = take_value(&mut args, "--perf-out")?;

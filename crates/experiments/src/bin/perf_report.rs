@@ -9,21 +9,21 @@
 //! perf-report --out report.txt    # write the report to a file
 //! ```
 //!
-//! Runs the [`experiments::perfreport`] scenario × engine matrix with
-//! perf introspection enabled and prints what the optimization machinery
-//! saved: whole-step skip rates, clean-node skips, memo hit rates,
-//! demand replays, fixed-point rounds per solving step, and the
-//! exact-vs-approx effectiveness deltas.
+//! Runs the [`experiments::perfreport`] scenarios with perf
+//! introspection enabled and prints what the optimization machinery
+//! saved: whole-step skip rates, clean-node skips and fixed-point rounds
+//! per solving step.
 //!
 //! Everything on stdout is a pure function of the simulated execution:
 //! byte-identical across `--jobs`, repeated runs, and machines, and
 //! summarized by the trailing `counter digest:` line. Wall-clock
-//! attribution (real time per scenario/engine cell) goes to stderr and
+//! attribution (real time per scenario) goes to stderr and
 //! into `BENCH_repro.json` + `BENCH_history.jsonl` — never into the
 //! deterministic report.
 
+use experiments::benchrec;
 use experiments::perfreport::{self, ReportOptions};
-use experiments::{benchrec, parallel};
+use sim_core::parallel;
 use sim_core::Json;
 use telemetry::PhaseTimers;
 
@@ -92,7 +92,7 @@ fn main() {
 /// the same record (with the counter digest) to `BENCH_history.jsonl`.
 fn record_bench(quick: bool, points: &[perfreport::PerfPoint], timers: &PhaseTimers, total_s: f64) {
     let regime = if quick { "quick" } else { "full" };
-    let mut fields = benchrec::stamp(regime, "exact+approx");
+    let mut fields = benchrec::stamp(regime, "exact");
     fields.extend([
         ("jobs".into(), Json::from(parallel::configured_jobs())),
         ("digest".into(), Json::Str(perfreport::digest(points))),

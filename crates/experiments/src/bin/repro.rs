@@ -11,7 +11,6 @@
 //! repro fig-faults     # the robustness sweep (rates swept internally)
 //! repro fig-fleet      # the fleet sweep (churn + host failures at scale)
 //! repro --reference-engine all # frozen pre-rewrite memory engine
-//! repro --approx-engine all    # quantized fast engine (bounded error)
 //! ```
 //!
 //! Every invocation also records per-artifact and total wall-clock time in
@@ -25,9 +24,9 @@ use experiments::runner::RunOptions;
 use mem_model::EngineSelect;
 use experiments::{
     fig1_remote_ratio, fig3_bounds, fig4_spec, fig5_npb, fig6_memcached, fig7_redis, fig8_period,
-    fig_faults, fig_fleet, parallel, table3_overhead,
+    fig_faults, fig_fleet, table3_overhead,
 };
-use sim_core::{FaultConfig, Json, SimDuration, SimError};
+use sim_core::{parallel, FaultConfig, Json, SimDuration, SimError};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -55,16 +54,11 @@ fn main() {
     let fault_rate = take_value(&mut args, "--fault-rate").map(|v| parse_rate(&v, "--fault-rate"));
     let fault_seed = take_value(&mut args, "--fault-seed").map(|v| parse_num(&v, "--fault-seed"));
     let reference_engine = take_flag(&mut args, "--reference-engine");
-    let approx_engine = take_flag(&mut args, "--approx-engine");
-    if reference_engine && approx_engine {
-        eprintln!("--reference-engine and --approx-engine are mutually exclusive");
-        std::process::exit(2);
-    }
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
             "usage: repro [--quick] [--csv DIR] [--jobs N] [--seed N] \
              [--fault-rate R] [--fault-seed N] \
-             [--reference-engine | --approx-engine] all | {}",
+             [--reference-engine] all | {}",
             ARTIFACTS.join(" | ")
         );
         std::process::exit(2);
@@ -102,8 +96,6 @@ fn main() {
     }
     opts.engine = if reference_engine {
         EngineSelect::Reference
-    } else if approx_engine {
-        EngineSelect::Approx
     } else {
         EngineSelect::Exact
     };
@@ -218,7 +210,7 @@ fn write_outputs(
 
 /// Merge this run's wall-clock numbers into `BENCH_repro.json`, keyed by
 /// job count and engine, so sequential/parallel and
-/// exact/approx/reference timings of the same selection sit side by side. The same record (plus the key) is
+/// exact/reference timings of the same selection sit side by side. The same record (plus the key) is
 /// appended to `BENCH_history.jsonl`, the append-only benchmark log.
 fn record_bench(
     jobs: usize,

@@ -8,8 +8,8 @@
 //! scenario --print-example
 //! ```
 
-use experiments::parallel;
 use experiments::scenario::Scenario;
+use sim_core::parallel;
 use sim_core::SimError;
 
 const EXAMPLE: &str = r#"{

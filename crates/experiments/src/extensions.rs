@@ -37,7 +37,7 @@ pub fn run_page_migration(opts: &RunOptions) -> Result<Vec<PageMigRow>, SimError
     // The policy box is built inside the worker (trait objects are not
     // `Send`); the tags keep the row order fixed.
     let names = vec!["Credit", "vProbe", "vProbe+pm"];
-    crate::parallel::parallel_try_map(names, |name| {
+    sim_core::parallel::parallel_try_map(names, |name| {
         let policy: Box<dyn SchedPolicy> = match name {
             "Credit" => Box::new(CreditPolicy::new()),
             "vProbe" => Box::new(variants::vprobe(2, Bounds::default())),
@@ -119,7 +119,7 @@ pub fn run_scaling(opts: &RunOptions) -> Result<Vec<ScalingRow>, SimError> {
     // inside the worker so the case list is plain `Send` data.
     let cases: Vec<(usize, &'static str)> =
         vec![(2, "Credit"), (2, "vProbe"), (4, "Credit"), (4, "vProbe")];
-    crate::parallel::parallel_try_map(cases, |(nodes, name)| {
+    sim_core::parallel::parallel_try_map(cases, |(nodes, name)| {
         let topo = match nodes {
             2 => presets::xeon_e5620(),
             _ => presets::four_socket_32core(),

@@ -45,7 +45,7 @@ pub fn workload_set() -> Vec<(String, Vec<WorkloadSpec>)> {
 
 /// Run the experiment (one run per workload, in parallel).
 pub fn run(opts: &RunOptions) -> Result<Vec<Fig1Row>, SimError> {
-    crate::parallel::parallel_try_map(workload_set(), |(name, wl)| {
+    sim_core::parallel::parallel_try_map(workload_set(), |(name, wl)| {
         let r = run_workload(
             Scheduler::Credit,
             SetupKind::Motivation,

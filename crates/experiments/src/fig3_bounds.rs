@@ -86,7 +86,7 @@ pub fn run_one(spec: &WorkloadSpec, opts: &RunOptions) -> Result<Fig3Row, SimErr
 
 /// Run all six programs (in parallel; rows stay in `workload_set` order).
 pub fn run(opts: &RunOptions) -> Result<Vec<Fig3Row>, SimError> {
-    crate::parallel::parallel_try_map(workload_set(), |w| run_one(&w, opts))
+    sim_core::parallel::parallel_try_map(workload_set(), |w| run_one(&w, opts))
 }
 
 /// Check that the measured RPTIs justify the paper's bounds: every

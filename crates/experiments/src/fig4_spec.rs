@@ -77,7 +77,7 @@ pub fn normalize(workload: &str, runs: Vec<WorkloadRun>) -> WorkloadBars {
 /// Run the full Fig. 4 sweep (workloads in parallel; rows stay in
 /// `workload_set` order).
 pub fn run(opts: &RunOptions) -> Result<Vec<WorkloadBars>, SimError> {
-    crate::parallel::parallel_try_map(workload_set(), |(name, vm1, vm2)| {
+    sim_core::parallel::parallel_try_map(workload_set(), |(name, vm1, vm2)| {
         let runs = run_all_schedulers(SetupKind::PaperEval, vm1, vm2, opts)?;
         Ok(normalize(&name, runs))
     })

@@ -22,7 +22,7 @@ pub fn workload_set() -> Vec<(String, Vec<WorkloadSpec>)> {
 /// Run the full Fig. 5 sweep (workloads in parallel; rows stay in
 /// `workload_set` order).
 pub fn run(opts: &RunOptions) -> Result<Vec<WorkloadBars>, SimError> {
-    crate::parallel::parallel_try_map(workload_set(), |(name, wl)| {
+    sim_core::parallel::parallel_try_map(workload_set(), |(name, wl)| {
         let runs = run_all_schedulers(SetupKind::PaperEval, wl.clone(), wl, opts)?;
         Ok(normalize(&name, runs))
     })

@@ -35,7 +35,7 @@ pub fn run(opts: &RunOptions) -> Result<Vec<Fig6Point>, SimError> {
 /// Run a chosen set of concurrency levels (levels in parallel on top of
 /// the per-scheduler parallelism; point order is unchanged).
 pub fn run_levels(levels: &[u32], opts: &RunOptions) -> Result<Vec<Fig6Point>, SimError> {
-    let per_level = crate::parallel::parallel_try_map(levels.to_vec(), |c| {
+    let per_level = sim_core::parallel::parallel_try_map(levels.to_vec(), |c| {
         let spec = kv::memcached(c);
         let runs = run_all_schedulers(
             SetupKind::PaperEval,

@@ -31,7 +31,7 @@ pub fn run(opts: &RunOptions) -> Result<Vec<Fig7Point>, SimError> {
 /// Run a chosen set of connection counts (levels in parallel on top of
 /// the per-scheduler parallelism; point order is unchanged).
 pub fn run_levels(levels: &[u32], opts: &RunOptions) -> Result<Vec<Fig7Point>, SimError> {
-    let per_level = crate::parallel::parallel_try_map(levels.to_vec(), |k| {
+    let per_level = sim_core::parallel::parallel_try_map(levels.to_vec(), |k| {
         let spec = kv::redis(k);
         let runs = run_all_schedulers(
             SetupKind::PaperEval,

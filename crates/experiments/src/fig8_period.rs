@@ -32,7 +32,7 @@ pub fn run(opts: &RunOptions) -> Result<Vec<Fig8Point>, SimError> {
 /// Run chosen periods; normalization is against the 1 s run (or the first
 /// period if 1 s is not included).
 pub fn run_periods(periods_s: &[f64], opts: &RunOptions) -> Result<Vec<Fig8Point>, SimError> {
-    let rates = crate::parallel::parallel_try_map(periods_s.to_vec(), |p| {
+    let rates = sim_core::parallel::parallel_try_map(periods_s.to_vec(), |p| {
         let mut o = opts.clone();
         o.sample_period = SimDuration::from_secs_f64(p);
         let r = run_workload(

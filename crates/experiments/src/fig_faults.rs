@@ -68,7 +68,7 @@ pub fn run_grid(
         .iter()
         .flat_map(|&s| rates.iter().map(move |&r| (s, r)))
         .collect();
-    let runs = crate::parallel::parallel_try_map(grid, |(s, rate)| {
+    let runs = sim_core::parallel::parallel_try_map(grid, |(s, rate)| {
         let mut o = opts.clone();
         o.faults = FaultConfig::uniform(rate, fault_seed);
         let r = run_workload(

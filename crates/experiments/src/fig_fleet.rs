@@ -262,32 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn approx_engine_preserves_policy_rankings() {
-        // The approx engine trades exactness for speed; it must not trade
-        // away *conclusions*. Rank the schedulers by useful throughput in
-        // the quick regime under both engines and demand the same order.
-        let rankings = |engine| {
-            let opts = RunOptions {
-                engine,
-                ..RunOptions::default()
-            };
-            let mut pts = run_grid(&SCHEDULERS, &QUICK_SIZES, &opts, 4, true).unwrap();
-            pts.sort_by(|a, b| {
-                b.instr_per_host_up_s
-                    .partial_cmp(&a.instr_per_host_up_s)
-                    .unwrap()
-            });
-            pts.iter().map(|p| p.scheduler).collect::<Vec<_>>()
-        };
-        let exact = rankings(mem_model::EngineSelect::Exact);
-        let approx = rankings(mem_model::EngineSelect::Approx);
-        assert_eq!(
-            exact, approx,
-            "approx engine must rank fleet policies like exact mode"
-        );
-    }
-
-    #[test]
     fn render_and_json_shapes() {
         let opts = RunOptions::default();
         let pts = run_grid(&[FleetScheduler::VProbeGd], &[4], &opts, 3, true).unwrap();

@@ -42,7 +42,6 @@ pub mod fig7_redis;
 pub mod fig8_period;
 pub mod fig_faults;
 pub mod fig_fleet;
-pub mod parallel;
 pub mod perfreport;
 pub mod report;
 pub mod runner;

@@ -1,37 +1,33 @@
 //! Work-avoidance perf report: what the optimization machinery saved.
 //!
 //! The simulator's performance work — the incremental memory engine's
-//! whole-step skip and dirty-node tracking, the LLC solve memo, the
-//! demand replay, the approx engine's tolerance exit, fleet host
-//! sharding — is deliberately invisible in
-//! the artifacts it is forbidden to change. This module makes it
-//! visible: it runs a small matrix of representative workloads with perf
-//! introspection enabled and reports the deterministic work-avoidance
-//! counters ([`xen_sim::PerfSnapshot`]).
+//! whole-step skip and dirty-node tracking, fleet host sharding — is
+//! deliberately invisible in the artifacts it is forbidden to change.
+//! This module makes it visible: it runs a small matrix of representative
+//! workloads with perf introspection enabled and reports the
+//! deterministic work-avoidance counters ([`xen_sim::PerfSnapshot`]).
 //!
 //! Four scenarios bracket the machinery's operating envelope:
 //!
 //! * **noisy** — the paper's §V-A eval setup (3 VMs, soplex + hungry
 //!   interference) under vProbe at the default intensity noise. The
 //!   per-quantum noise dirties every populated node every step, so this
-//!   measures the *worst-case solving* path: per-node re-solves,
-//!   fixed-point rounds, and (approx) tolerance exits, with the reuse
-//!   caches structurally cold.
+//!   measures the *worst-case solving* path: per-node re-solves and
+//!   fixed-point rounds, with the reuse caches structurally cold.
 //! * **phased** — SPEC workloads with the noise off: inputs change only
 //!   at workload phase boundaries, so this measures the *incremental
-//!   reuse* path — clean-node skips, demand replays, whole-step skips —
-//!   on a run that still does real scheduling work.
+//!   reuse* path — clean-node skips and whole-step skips — on a run that
+//!   still does real scheduling work.
 //! * **quiescent** — saturated hungry loops with the noise disabled.
 //!   The sim reaches a fixed point and this measures the *skipping*
 //!   path: whole-step skips replay the stationary solve each quantum.
 //! * **fleet** — the smoke-scale churn/failure fleet sweep config on one
 //!   scheduler, counters summed over every host and generation.
 //!
-//! Each scenario runs under both the exact and the approx engine (the
-//! frozen reference engine has no counters), so the report also shows
-//! the effectiveness delta the approximation buys. Everything printed on
-//! stdout derives from the deterministic counters alone: the report is
-//! byte-identical across `--jobs`, repeated runs, and machines, and
+//! Each scenario runs under the incremental engine (the frozen reference
+//! engine has no counters). Everything printed on stdout derives from the
+//! deterministic counters alone: the report is byte-identical across
+//! `--jobs`, repeated runs, and machines, and
 //! [`digest`] pins the whole export with one token for
 //! `BENCH_history.jsonl` and the CI regression gate. Wall-clock lives in
 //! the caller's [`telemetry::PhaseTimers`] and stays out of the report.
@@ -39,7 +35,7 @@
 use crate::report::{f3, Table};
 use crate::runner::{RunOptions, Scheduler, SetupKind};
 use fleet::{Fleet, FleetScheduler};
-use mem_model::{AllocPolicy, EngineSelect};
+use mem_model::AllocPolicy;
 use numa_topo::presets;
 use sim_core::{Json, SimDuration, SimError};
 use telemetry::{digest64, PhaseTimers};
@@ -47,10 +43,6 @@ use workloads::{hungry, speccpu};
 use xen_sim::{CreditPolicy, MachineBuilder, MachineConfig, PerfSnapshot, VmConfig};
 
 const GB: u64 = 1024 * 1024 * 1024;
-
-/// The engines compared. The frozen reference engine is excluded: it
-/// predates the work-avoidance machinery, so every counter reads zero.
-pub const ENGINES: [EngineSelect; 2] = [EngineSelect::Exact, EngineSelect::Approx];
 
 /// Scenario durations and sizes for one report run.
 #[derive(Debug, Clone)]
@@ -93,70 +85,39 @@ impl ReportOptions {
     }
 }
 
-/// One (scenario, engine) cell of the report matrix.
+/// One scenario of the report.
 #[derive(Debug, Clone)]
 pub struct PerfPoint {
     pub scenario: &'static str,
-    pub engine: EngineSelect,
     pub snap: PerfSnapshot,
 }
 
-/// Run the scenario × engine matrix. Wall-clock per cell is attributed
-/// to `timers` under `"<scenario>/<engine>"`; the returned points hold
-/// only deterministic counters.
+/// Run every scenario. Wall-clock per scenario is attributed to `timers`
+/// under its name; the returned points hold only deterministic counters.
 pub fn run(opts: &ReportOptions, timers: &mut PhaseTimers) -> Result<Vec<PerfPoint>, SimError> {
-    let mut points = Vec::new();
-    for engine in ENGINES {
-        let snap = timers.time(&format!("noisy/{}", engine.name()), || {
-            noisy_snapshot(opts, engine)
-        })?;
-        points.push(PerfPoint {
-            scenario: "noisy",
-            engine,
-            snap,
-        });
-    }
-    for engine in ENGINES {
-        let snap = timers.time(&format!("phased/{}", engine.name()), || {
-            phased_snapshot(opts, engine)
-        })?;
-        points.push(PerfPoint {
-            scenario: "phased",
-            engine,
-            snap,
-        });
-    }
-    for engine in ENGINES {
-        let snap = timers.time(&format!("quiescent/{}", engine.name()), || {
-            quiescent_snapshot(opts, engine)
-        })?;
-        points.push(PerfPoint {
-            scenario: "quiescent",
-            engine,
-            snap,
-        });
-    }
+    type Scenario = fn(&ReportOptions) -> Result<PerfSnapshot, SimError>;
+    let mut scenarios: Vec<(&'static str, Scenario)> = vec![
+        ("noisy", noisy_snapshot),
+        ("phased", phased_snapshot),
+        ("quiescent", quiescent_snapshot),
+    ];
     if opts.fleet_hosts > 0 {
-        for engine in ENGINES {
-            let snap = timers.time(&format!("fleet/{}", engine.name()), || {
-                fleet_snapshot(opts, engine)
-            })?;
-            points.push(PerfPoint {
-                scenario: "fleet",
-                engine,
-                snap,
-            });
-        }
+        scenarios.push(("fleet", fleet_snapshot));
     }
-    Ok(points)
+    scenarios
+        .into_iter()
+        .map(|(scenario, snapshot)| {
+            let snap = timers.time(scenario, || snapshot(opts))?;
+            Ok(PerfPoint { scenario, snap })
+        })
+        .collect()
 }
 
 /// The paper's eval setup under vProbe at default noise: every quantum
 /// dirties inputs, so the engine actually solves.
-fn noisy_snapshot(opts: &ReportOptions, engine: EngineSelect) -> Result<PerfSnapshot, SimError> {
+fn noisy_snapshot(opts: &ReportOptions) -> Result<PerfSnapshot, SimError> {
     let ropts = RunOptions {
         seed: opts.seed,
-        engine,
         ..RunOptions::default()
     };
     let mut m = crate::runner::build_machine(
@@ -173,9 +134,9 @@ fn noisy_snapshot(opts: &ReportOptions, engine: EngineSelect) -> Result<PerfSnap
 
 /// Phase-rich SPEC workloads with the per-quantum intensity noise off:
 /// engine inputs change only when a workload crosses a phase boundary,
-/// so unchanged nodes clean-skip and unchanged slots replay their
-/// demand — the incremental-reuse path at its best case.
-fn phased_snapshot(opts: &ReportOptions, engine: EngineSelect) -> Result<PerfSnapshot, SimError> {
+/// so unchanged nodes clean-skip — the incremental-reuse path at its best
+/// case.
+fn phased_snapshot(opts: &ReportOptions) -> Result<PerfSnapshot, SimError> {
     let cfg = MachineConfig {
         seed: opts.seed,
         intensity_noise_sd: 0.0,
@@ -184,7 +145,6 @@ fn phased_snapshot(opts: &ReportOptions, engine: EngineSelect) -> Result<PerfSna
     let mut m = MachineBuilder::new(presets::xeon_e5620())
         .config(cfg)
         .policy(Scheduler::VProbe.policy(2, opts.seed))
-        .engine(engine)
         .add_vm(VmConfig::new(
             "spec0",
             4,
@@ -217,10 +177,7 @@ fn phased_snapshot(opts: &ReportOptions, engine: EngineSelect) -> Result<PerfSna
 
 /// Saturated hungry loops with intensity noise off: the run goes
 /// stationary and the whole-step skip takes over.
-fn quiescent_snapshot(
-    opts: &ReportOptions,
-    engine: EngineSelect,
-) -> Result<PerfSnapshot, SimError> {
+fn quiescent_snapshot(opts: &ReportOptions) -> Result<PerfSnapshot, SimError> {
     let cfg = MachineConfig {
         seed: opts.seed,
         intensity_noise_sd: 0.0,
@@ -229,7 +186,6 @@ fn quiescent_snapshot(
     let mut m = MachineBuilder::new(presets::xeon_e5620())
         .config(cfg)
         .policy(Box::new(CreditPolicy::new()))
-        .engine(engine)
         .add_vm(VmConfig::new(
             "vm0",
             8,
@@ -245,7 +201,7 @@ fn quiescent_snapshot(
 
 /// The smoke-scale churn/failure fleet under vProbe; counters are summed
 /// over every host and machine generation.
-fn fleet_snapshot(opts: &ReportOptions, engine: EngineSelect) -> Result<PerfSnapshot, SimError> {
+fn fleet_snapshot(opts: &ReportOptions) -> Result<PerfSnapshot, SimError> {
     let mut cfg = crate::fig_fleet::sweep_config(
         FleetScheduler::VProbe,
         opts.fleet_hosts,
@@ -253,7 +209,6 @@ fn fleet_snapshot(opts: &ReportOptions, engine: EngineSelect) -> Result<PerfSnap
         opts.fleet_epochs,
         true,
     );
-    cfg.engine = engine;
     cfg.perf = true;
     let mut fleet = Fleet::new(cfg)?;
     fleet.run()?;
@@ -268,80 +223,17 @@ fn pct(x: f64) -> String {
 pub fn render(points: &[PerfPoint]) -> Table {
     let mut t = Table::new(
         "Perf introspection — work avoided by the optimization machinery",
-        &[
-            "scenario",
-            "engine",
-            "steps",
-            "skip %",
-            "clean skips",
-            "memo hit %",
-            "rounds/solve",
-            "replay",
-            "tol exits",
-        ],
+        &["scenario", "steps", "skip %", "clean skips", "rounds/solve"],
     );
     for p in points {
         let e = &p.snap.engine;
         t.push_row(vec![
             p.scenario.to_string(),
-            p.engine.name().to_string(),
             e.steps.to_string(),
             pct(e.skip_rate()),
             e.node_clean_skips.to_string(),
-            pct(e.memo_hit_rate()),
             f3(e.rounds_per_solving_step()),
-            e.replay_fires.to_string(),
-            e.tolerance_exits.to_string(),
         ]);
-    }
-    t
-}
-
-/// Exact-vs-approx effectiveness deltas, one row per scenario that ran
-/// under both engines. "rounds saved" is the fixed-point rounds the
-/// approx engine avoided relative to exact (negative means it did more).
-pub fn render_deltas(points: &[PerfPoint]) -> Table {
-    let mut t = Table::new(
-        "Exact vs approx — solver effort for the same simulated work",
-        &[
-            "scenario",
-            "fp rounds (exact)",
-            "fp rounds (approx)",
-            "rounds saved",
-            "tol exits",
-            "snap backs",
-            "memo hit % (approx)",
-        ],
-    );
-    let mut seen: Vec<&'static str> = Vec::new();
-    for p in points {
-        if !seen.contains(&p.scenario) {
-            seen.push(p.scenario);
-        }
-    }
-    for scenario in seen {
-        let find = |engine: EngineSelect| {
-            points
-                .iter()
-                .find(|p| p.scenario == scenario && p.engine == engine)
-        };
-        if let (Some(ex), Some(ap)) = (find(EngineSelect::Exact), find(EngineSelect::Approx)) {
-            let (exr, apr) = (ex.snap.engine.fp_rounds, ap.snap.engine.fp_rounds);
-            let saved = if exr > 0 {
-                format!("{:+.1}%", (1.0 - apr as f64 / exr as f64) * 100.0)
-            } else {
-                "-".into()
-            };
-            t.push_row(vec![
-                scenario.to_string(),
-                exr.to_string(),
-                apr.to_string(),
-                saved,
-                ap.snap.engine.tolerance_exits.to_string(),
-                ap.snap.engine.snap_backs.to_string(),
-                pct(ap.snap.engine.memo_hit_rate()),
-            ]);
-        }
     }
     t
 }
@@ -355,7 +247,6 @@ pub fn to_json(points: &[PerfPoint]) -> String {
             .map(|p| {
                 Json::Obj(vec![
                     ("scenario".into(), Json::from(p.scenario)),
-                    ("engine".into(), Json::Str(p.engine.name().into())),
                     ("perf".into(), p.snap.to_json()),
                 ])
             })
@@ -369,12 +260,11 @@ pub fn digest(points: &[PerfPoint]) -> String {
     digest64(&to_json(points))
 }
 
-/// The complete stdout report: both tables plus the digest line.
+/// The complete stdout report: the table plus the digest line.
 pub fn report_text(points: &[PerfPoint]) -> String {
     format!(
-        "{}\n{}\ncounter digest: {}\n",
+        "{}\ncounter digest: {}\n",
         render(points).to_text(),
-        render_deltas(points).to_text(),
         digest(points)
     )
 }
@@ -382,7 +272,7 @@ pub fn report_text(points: &[PerfPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel;
+    use sim_core::parallel;
 
     fn tiny() -> ReportOptions {
         ReportOptions {
@@ -413,29 +303,16 @@ mod tests {
     }
 
     #[test]
-    fn matrix_covers_scenarios_and_engines() {
+    fn report_covers_every_scenario() {
         let mut timers = PhaseTimers::new();
         let points = run(&tiny(), &mut timers).unwrap();
-        assert_eq!(points.len(), 8);
         let scenarios: Vec<_> = points.iter().map(|p| p.scenario).collect();
-        assert_eq!(
-            scenarios,
-            [
-                "noisy",
-                "noisy",
-                "phased",
-                "phased",
-                "quiescent",
-                "quiescent",
-                "fleet",
-                "fleet"
-            ]
-        );
-        // The quiescent exact run is mostly whole-step skips...
-        let quiet = &points[4];
+        assert_eq!(scenarios, ["noisy", "phased", "quiescent", "fleet"]);
+        // The quiescent run is mostly whole-step skips...
+        let quiet = &points[2];
         assert!(quiet.snap.engine.whole_step_skips * 2 > quiet.snap.engine.steps);
         // ...and the fleet run aggregates every host.
-        let fl = &points[6];
+        let fl = &points[3];
         assert_eq!(fl.snap.hosts as usize, tiny().fleet_hosts);
     }
 
@@ -450,7 +327,7 @@ mod tests {
         };
         let mut timers = PhaseTimers::new();
         let points = run(&opts, &mut timers).unwrap();
-        assert_eq!(points.len(), 6);
+        assert_eq!(points.len(), 3);
         assert!(points.iter().all(|p| p.scenario != "fleet"));
     }
 }

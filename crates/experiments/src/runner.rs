@@ -87,9 +87,9 @@ pub struct RunOptions {
     pub warmup: SimDuration,
     /// Fault injection (default [`FaultConfig::none`]: clean run).
     pub faults: FaultConfig,
-    /// Memory-engine implementation (default exact incremental;
-    /// `--reference-engine` / `--approx-engine` on the binaries select the
-    /// frozen pre-rewrite solver or the quantized fast path).
+    /// Memory-engine implementation (default the incremental engine;
+    /// `--reference-engine` on the binaries selects the frozen
+    /// pre-rewrite solver, which produces the same bytes).
     pub engine: EngineSelect,
 }
 
@@ -231,7 +231,7 @@ pub fn run_workload(
 }
 
 /// Run all five schedulers on one workload. The five runs are
-/// independent and execute in parallel (see [`crate::parallel`]); the
+/// independent and execute in parallel (see [`sim_core::parallel`]); the
 /// result order always matches [`ALL_SCHEDULERS`].
 pub fn run_all_schedulers(
     setup: SetupKind,
@@ -239,7 +239,7 @@ pub fn run_all_schedulers(
     vm2_workloads: Vec<WorkloadSpec>,
     opts: &RunOptions,
 ) -> Result<Vec<WorkloadRun>, SimError> {
-    crate::parallel::parallel_try_map(ALL_SCHEDULERS.to_vec(), |s| {
+    sim_core::parallel::parallel_try_map(ALL_SCHEDULERS.to_vec(), |s| {
         run_workload(
             s,
             setup,

@@ -53,7 +53,7 @@ pub fn run_one(num_vms: usize, opts: &RunOptions) -> Result<Table3Row, SimError>
 
 /// Run the full 1–4 VM sweep (in parallel; rows stay in VM-count order).
 pub fn run(opts: &RunOptions) -> Result<Vec<Table3Row>, SimError> {
-    crate::parallel::parallel_try_map((1..=4).collect(), |n| run_one(n, opts))
+    sim_core::parallel::parallel_try_map((1..=4).collect(), |n| run_one(n, opts))
 }
 
 /// Render as a table.

@@ -5,9 +5,9 @@
 //! writes results back by input index, so any divergence here means the
 //! fan-out leaked state between runs or reordered them.
 
-use experiments::parallel::set_jobs;
 use experiments::runner::{run_all_schedulers, RunOptions, SetupKind};
 use experiments::{fig1_remote_ratio, table3_overhead};
+use sim_core::parallel::set_jobs;
 use sim_core::SimDuration;
 use workloads::speccpu;
 

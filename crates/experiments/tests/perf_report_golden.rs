@@ -15,7 +15,6 @@
 //! ```
 
 use experiments::perfreport::{self, ReportOptions};
-use mem_model::EngineSelect;
 use telemetry::PhaseTimers;
 
 fn check_golden(file: &str, actual: &str) {
@@ -44,42 +43,22 @@ fn quick_regime_counters_match_golden_and_contract() {
 
     // The work-avoidance contract on the 10 s sims. The noisy run's
     // per-quantum noise dirties every node every step, so it shows the
-    // solver grinding; the phased run is where the exact engine's reuse
-    // caches must fire (clean-node skips stand in for memo hits, which
-    // exact mode structurally never consults) along with demand replay;
-    // the noisy approx run must exit through the tolerance test.
-    let find = |scenario: &str, engine: EngineSelect| {
-        &points
-            .iter()
-            .find(|p| p.scenario == scenario && p.engine == engine)
-            .unwrap()
-            .snap
-    };
-    let noisy_exact = find("noisy", EngineSelect::Exact);
-    assert!(noisy_exact.engine.node_solves > 0);
-    assert!(noisy_exact.engine.fp_rounds > 0);
-    assert_eq!(noisy_exact.engine.memo_hits, 0, "exact never consults memo");
-    let noisy_approx = find("noisy", EngineSelect::Approx);
+    // solver grinding; the phased run is where the node dirty bits must
+    // fire as clean-node skips.
+    let find = |scenario: &str| &points.iter().find(|p| p.scenario == scenario).unwrap().snap;
+    let noisy = find("noisy");
+    assert!(noisy.engine.node_solves > 0);
+    assert!(noisy.engine.fp_rounds > 0);
+    let phased = find("phased");
     assert!(
-        noisy_approx.engine.tolerance_exits > 0,
-        "approx tolerance exits: {:?}",
-        noisy_approx.engine
-    );
-    let phased_exact = find("phased", EngineSelect::Exact);
-    assert!(
-        phased_exact.engine.node_clean_skips > 0,
-        "exact cache hits (clean-node skips): {:?}",
-        phased_exact.engine
-    );
-    assert!(
-        phased_exact.engine.replay_fires > 0,
-        "demand replay fires: {:?}",
-        phased_exact.engine
+        phased.engine.node_clean_skips > 0,
+        "clean-node skips: {:?}",
+        phased.engine
     );
 
     // The quiescent sim exercises the other half: once stationary,
     // nearly every quantum is a whole-step skip.
-    let quiet = find("quiescent", EngineSelect::Exact);
+    let quiet = find("quiescent");
     assert!(quiet.engine.whole_step_skips * 2 > quiet.engine.steps);
 
     // And the export those counters produce is pinned byte-for-byte,

@@ -17,8 +17,9 @@
 //! exports — recording observes decisions, it never participates in
 //! them.
 
+use experiments::explain;
 use experiments::scenario::Scenario;
-use experiments::{explain, parallel};
+use sim_core::parallel;
 use sim_core::{Json, SimDuration};
 use xen_sim::Machine;
 

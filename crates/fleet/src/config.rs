@@ -258,9 +258,9 @@ pub struct FleetConfig {
     pub host_fault_rate: f64,
     /// Seed for per-host fault streams (host `i` uses `fault_seed + i`).
     pub fault_seed: u64,
-    /// Memory-engine implementation on every host (default the exact
-    /// incremental engine; `Approx` trades bounded model error for speed,
-    /// `Reference` pins the frozen pre-rewrite solver).
+    /// Memory-engine implementation on every host (default the
+    /// incremental engine; `Reference` pins the frozen pre-rewrite
+    /// solver, with the same bytes).
     pub engine: EngineSelect,
     /// Perf introspection on every host machine (work-avoidance counters,
     /// see `xen_sim::perf`). Observation only —

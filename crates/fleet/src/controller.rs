@@ -1299,16 +1299,12 @@ mod tests {
             fleet.run().unwrap();
             fleet.perf_snapshot().engine
         };
-        // Only the approx engine consults the solve memo; exact mode
-        // short-circuits it. The counters prove the selection reached the
-        // hosts' machines.
+        // The frozen reference engine keeps no counters, so the counters
+        // prove the selection reached the hosts' machines.
         let exact = run(mem_model::EngineSelect::Exact);
-        assert_eq!(exact.memo_hits + exact.memo_misses, 0);
-        let approx = run(mem_model::EngineSelect::Approx);
-        assert!(
-            approx.memo_hits + approx.memo_misses > 0,
-            "approx engine must consult the memo: {approx:?}"
-        );
+        assert!(exact.steps > 0, "{exact:?}");
+        let reference = run(mem_model::EngineSelect::Reference);
+        assert_eq!(reference, mem_model::EnginePerf::default());
     }
 
     #[test]

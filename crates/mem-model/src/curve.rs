@@ -64,42 +64,6 @@ impl MissCurve {
     }
 }
 
-/// Mantissa mask for a relative quantization grid: keeps the fewest
-/// leading mantissa bits whose spacing `2^-k` still stays within `grid`,
-/// so `f64::from_bits(x.to_bits() & mask)` truncates `x` onto a geometric
-/// ladder with relative error below `grid`. A non-positive grid yields the
-/// all-ones mask — the exact-mode identity, bit for bit.
-///
-/// Computing the mask once per grid keeps the per-value quantization to
-/// two integer ops (no `ln`/`exp`), which matters because the engine
-/// quantizes every slot's intensity every quantum.
-pub fn rel_grid_mask(grid: f64) -> u64 {
-    if grid <= 0.0 {
-        return !0u64;
-    }
-    // Smallest k with 2^-k <= grid; mantissa has 52 bits.
-    let k = (-grid.log2()).ceil().max(0.0) as u32;
-    let keep = k.min(52);
-    !((1u64 << (52 - keep)) - 1)
-}
-
-/// Snap a positive value onto a relative grid of width `grid` by mantissa
-/// truncation (see [`rel_grid_mask`]): the result is the largest grid
-/// point not exceeding `x`, with relative error below `grid` (3.2 % worst
-/// case for `grid = 0.05`, which selects 2^-5 spacing). Zero, negatives,
-/// NaN, and a non-positive grid pass through unchanged — in particular
-/// `grid = 0` (exact mode) is the identity, bit for bit.
-///
-/// The engine's approx mode uses this to turn continuously-noisy
-/// intensity inputs into a small set of repeating keys, which is what lets
-/// its dirty bits and the per-node solve memo fire under burstiness noise.
-pub fn quantize_rel(x: f64, grid: f64) -> f64 {
-    if grid <= 0.0 || !x.is_finite() || x <= 0.0 {
-        return x;
-    }
-    f64::from_bits(x.to_bits() & rel_grid_mask(grid))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,52 +127,5 @@ mod tests {
     #[should_panic(expected = "working set")]
     fn rejects_zero_ws() {
         MissCurve::new(0.1, 0.5, 0);
-    }
-
-    #[test]
-    fn quantize_zero_grid_is_bitwise_identity() {
-        for x in [0.0, -3.5, 1.0, 17.3, f64::NAN, f64::INFINITY] {
-            assert_eq!(quantize_rel(x, 0.0).to_bits(), x.to_bits());
-        }
-    }
-
-    #[test]
-    fn quantize_passes_nonpositive_through() {
-        assert_eq!(quantize_rel(0.0, 0.05), 0.0);
-        assert_eq!(quantize_rel(-2.0, 0.05), -2.0);
-    }
-
-    #[test]
-    fn quantize_error_bounded_by_grid() {
-        let grid = 0.05;
-        for i in 1..1000 {
-            let x = i as f64 * 0.037;
-            let q = quantize_rel(x, grid);
-            // Truncation: never above, relative error strictly below the grid.
-            assert!(q <= x, "x={x} q={q}");
-            let rel = (x - q) / x;
-            assert!(rel < grid, "x={x} q={q} rel={rel}");
-        }
-    }
-
-    #[test]
-    fn grid_mask_identity_for_nonpositive_grid() {
-        assert_eq!(rel_grid_mask(0.0), !0u64);
-        assert_eq!(rel_grid_mask(-1.0), !0u64);
-        // grid 0.05 keeps 5 mantissa bits (2^-5 = 0.03125 <= 0.05).
-        assert_eq!(rel_grid_mask(0.05), !((1u64 << 47) - 1));
-    }
-
-    #[test]
-    fn quantize_is_idempotent_and_collapses_neighbours() {
-        let grid = 0.05;
-        let q = quantize_rel(20.0, grid);
-        assert_eq!(quantize_rel(q, grid).to_bits(), q.to_bits());
-        // Values within a fraction of the grid of each other land on the
-        // same point — this is what makes noisy inputs repeat.
-        assert_eq!(
-            quantize_rel(20.0, grid).to_bits(),
-            quantize_rel(20.2, grid).to_bits()
-        );
     }
 }

@@ -24,7 +24,7 @@
 //! The engine keeps its hot state as struct-of-arrays ([`HotState`]): one
 //! dense array per input field and per derived term, mirroring the last
 //! step's inputs bit for bit. Every `step` first diffs the incoming usages
-//! against that mirror, which drives three levels of work avoidance — all
+//! against that mirror, which drives three kinds of work avoidance — all
 //! bit-exact, because each skipped computation is a pure function of
 //! inputs that were verified (bitwise) unchanged:
 //!
@@ -33,34 +33,23 @@
 //!   runtime share, or miss curve; otherwise the cached per-slot raw miss
 //!   rates stand (the solve is a pure per-node function of exactly those
 //!   inputs);
-//! * **per-slot derived/output reuse** — a slot whose inputs *and* solved
-//!   miss rate are bitwise unchanged keeps its derived columns, and —
-//!   when the stored outputs are known consistent with the warm-start
-//!   multipliers — skips the first fixed-point round entirely, replaying
-//!   its stored demand contribution instead (same values, same order:
-//!   same accumulator bits);
+//! * **per-slot derived columns** — a slot whose inputs *and* solved miss
+//!   rate are bitwise unchanged keeps its round-invariant derived terms;
 //! * **whole-step skip** — when every input is bitwise unchanged *and* the
 //!   previous solve was stationary (the damped update left every
 //!   multiplier bitwise unchanged), re-running would replay the identical
 //!   trajectory, so the cached outputs are rematerialized without solving.
 //!
 //! Every solve warm-starts from the previous quantum's multipliers, as the
-//! original engine did. Exact mode ([`EngineMode::Exact`], the default) is
-//! byte-identical to [`crate::reference::ReferenceEngine`] — pinned by
-//! equivalence proptests here and a scheduler×seed×fault byte-equality
-//! matrix at machine level. [`EngineMode::Approx`] additionally quantizes
-//! intensity inputs *and* solved miss rates onto a relative grid (so the
-//! dirty bits, the per-slot replay, and a small per-node solve memo all
-//! fire under continuous intensity noise) and exits the fixed point early
-//! on a relative tolerance, snapping the sub-tolerance nudge back so the
-//! multipliers stay piecewise-constant; both reassociate rounding and are
-//! therefore opt-in behind the machine config flag, with a documented
-//! tolerance test.
+//! original engine did, and every fixed-point round recomputes every
+//! active slot. The engine is byte-identical to
+//! [`crate::reference::ReferenceEngine`] — pinned by equivalence proptests
+//! here and a scheduler×seed×fault byte-equality matrix at machine level.
 
-use crate::curve::{rel_grid_mask, MissCurve};
+use crate::curve::MissCurve;
 use crate::imc::ImcModel;
 use crate::latency::LatencyParams;
-use crate::llc::{fingerprint_u64, LlcDemand, LlcModel, LlcOccupancy, LlcScratch, LlcSolveCache};
+use crate::llc::{LlcDemand, LlcModel, LlcOccupancy, LlcScratch};
 use crate::qpi::QpiModel;
 use numa_topo::{NodeId, Topology};
 use sim_core::SimDuration;
@@ -188,47 +177,6 @@ impl Default for EngineParams {
     }
 }
 
-/// Arithmetic regime of the solve.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum EngineMode {
-    /// Bit-identical to the pre-rewrite engine (the default). Work is
-    /// skipped only where the skipped computation's inputs are bitwise
-    /// unchanged, so every emitted byte matches the reference.
-    #[default]
-    Exact,
-    /// Trades bounded model error for speed: intensity inputs snap onto a
-    /// relative grid (turning continuous burstiness noise into repeats the
-    /// dirty bits and solve memo can catch) and the fixed point exits once
-    /// multipliers move less than a relative tolerance. Opt-in; not
-    /// byte-identical to exact mode.
-    Approx(ApproxParams),
-}
-
-/// Knobs for [`EngineMode::Approx`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ApproxParams {
-    /// Width of the relative intensity quantization grid, realized by
-    /// mantissa truncation ([`crate::curve::quantize_rel`]). 0.05 keeps
-    /// five mantissa bits: effective RPTI snaps onto a geometric ladder
-    /// with ≤ 3.2 % spacing — a perturbation comparable to the ±σ
-    /// intensity noise it is absorbing. 0 disables quantization.
-    pub intensity_grid: f64,
-    /// Relative multiplier movement below which a fixed-point round counts
-    /// as converged; the sub-tolerance nudge is rolled back, so the stored
-    /// multipliers lag the moving fixed point by at most this much. 0
-    /// keeps the exact bitwise-unchanged criterion.
-    pub fp_tolerance: f64,
-}
-
-impl Default for ApproxParams {
-    fn default() -> Self {
-        ApproxParams {
-            intensity_grid: 0.05,
-            fp_tolerance: 0.05,
-        }
-    }
-}
-
 /// Struct-of-arrays hot state: the bitwise input mirror, the derived
 /// round-invariant terms, the per-round output columns, and the solve
 /// scratch. One array per field, indexed by usage slot; `dist` and
@@ -244,8 +192,7 @@ struct HotState {
     key: Vec<u64>,
     node: Vec<u32>,
     share: Vec<f64>,
-    /// Effective RPTI (`profile.rpti * rpti_scale`), after quantization in
-    /// approx mode.
+    /// Effective RPTI (`profile.rpti * rpti_scale`).
     rpti_eff: Vec<f64>,
     boost: Vec<f64>,
     overhead: Vec<f64>,
@@ -263,10 +210,6 @@ struct HotState {
     refs_per_instr: Vec<f64>,
     hit_term: Vec<f64>,
     mlp_eff: Vec<f64>,
-    /// `refs_per_instr / mlp_eff`, filled in approx mode only: hoisting
-    /// the division out of the fixed-point rounds reassociates the CPI
-    /// expression, so exact mode keeps dividing per round instead.
-    refs_over_mlp: Vec<f64>,
     cycles: Vec<f64>,
     /// Per node: member slots in input order (the LLC solve order).
     members: Vec<Vec<u32>>,
@@ -274,9 +217,8 @@ struct HotState {
     /// occupancy solve.
     node_dirty: Vec<bool>,
     /// Per slot: some input or the slot's solved miss rate changed bitwise
-    /// since the stored output columns were computed. Cleared once the
-    /// step's final round has (re)computed every changed slot; drives the
-    /// per-slot output replay in the fixed-point rounds.
+    /// since the slot's derived columns were computed. Gates the derived
+    /// pass, which clears it.
     slot_changed: Vec<bool>,
     /// Slots with nonzero effective RPTI — the only ones whose outputs can
     /// depend on the contention multipliers, and therefore the only ones
@@ -300,12 +242,6 @@ struct HotState {
     demands: Vec<LlcDemand>,
     llc_occ: Vec<LlcOccupancy>,
     llc_scratch: LlcScratch,
-    memo_miss: Vec<f64>,
-    // Pre-update multipliers of the current round, kept only in approx
-    // mode so a tolerance exit can discard the final sub-tolerance nudge
-    // (see the fixed-point loop).
-    prev_imc: Vec<f64>,
-    prev_qpi: Vec<f64>,
 }
 
 /// Deterministic work-avoidance counters for the incremental engine
@@ -326,34 +262,21 @@ pub struct EnginePerf {
     pub node_solves: u64,
     /// Populated nodes skipped in a changed step by a clean dirty bit.
     pub node_clean_skips: u64,
-    /// [`LlcSolveCache`](crate::llc::LlcSolveCache) fingerprint hits.
-    pub memo_hits: u64,
-    /// Fingerprint misses (each followed by a full solve + insert).
-    pub memo_misses: u64,
-    /// Times a node's memo self-disabled (128-miss streak).
-    pub memo_disables: u64,
-    /// Slots whose round-0 demand was replayed from stored outputs
-    /// instead of recomputed.
-    pub replay_fires: u64,
     /// Fixed-point rounds executed, total (divide by `steps −
     /// whole_step_skips` for rounds per solving step).
     pub fp_rounds: u64,
-    /// Approx-mode fixed-point exits via the tolerance test.
-    pub tolerance_exits: u64,
-    /// Multiplier entries whose sub-tolerance nudge was rolled back by
-    /// those exits (the snap-back volume).
-    pub snap_backs: u64,
+    /// Always 0: the engine replays no per-slot outputs. Kept only for the
+    /// benchmark's `mem-model.replay_fires` row, until the benchmark
+    /// retires it; not part of [`EnginePerf::accumulate`] or any export.
+    pub replay_fires: u64,
 }
 
 impl EnginePerf {
-    /// Memo hit rate over consulted lookups (0 when never consulted).
+    /// Always 0.0: the engine has no solve memo. Kept only for the
+    /// benchmark's `mem-model.memo_hit_ratio` row, until the benchmark
+    /// retires it.
     pub fn memo_hit_rate(&self) -> f64 {
-        let total = self.memo_hits + self.memo_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.memo_hits as f64 / total as f64
-        }
+        0.0
     }
 
     /// Fraction of steps answered by the whole-step skip.
@@ -382,13 +305,7 @@ impl EnginePerf {
         self.whole_step_skips += o.whole_step_skips;
         self.node_solves += o.node_solves;
         self.node_clean_skips += o.node_clean_skips;
-        self.memo_hits += o.memo_hits;
-        self.memo_misses += o.memo_misses;
-        self.memo_disables += o.memo_disables;
-        self.replay_fires += o.replay_fires;
         self.fp_rounds += o.fp_rounds;
-        self.tolerance_exits += o.tolerance_exits;
-        self.snap_backs += o.snap_backs;
     }
 }
 
@@ -409,11 +326,6 @@ pub struct MemoryEngine {
     freq_mhz: u32,
     imc_mult: Vec<f64>,
     qpi_mult: Vec<f64>, // per pair, row-major
-    mode: EngineMode,
-    /// Per-node memo of recent occupancy solves, consulted in approx mode
-    /// only (exact inputs are continuous and would never repeat except
-    /// consecutively, which the dirty bits already cover).
-    llc_memo: Vec<LlcSolveCache>,
     hot: HotState,
     /// Pooled results of the most recent solve (element buffers reused
     /// across quanta instead of reallocated).
@@ -422,12 +334,6 @@ pub struct MemoryEngine {
     /// bitwise unchanged — i.e. the fixed point has converged, so an
     /// identical-input step would reproduce identical results.
     stationary: bool,
-    /// Whether the stored output columns were computed with multipliers
-    /// bitwise equal to the stored `imc_mult`/`qpi_mult` (true on a
-    /// `!changed` or tolerance exit, false when the round cap fired with
-    /// the last update still moving). Gates the per-slot output replay:
-    /// only then does "inputs unchanged" imply "outputs unchanged".
-    out_consistent: bool,
     /// Work-avoidance accounting (read via [`MemoryEngine::perf`]).
     perf: EnginePerf,
 }
@@ -436,13 +342,6 @@ impl MemoryEngine {
     /// Build the engine from a validated topology with default calibration.
     pub fn new(topo: &Topology) -> Self {
         MemoryEngine::with_params(topo, EngineParams::default())
-    }
-
-    /// Build with an explicit arithmetic mode.
-    pub fn with_mode(topo: &Topology, mode: EngineMode) -> Self {
-        let mut e = MemoryEngine::with_params(topo, EngineParams::default());
-        e.mode = mode;
-        e
     }
 
     /// Build with explicit calibration parameters.
@@ -494,32 +393,15 @@ impl MemoryEngine {
             freq_mhz: topo.freq_mhz(),
             imc_mult: vec![1.0; n],
             qpi_mult: vec![1.0; n * n],
-            mode: EngineMode::Exact,
-            llc_memo: vec![LlcSolveCache::default(); n],
             hot: HotState::default(),
             results: Vec::new(),
             stationary: false,
-            out_consistent: false,
             perf: EnginePerf::default(),
         }
     }
 
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
-    }
-
-    /// The engine's arithmetic mode.
-    pub fn mode(&self) -> EngineMode {
-        self.mode
-    }
-
-    /// Switch arithmetic mode. Invalidates the input mirror (the next step
-    /// re-solves everything from the current multipliers) so cached state
-    /// produced under the old mode's arithmetic can never leak into the
-    /// new one.
-    pub fn set_mode(&mut self, mode: EngineMode) {
-        self.mode = mode;
-        self.invalidate_cache();
     }
 
     /// Drop the incremental state: the next step diffs against nothing and
@@ -529,9 +411,6 @@ impl MemoryEngine {
     /// check by invalidating at arbitrary points.
     pub fn invalidate_cache(&mut self) {
         self.hot.valid = false;
-        for memo in &mut self.llc_memo {
-            memo.clear();
-        }
     }
 
     pub fn contention(&self) -> ContentionSnapshot {
@@ -557,13 +436,10 @@ impl MemoryEngine {
         self.stationary
     }
 
-    /// Cumulative work-avoidance counters for this engine's lifetime,
-    /// folding in the per-node memo disable events. Deterministic; never
-    /// part of the engine's outputs.
+    /// Cumulative work-avoidance counters for this engine's lifetime.
+    /// Deterministic; never part of the engine's outputs.
     pub fn perf(&self) -> EnginePerf {
-        let mut p = self.perf;
-        p.memo_disables = self.llc_memo.iter().map(LlcSolveCache::disable_events).sum();
-        p
+        self.perf
     }
 
     /// Results of the most recent solve.
@@ -594,13 +470,6 @@ impl MemoryEngine {
         assert!(quantum_us > 0.0, "zero quantum");
         self.perf.steps += 1;
         let n = self.num_nodes;
-        let (grid, fp_tol) = match self.mode {
-            EngineMode::Exact => (0.0, 0.0),
-            EngineMode::Approx(p) => (p.intensity_grid, p.fp_tolerance),
-        };
-        // Mask once per step; per-slot quantization is then two integer ops
-        // (`quantize_rel` semantics without its per-call mask derivation).
-        let qmask = rel_grid_mask(grid);
 
         // Disjoint field borrows: the solve mutates `hot`/`results` while
         // reading the model fields (`llc`, `imc`, `latency`, …) — all
@@ -652,7 +521,6 @@ impl MemoryEngine {
             hot.refs_per_instr.resize(len, 0.0);
             hot.hit_term.resize(len, 0.0);
             hot.mlp_eff.resize(len, 0.0);
-            hot.refs_over_mlp.resize(len, 0.0);
             hot.cycles.resize(len, 0.0);
             hot.out_instructions.resize(len, 0);
             hot.out_cpi.resize(len, 0.0);
@@ -682,7 +550,7 @@ impl MemoryEngine {
                 let p = u.profile;
                 let c = &p.miss_curve;
                 hot.share[i] = u.runtime_share;
-                hot.rpti_eff[i] = quantize_bits(u.rpti(), qmask);
+                hot.rpti_eff[i] = u.rpti();
                 hot.boost[i] = u.cold_miss_boost;
                 hot.overhead[i] = u.overhead_us;
                 hot.cv_min[i] = c.min_miss;
@@ -700,7 +568,7 @@ impl MemoryEngine {
                 );
                 let p = u.profile;
                 let c = &p.miss_curve;
-                let rpti_eff = quantize_bits(u.rpti(), qmask);
+                let rpti_eff = u.rpti();
                 // XOR-fold each field group into one change word: one
                 // well-predicted branch per group instead of one per field.
                 let llc_delta = (hot.rpti_eff[i].to_bits() ^ rpti_eff.to_bits())
@@ -766,35 +634,6 @@ impl MemoryEngine {
                 }
                 hot.node_dirty[node] = false;
                 let members = &hot.members[node];
-                let mut memo_fp = members.len() as u64;
-                let use_memo = grid > 0.0 && self.llc_memo[node].consult();
-                if use_memo {
-                    // Approx mode: memo the solve behind a fingerprint of
-                    // the quantized member-input key (intensity noise now
-                    // lands on a small set of grid points, so revisited
-                    // states hit).
-                    for &i in members.iter() {
-                        let i = i as usize;
-                        memo_fp = fingerprint_u64(memo_fp, hot.rpti_eff[i].to_bits());
-                        memo_fp = fingerprint_u64(memo_fp, hot.share[i].to_bits());
-                        memo_fp = fingerprint_u64(memo_fp, hot.cv_min[i].to_bits());
-                        memo_fp = fingerprint_u64(memo_fp, hot.cv_max[i].to_bits());
-                        memo_fp = fingerprint_u64(memo_fp, hot.cv_ws[i]);
-                    }
-                    if let Some(miss) = self.llc_memo[node].lookup(memo_fp) {
-                        self.perf.memo_hits += 1;
-                        for (&i, &m) in members.iter().zip(miss.iter()) {
-                            let i = i as usize;
-                            let q = quantize_bits(m, qmask);
-                            if bits_ne(hot.occ_miss[i], q) {
-                                hot.occ_miss[i] = q;
-                                hot.slot_changed[i] = true;
-                            }
-                        }
-                        continue;
-                    }
-                    self.perf.memo_misses += 1;
-                }
                 self.perf.node_solves += 1;
                 hot.demands.clear();
                 for &i in members.iter() {
@@ -814,26 +653,12 @@ impl MemoryEngine {
                     &mut hot.llc_occ,
                     &mut hot.llc_scratch,
                 );
-                // Approx mode quantizes the solved miss rate onto the same
-                // relative grid as the intensity inputs: sub-grid occupancy
-                // shifts then leave a co-runner's miss rate bitwise
-                // unchanged, which is what lets its outputs replay (the
-                // added relative error is below the grid, on top of the
-                // input quantization already documented). The exact-mode
-                // mask is all ones, a bitwise identity.
                 for (&i, o) in members.iter().zip(hot.llc_occ.iter()) {
                     let i = i as usize;
-                    let q = quantize_bits(o.miss_rate, qmask);
-                    if bits_ne(hot.occ_miss[i], q) {
-                        hot.occ_miss[i] = q;
+                    if bits_ne(hot.occ_miss[i], o.miss_rate) {
+                        hot.occ_miss[i] = o.miss_rate;
                         hot.slot_changed[i] = true;
                     }
-                }
-                if use_memo {
-                    hot.memo_miss.clear();
-                    hot.memo_miss
-                        .extend(members.iter().map(|&i| hot.occ_miss[i as usize]));
-                    self.llc_memo[node].insert(memo_fp, &hot.memo_miss);
                 }
             }
 
@@ -842,14 +667,14 @@ impl MemoryEngine {
             // that are bitwise the reference's inputs, so the bits match.
             // Slots whose inputs and solved miss rate are all bitwise
             // unchanged would recompute identical values, so they are
-            // skipped (valid in both modes — it is the same pure-function
-            // argument the node dirty bits rest on). ---
+            // skipped (the same pure-function argument the node dirty bits
+            // rest on). ---
             hot.active.clear();
             for i in 0..hot.len {
                 if hot.rpti_eff[i] != 0.0 {
                     hot.active.push(i as u32);
                 }
-                if !hot.slot_changed[i] {
+                if !std::mem::take(&mut hot.slot_changed[i]) {
                     continue;
                 }
                 let om = hot.occ_miss[i];
@@ -859,9 +684,6 @@ impl MemoryEngine {
                 hot.refs_per_instr[i] = hot.rpti_eff[i] / 1_000.0;
                 hot.hit_term[i] = (1.0 - m) * self.latency.llc_hit_cycles;
                 hot.mlp_eff[i] = hot.mlp[i].max(1.0);
-                if grid > 0.0 || fp_tol > 0.0 {
-                    hot.refs_over_mlp[i] = hot.refs_per_instr[i] / hot.mlp_eff[i];
-                }
                 let usable_us = (quantum_us * hot.share[i] - hot.overhead[i]).max(0.0);
                 hot.cycles[i] = usable_us * self.freq_mhz as f64;
                 if hot.rpti_eff[i] == 0.0 {
@@ -907,21 +729,8 @@ impl MemoryEngine {
         hot.node_demand.resize(n, 0.0);
         hot.pair_traffic.resize(n * n, 0.0);
         hot.miss_cycles_matrix.resize(n * n, 0.0);
-        // Loop-invariant mode split for the CPI expression below: LLVM
-        // unswitches it, so neither variant pays a per-slot branch.
-        let approx_cpi = grid > 0.0 || fp_tol > 0.0;
-        // Per-slot output replay (round 0 only): when the stored outputs
-        // are consistent with the warm-start multipliers, a slot whose
-        // inputs and miss rate are bitwise unchanged would recompute
-        // bitwise-identical outputs — so its stored row is re-offered as
-        // demand (same values, same accumulation order: same bits) and the
-        // body is skipped. Any later round recomputes every active slot,
-        // because by then the multipliers have moved.
-        let reuse_ok = self.out_consistent;
-        let consistent_exit;
         let mut round = 0;
         loop {
-            let replay = round == 0 && reuse_ok;
             hot.node_demand.fill(0.0);
             hot.pair_traffic.fill(0.0);
 
@@ -943,33 +752,21 @@ impl MemoryEngine {
 
             // The paper's testbed has two nodes: a literal `2` lets the
             // inlined copy unroll every per-home loop. Same code, same bits.
-            self.perf.replay_fires += if n == 2 {
-                round_slots(hot, 2, replay, approx_cpi, self.params)
+            if n == 2 {
+                round_slots(hot, 2, self.params);
             } else {
-                round_slots(hot, n, replay, approx_cpi, self.params)
-            };
+                round_slots(hot, n, self.params);
+            }
 
             // Recompute multipliers from this round's demand and relax.
             let damp = if round == 0 { 1.0 } else { 0.5 };
             let mut changed = false;
-            let mut max_rel = 0.0f64;
-            if fp_tol > 0.0 {
-                // Approx mode keeps the pre-update multipliers so a
-                // tolerance exit can discard the final nudge (below).
-                hot.prev_imc.clear();
-                hot.prev_imc.extend_from_slice(&hot.cur_imc);
-                hot.prev_qpi.clear();
-                hot.prev_qpi.extend_from_slice(&hot.cur_qpi);
-            }
             for (node, mult) in hot.cur_imc.iter_mut().enumerate() {
                 let target =
                     self.imc[node].latency_multiplier(hot.node_demand[node] / quantum_s);
                 let before = *mult;
                 *mult += damp * (target - *mult);
                 changed |= *mult != before;
-                if fp_tol > 0.0 {
-                    max_rel = max_rel.max((*mult - before).abs() / before);
-                }
             }
             for (idx, mult) in hot.cur_qpi.iter_mut().enumerate() {
                 let target = match &self.qpi[idx] {
@@ -979,56 +776,14 @@ impl MemoryEngine {
                 let before = *mult;
                 *mult += damp * (target - *mult);
                 changed |= *mult != before;
-                if fp_tol > 0.0 {
-                    max_rel = max_rel.max((*mult - before).abs() / before);
-                }
             }
             round += 1;
             if round == FIXED_POINT_ROUNDS || !changed {
-                // `!changed`: the update was a bitwise identity, so the
-                // stored multipliers equal the ones that produced the
-                // outputs. A round-cap exit instead stores the post-update
-                // multipliers while the outputs came from the pre-update
-                // ones — inconsistent, so the next step must not replay.
-                consistent_exit = !changed;
-                break;
-            }
-            // Approx mode only: a round that moved every multiplier by
-            // less than the tolerance counts as converged. Roll the
-            // sub-tolerance nudge back: the round's outputs were computed
-            // with the pre-update multipliers, so keeping those makes the
-            // stored state consistent with the outputs — and makes a truly
-            // static stream reach *bitwise* stationarity (enabling the
-            // whole-step skip), instead of creeping forever by less than
-            // the tolerance. The multipliers then lag the moving target by
-            // at most `fp_tolerance`: once drift accumulates past it, the
-            // next round-0 full jump is applied as usual.
-            if fp_tol > 0.0 && max_rel < fp_tol {
-                self.perf.tolerance_exits += 1;
-                // Snap-back volume: multiplier entries whose sub-tolerance
-                // nudge the rollback below discards.
-                self.perf.snap_backs += hot
-                    .cur_imc
-                    .iter()
-                    .zip(&hot.prev_imc)
-                    .chain(hot.cur_qpi.iter().zip(&hot.prev_qpi))
-                    .filter(|(a, b)| a.to_bits() != b.to_bits())
-                    .count() as u64;
-                hot.cur_imc.copy_from_slice(&hot.prev_imc);
-                hot.cur_qpi.copy_from_slice(&hot.prev_qpi);
-                consistent_exit = true;
                 break;
             }
         }
         self.perf.fp_rounds += round as u64;
         self.stationary = hot.cur_imc == self.imc_mult && hot.cur_qpi == self.qpi_mult;
-        self.out_consistent = consistent_exit;
-        // Every changed slot has been recomputed by the final round (or the
-        // derived pass, for inactive slots), so the stored outputs are
-        // up to date again.
-        for s in hot.slot_changed.iter_mut() {
-            *s = false;
-        }
         self.imc_mult.copy_from_slice(&hot.cur_imc);
         self.qpi_mult.copy_from_slice(&hot.cur_qpi);
         materialize_results(hot, results, n);
@@ -1071,36 +826,29 @@ fn materialize_results(hot: &HotState, results: &mut Vec<VcpuQuantumResult>, n: 
 }
 
 /// The per-slot work of one fixed-point round, as two passes over the
-/// active slots. Returns the number of slots whose outputs were replayed.
+/// active slots.
 ///
-/// * **Rate pass:** each recomputed slot's miss cost, CPI, instructions,
-///   references and misses. Slots are independent here, so the CPU can
-///   overlap one slot's dependent chain (dot product → division → casts)
-///   with the next one's.
-/// * **Ordered scatter pass:** in `active` order, each recomputed slot
-///   splits its misses over home nodes, and every slot — replayed ones
-///   with their stored row, at the same position — adds its traffic to the
-///   node and pair demand accumulators. The float adds happen in the
-///   reference's order (slot order, then home order, remote homes before
-///   the run node's local bytes), so the accumulators keep their bits.
+/// * **Rate pass:** each slot's miss cost, CPI, instructions, references
+///   and misses. Slots are independent here, so the CPU can overlap one
+///   slot's dependent chain (dot product → division → casts) with the
+///   next one's.
+/// * **Ordered scatter pass:** in `active` order, each slot splits its
+///   misses over home nodes and adds its traffic to the node and pair
+///   demand accumulators. The float adds happen in the reference's order
+///   (slot order, then home order, remote homes before the run node's
+///   local bytes), so the accumulators keep their bits.
 ///
-/// Both passes take adjacent recomputed slots two at a time through
-/// [`lanes`], one per SSE2 lane; a pair the lanes cannot represent
-/// exactly, a replayed slot and the odd tail take the scalar body one slot
-/// at a time. Either way each slot's values are the same IEEE operations
-/// in the same order, so which path ran is invisible in the bits.
+/// Both passes take adjacent slots two at a time through [`lanes`], one
+/// per SSE2 lane; a pair the lanes cannot represent exactly and the odd
+/// tail take the scalar body one slot at a time. Either way each slot's
+/// values are the same IEEE operations in the same order, so which path
+/// ran is invisible in the bits.
 ///
 /// Called with a literal `n` for two-node machines so the inlined copy
 /// unrolls the per-home loops.
 #[inline(always)]
-fn round_slots(
-    hot: &mut HotState,
-    n: usize,
-    replay: bool,
-    approx_cpi: bool,
-    params: EngineParams,
-) -> u64 {
-    let mut cols = RoundCols::new(hot, n, replay, approx_cpi, params);
+fn round_slots(hot: &mut HotState, n: usize, params: EngineParams) {
+    let mut cols = RoundCols::new(hot, n, params);
     let active = cols.active;
 
     let mut k = 0;
@@ -1111,14 +859,10 @@ fn round_slots(
                 continue;
             }
         }
-        let i = active[k] as usize;
-        if cols.recomputed(i) {
-            cols.rate(i);
-        }
+        cols.rate(active[k] as usize);
         k += 1;
     }
 
-    let mut fires = 0;
     let mut k = 0;
     while k < active.len() {
         if let Some((a, b)) = cols.pair_at(k) {
@@ -1132,32 +876,22 @@ fn round_slots(
             }
         }
         let i = active[k] as usize;
-        if cols.recomputed(i) {
-            cols.split(i);
-        } else {
-            // Outputs stand bitwise; only their demand is re-offered.
-            fires += 1;
-        }
+        cols.split(i);
         cols.demand(i);
         k += 1;
     }
-    fires
 }
 
 /// The columns one fixed-point round reads and writes (see
 /// [`round_slots`]), with the scalar per-slot body as methods.
 struct RoundCols<'a> {
     n: usize,
-    replay: bool,
-    approx_cpi: bool,
     params: EngineParams,
     active: &'a [u32],
-    slot_changed: &'a [bool],
     node: &'a [u32],
     dist: &'a [f64],
     miss_cycles_matrix: &'a [f64],
     base_cpi: &'a [f64],
-    refs_over_mlp: &'a [f64],
     refs_per_instr: &'a [f64],
     hit_term: &'a [f64],
     m: &'a [f64],
@@ -1179,26 +913,16 @@ impl<'a> RoundCols<'a> {
     /// in registers across the output stores, instead of being reloaded
     /// from `hot` (which the compiler cannot prove the stores leave alone).
     #[inline(always)]
-    fn new(
-        hot: &'a mut HotState,
-        n: usize,
-        replay: bool,
-        approx_cpi: bool,
-        params: EngineParams,
-    ) -> Self {
+    fn new(hot: &'a mut HotState, n: usize, params: EngineParams) -> Self {
         let len = hot.len;
         RoundCols {
             n,
-            replay,
-            approx_cpi,
             params,
             active: &hot.active,
-            slot_changed: &hot.slot_changed[..len],
             node: &hot.node[..len],
             dist: &hot.dist[..len * n],
             miss_cycles_matrix: &hot.miss_cycles_matrix[..n * n],
             base_cpi: &hot.base_cpi[..len],
-            refs_over_mlp: &hot.refs_over_mlp[..len],
             refs_per_instr: &hot.refs_per_instr[..len],
             hit_term: &hot.hit_term[..len],
             m: &hot.m[..len],
@@ -1216,19 +940,11 @@ impl<'a> RoundCols<'a> {
         }
     }
 
-    /// Whether slot `i` is recomputed this round (not replayed).
-    #[inline(always)]
-    fn recomputed(&self, i: usize) -> bool {
-        !self.replay || self.slot_changed[i]
-    }
-
-    /// The pair of slots starting at `active[k]`, when both are
-    /// recomputed this round.
+    /// The pair of slots starting at `active[k]`, when there are two.
     #[inline(always)]
     fn pair_at(&self, k: usize) -> Option<(usize, usize)> {
-        let a = self.active[k] as usize;
         let b = *self.active.get(k + 1)? as usize;
-        (self.recomputed(a) && self.recomputed(b)).then_some((a, b))
+        Some((self.active[k] as usize, b))
     }
 
     /// Rate pass, one slot.
@@ -1251,13 +967,7 @@ impl<'a> RoundCols<'a> {
         // (truncation, zero for negatives/NaN, saturation at the top)
         // without the libm floor call.
         let stall = self.hit_term[i] + self.m[i] * miss_cycles;
-        let cpi = if self.approx_cpi {
-            // Reassociated (division hoisted to the derived pass); approx
-            // mode only.
-            self.base_cpi[i] + self.refs_over_mlp[i] * stall
-        } else {
-            self.base_cpi[i] + self.refs_per_instr[i] * stall / self.mlp_eff[i]
-        };
+        let cpi = self.base_cpi[i] + self.refs_per_instr[i] * stall / self.mlp_eff[i];
         let instructions = f64_to_u64(self.cycles[i] / cpi);
         let llc_refs = round_to_u64(u64_to_f64(instructions) * self.refs_per_instr[i]);
         self.out_instructions[i] = instructions;
@@ -1280,8 +990,7 @@ impl<'a> RoundCols<'a> {
     }
 
     /// Scatter slot `i`'s misses over home nodes, dense in home order
-    /// (zero rows scatter a zero count). Every row entry is rewritten, so
-    /// replayed rows never go stale.
+    /// (zero rows scatter a zero count). Every row entry is rewritten.
     #[inline(always)]
     fn split(&mut self, i: usize) {
         let n = self.n;
@@ -1404,12 +1113,8 @@ mod lanes {
             miss_cycles = _mm_add_pd(miss_cycles, _mm_mul_pd(frac, mc));
         }
         let stall = _mm_add_pd(pair(c.hit_term), _mm_mul_pd(pair(c.m), miss_cycles));
-        let cpi = if c.approx_cpi {
-            _mm_add_pd(pair(c.base_cpi), _mm_mul_pd(pair(c.refs_over_mlp), stall))
-        } else {
-            let t = _mm_mul_pd(pair(c.refs_per_instr), stall);
-            _mm_add_pd(pair(c.base_cpi), _mm_div_pd(t, pair(c.mlp_eff)))
-        };
+        let t = _mm_mul_pd(pair(c.refs_per_instr), stall);
+        let cpi = _mm_add_pd(pair(c.base_cpi), _mm_div_pd(t, pair(c.mlp_eff)));
         let (instructions, ok_i) = trunc(_mm_div_pd(pair(c.cycles), cpi));
         let refs_x = _mm_mul_pd(_mm_cvtepi32_pd(instructions), pair(c.refs_per_instr));
         let (refs, ok_r) = round(refs_x);
@@ -1495,19 +1200,6 @@ mod lanes {
 #[inline]
 fn bits_ne(a: f64, b: f64) -> bool {
     a.to_bits() != b.to_bits()
-}
-
-/// `quantize_rel` with the grid mask precomputed (see
-/// [`crate::curve::rel_grid_mask`]): identity for the all-ones exact-mode
-/// mask and for non-positive/non-finite values, mantissa truncation
-/// otherwise. Two integer ops on the per-slot diff path.
-#[inline]
-fn quantize_bits(x: f64, mask: u64) -> f64 {
-    if x > 0.0 && x.is_finite() {
-        f64::from_bits(x.to_bits() & mask)
-    } else {
-        x
-    }
 }
 
 /// Damped fixed-point iterations per quantum: enough for convergence at
@@ -1760,55 +1452,6 @@ mod tests {
             assert_eq!(incr.last_step_stationary(), ref_e.last_step_stationary());
         }
     }
-
-    #[test]
-    fn mode_switch_invalidates_and_still_solves() {
-        let p = profile(18.0, 16, vec![0.7, 0.3]);
-        let mut e = engine();
-        e.step(quantum(), &[usage(1, 0, &p)]);
-        e.set_mode(EngineMode::Approx(ApproxParams::default()));
-        assert_eq!(e.mode(), EngineMode::Approx(ApproxParams::default()));
-        let r = e.step(quantum(), &[usage(1, 0, &p)]);
-        assert!(r[0].instructions > 0);
-        e.set_mode(EngineMode::Exact);
-        let r = e.step(quantum(), &[usage(1, 0, &p)]);
-        assert!(r[0].instructions > 0);
-    }
-
-    #[test]
-    fn approx_mode_tracks_exact_within_tolerance() {
-        // Documented bound for the default ApproxParams: the 0.05 grid
-        // truncates effective RPTI onto a ≤ 3.2 %-spaced ladder, and the
-        // 0.05 fixed-point tolerance lets the multipliers lag the moving
-        // fixed point by up to 5 % — per-quantum instruction counts stay
-        // within a few percent of exact.
-        let p = profile(18.0, 16, vec![0.7, 0.3]);
-        let q = profile(25.0, 64, vec![0.2, 0.8]);
-        let mut exact = engine();
-        let mut approx =
-            MemoryEngine::with_mode(&presets::xeon_e5620(), EngineMode::Approx(ApproxParams::default()));
-        for step in 0..50 {
-            // A deterministic pseudo-noise walk over intensity.
-            let scale = 1.0 + 0.15 * ((step * 37 % 17) as f64 / 17.0 - 0.5);
-            let mut u1 = usage(1, 0, &p);
-            u1.rpti_scale = scale;
-            let mut u2 = usage(2, 1, &q);
-            u2.rpti_scale = 2.0 - scale;
-            let usages = [u1, u2];
-            let a = exact.step(quantum(), &usages);
-            let b = approx.step(quantum(), &usages);
-            for (ra, rb) in a.iter().zip(b.iter()) {
-                let rel = (ra.instructions as f64 - rb.instructions as f64).abs()
-                    / ra.instructions.max(1) as f64;
-                assert!(
-                    rel < 0.05,
-                    "step {step}: approx deviated {rel:.4} (exact={}, approx={})",
-                    ra.instructions,
-                    rb.instructions
-                );
-            }
-        }
-    }
 }
 
 /// The lane kernel against the scalar body it replaces, and the exact
@@ -1875,7 +1518,6 @@ mod lane_tests {
         m: f64,
         mlp_eff: f64,
         cycles: f64,
-        changed: bool,
         active: bool,
     }
 
@@ -1913,13 +1555,13 @@ mod lane_tests {
                 0.0f64..40.0,
                 0.0f64..1.0,
             ),
-            (1.0f64..8.0, 0.0f64..2.4e6, any::<bool>(), 0u8..4),
+            (1.0f64..8.0, 0.0f64..2.4e6, 0u8..4),
         )
             .prop_map(
                 move |(
                     (node, kind, e, r1, r2),
                     (w, base_cpi, rpi, hit_term, m),
-                    (mlp_eff, cycles, changed, active),
+                    (mlp_eff, cycles, active),
                 )| {
                     let margin = 63.0 / 64.0;
                     let mut s = Slot {
@@ -1931,7 +1573,6 @@ mod lane_tests {
                         m,
                         mlp_eff,
                         cycles,
-                        changed,
                         active: active != 0,
                     };
                     match kind {
@@ -1964,7 +1605,7 @@ mod lane_tests {
     }
 
     /// A hot state holding just what one round reads: the slots, the miss
-    /// cost matrix, and stale output rows for replayed slots to re-offer.
+    /// cost matrix, and stale output rows that the round must rewrite.
     fn hot_for(n: usize, slots: &[Slot], matrix: &[f64]) -> HotState {
         let len = slots.len();
         let mut hot = HotState {
@@ -1976,12 +1617,10 @@ mod lane_tests {
             hot.dist.extend_from_slice(&s.dist);
             hot.base_cpi.push(s.base_cpi);
             hot.refs_per_instr.push(s.refs_per_instr);
-            hot.refs_over_mlp.push(s.refs_per_instr / s.mlp_eff);
             hot.hit_term.push(s.hit_term);
             hot.m.push(s.m);
             hot.mlp_eff.push(s.mlp_eff);
             hot.cycles.push(s.cycles);
-            hot.slot_changed.push(s.changed);
             if s.active {
                 hot.active.push(i as u32);
             }
@@ -2001,24 +1640,15 @@ mod lane_tests {
 
     impl RoundCols<'_> {
         /// [`round_slots`] with every slot through the scalar body.
-        fn round_scalar(&mut self) -> u64 {
+        fn round_scalar(&mut self) {
             let active = self.active;
             for &i in active {
-                if self.recomputed(i as usize) {
-                    self.rate(i as usize);
-                }
+                self.rate(i as usize);
             }
-            let mut fires = 0;
             for &i in active {
-                let i = i as usize;
-                if self.recomputed(i) {
-                    self.split(i);
-                } else {
-                    fires += 1;
-                }
-                self.demand(i);
+                self.split(i as usize);
+                self.demand(i as usize);
             }
-            fires
         }
     }
 
@@ -2041,14 +1671,14 @@ mod lane_tests {
         ]
     }
 
-    fn arb_round() -> impl Strategy<Value = (usize, Vec<Slot>, Vec<f64>, (bool, bool, bool))> {
+    fn arb_round() -> impl Strategy<Value = (usize, Vec<Slot>, Vec<f64>, bool)> {
         (0usize..3).prop_flat_map(|k| {
             let n = [1, 2, 4][k];
             (
                 Just(n),
                 proptest::collection::vec(arb_slot(n), 0..10),
                 proptest::collection::vec(50.0f64..800.0, 16),
-                (any::<bool>(), any::<bool>(), any::<bool>()),
+                any::<bool>(),
             )
         })
     }
@@ -2058,7 +1688,7 @@ mod lane_tests {
 
         #[test]
         fn round_lanes_match_the_scalar_body(
-            (n, slots, matrix, (replay, approx_cpi, fractional)) in arb_round()
+            (n, slots, matrix, fractional) in arb_round()
         ) {
             let params = EngineParams {
                 traffic_per_miss_bytes: if fractional { 115.3 } else { 115.0 },
@@ -2066,10 +1696,8 @@ mod lane_tests {
             };
             let mut lanes = hot_for(n, &slots, &matrix);
             let mut scalar = lanes.clone();
-            let fires = round_slots(&mut lanes, n, replay, approx_cpi, params);
-            let scalar_fires =
-                RoundCols::new(&mut scalar, n, replay, approx_cpi, params).round_scalar();
-            prop_assert_eq!(fires, scalar_fires);
+            round_slots(&mut lanes, n, params);
+            RoundCols::new(&mut scalar, n, params).round_scalar();
             prop_assert_eq!(outputs(&lanes), outputs(&scalar), "{} nodes: {:?}", n, slots);
         }
     }
@@ -2088,7 +1716,6 @@ mod lane_tests {
             m: 0.4,
             mlp_eff: 2.0,
             cycles: 2.4e6,
-            changed: true,
             active: true,
         };
         let edge = Slot {
@@ -2113,8 +1740,8 @@ mod lane_tests {
             let mut lanes = edge_pair(cycles, refs_per_instr, m, [0.25, 0.75]);
             let mut scalar = lanes.clone();
             let params = EngineParams::default();
-            let took = RoundCols::new(&mut lanes, 2, false, false, params).rate_pair(0, 1);
-            let mut cols = RoundCols::new(&mut scalar, 2, false, false, params);
+            let took = RoundCols::new(&mut lanes, 2, params).rate_pair(0, 1);
+            let mut cols = RoundCols::new(&mut scalar, 2, params);
             cols.rate(0);
             cols.rate(1);
             if took {
@@ -2154,12 +1781,12 @@ mod lane_tests {
             lanes.out_misses = vec![1_000, misses];
             let mut scalar = lanes.clone();
             let params = EngineParams::default();
-            let pair = RoundCols::new(&mut lanes, 2, false, false, params).split_pair(0, 1);
-            let mut cols = RoundCols::new(&mut scalar, 2, false, false, params);
+            let pair = RoundCols::new(&mut lanes, 2, params).split_pair(0, 1);
+            let mut cols = RoundCols::new(&mut scalar, 2, params);
             cols.split(0);
             cols.split(1);
             if let Some([a, b]) = pair {
-                let mut cols = RoundCols::new(&mut lanes, 2, false, false, params);
+                let mut cols = RoundCols::new(&mut lanes, 2, params);
                 cols.settle(0, a);
                 cols.settle(1, b);
                 assert_eq!(outputs(&lanes), outputs(&scalar), "misses {misses}");

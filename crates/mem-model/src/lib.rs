@@ -31,10 +31,7 @@ pub mod reference;
 pub mod select;
 
 pub use curve::MissCurve;
-pub use engine::{
-    AccessProfile, ApproxParams, EngineMode, EnginePerf, MemoryEngine, QuantumUsage,
-    VcpuQuantumResult,
-};
+pub use engine::{AccessProfile, EnginePerf, MemoryEngine, QuantumUsage, VcpuQuantumResult};
 pub use imc::ImcModel;
 pub use latency::LatencyParams;
 pub use llc::{LlcModel, LlcOccupancy};

@@ -54,132 +54,6 @@ pub struct LlcScratch {
     any_saturated: bool,
 }
 
-/// A small memo of recent per-node occupancy solves, used by the engine's
-/// approx mode: once intensity inputs are quantized onto a grid, the
-/// `(occupancy-demand, intensity) → miss-rate` mapping revisits the same
-/// keys (noise oscillating between grid points, periodic placements), so
-/// a handful of entries catches re-solves the consecutive-step dirty bits
-/// cannot. Keys are 64-bit fingerprints ([`fingerprint_u64`]) of the
-/// bitwise member-demand tuples: lookup is eight integer compares instead
-/// of a vector scan, which keeps the miss path (the common case on a
-/// genuinely noisy stream) nearly free. A fingerprint collision would
-/// return a stale solve — with 8 live entries the odds are ~2⁻⁶⁰ per
-/// lookup, far below the approx mode's deliberate model error, and exact
-/// mode never consults the cache.
-#[derive(Debug, Clone)]
-pub struct LlcSolveCache {
-    entries: Vec<(u64, Vec<f64>)>,
-    next: usize,
-    /// Consecutive lookup misses; drives the self-disable heuristic.
-    miss_streak: u32,
-    /// Calls skipped since the memo disabled itself (for re-probing).
-    skip_tick: u32,
-    /// Perf introspection: times the miss streak crossed
-    /// [`LLC_CACHE_OFF`] (including a failed re-probe falling straight
-    /// back). Never read by the solve itself; survives [`clear`] so a
-    /// whole run's history stays visible (`clear` resets the *cache*,
-    /// not the run's accounting).
-    ///
-    /// [`clear`]: LlcSolveCache::clear
-    disable_events: u64,
-}
-
-/// Entries per node: enough for a few co-runner intensity grid points
-/// without making the linear scan cost more than the solve it avoids.
-const LLC_CACHE_ENTRIES: usize = 8;
-
-/// Consecutive misses after which the stream is deemed non-repeating and
-/// the memo stops being consulted — on a genuinely noisy stream the
-/// fingerprint build and insert are pure overhead. One call in every
-/// [`LLC_CACHE_PROBE`] still goes through, so a stream that settles into
-/// repetition re-enables the memo within a bounded number of solves.
-const LLC_CACHE_OFF: u32 = 128;
-const LLC_CACHE_PROBE: u32 = 64;
-
-/// Fold one word into a running 64-bit key fingerprint (rotate-xor then a
-/// multiply by a random odd constant — enough diffusion that nearby float
-/// bit patterns land far apart).
-#[inline]
-pub fn fingerprint_u64(h: u64, word: u64) -> u64 {
-    (h.rotate_left(23) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-}
-
-impl Default for LlcSolveCache {
-    fn default() -> Self {
-        LlcSolveCache {
-            entries: Vec::with_capacity(LLC_CACHE_ENTRIES),
-            next: 0,
-            miss_streak: 0,
-            skip_tick: 0,
-            disable_events: 0,
-        }
-    }
-}
-
-impl LlcSolveCache {
-    /// Whether this call should consult the memo at all. Answers `false`
-    /// (and costs two integer ops) while the recent miss streak says the
-    /// stream is not repeating, except for the periodic re-probe.
-    pub fn consult(&mut self) -> bool {
-        if self.miss_streak < LLC_CACHE_OFF {
-            return true;
-        }
-        self.skip_tick += 1;
-        if self.skip_tick >= LLC_CACHE_PROBE {
-            self.skip_tick = 0;
-            self.miss_streak = LLC_CACHE_OFF - 1;
-            return true;
-        }
-        false
-    }
-
-    /// The cached per-member miss rates for this fingerprint, if present.
-    /// Tracks the hit/miss streak for [`LlcSolveCache::consult`].
-    pub fn lookup(&mut self, fp: u64) -> Option<&[f64]> {
-        match self.entries.iter().position(|(k, _)| *k == fp) {
-            Some(idx) => {
-                self.miss_streak = 0;
-                Some(self.entries[idx].1.as_slice())
-            }
-            None => {
-                self.miss_streak = self.miss_streak.saturating_add(1);
-                if self.miss_streak == LLC_CACHE_OFF {
-                    self.disable_events += 1;
-                }
-                None
-            }
-        }
-    }
-
-    /// How many times the memo self-disabled (see `disable_events`).
-    pub fn disable_events(&self) -> u64 {
-        self.disable_events
-    }
-
-    /// Insert a solve result, evicting round-robin once full. Copies into
-    /// the evicted entry's buffer, so a warm cache never allocates on the
-    /// per-quantum path.
-    pub fn insert(&mut self, fp: u64, miss: &[f64]) {
-        if self.entries.len() < LLC_CACHE_ENTRIES {
-            self.entries.push((fp, miss.to_vec()));
-            return;
-        }
-        let slot = &mut self.entries[self.next];
-        slot.0 = fp;
-        slot.1.clear();
-        slot.1.extend_from_slice(miss);
-        self.next = (self.next + 1) % LLC_CACHE_ENTRIES;
-    }
-
-    /// Drop all entries (mode switches, cache invalidation).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.next = 0;
-        self.miss_streak = 0;
-        self.skip_tick = 0;
-    }
-}
-
 impl LlcModel {
     pub fn new(capacity_bytes: u64) -> Self {
         assert!(capacity_bytes > 0, "LLC capacity must be nonzero");

@@ -1,13 +1,9 @@
 //! Engine selection: which solve implementation a machine runs.
 //!
-//! Three implementations share one public behaviour:
+//! Two implementations share one public behaviour, byte for byte:
 //!
 //! * [`EngineSelect::Exact`] — the data-oriented incremental
-//!   [`MemoryEngine`](crate::MemoryEngine) in exact mode, byte-identical
-//!   to the original engine (the default);
-//! * [`EngineSelect::Approx`] — the same engine with quantized intensity
-//!   keys and a fixed-point tolerance ([`EngineMode::Approx`]), faster on
-//!   noisy per-quantum runs at a documented bounded model error;
+//!   [`MemoryEngine`](crate::MemoryEngine) (the default);
 //! * [`EngineSelect::Reference`] — the frozen pre-rewrite
 //!   [`ReferenceEngine`](crate::reference::ReferenceEngine), kept for CI
 //!   byte-diffs, bisection, and the equivalence test matrix.
@@ -15,10 +11,7 @@
 //! [`AnyEngine`] is the enum the hypervisor simulator holds; dispatch is a
 //! single predictable branch per call, negligible next to a solve.
 
-use crate::engine::{
-    ApproxParams, ContentionSnapshot, EngineMode, EnginePerf, MemoryEngine, QuantumUsage,
-    VcpuQuantumResult,
-};
+use crate::engine::{EnginePerf, MemoryEngine, QuantumUsage, VcpuQuantumResult};
 use crate::reference::ReferenceEngine;
 use numa_topo::Topology;
 use sim_core::SimDuration;
@@ -29,19 +22,15 @@ pub enum EngineSelect {
     /// Incremental SoA engine, byte-identical output (the default).
     #[default]
     Exact,
-    /// Incremental SoA engine with approximate arithmetic (default
-    /// [`ApproxParams`]); bounded model error, not byte-identical.
-    Approx,
     /// The frozen pre-rewrite engine.
     Reference,
 }
 
 impl EngineSelect {
-    /// Parse the CLI/scenario spelling (`exact` | `approx` | `reference`).
+    /// Parse the CLI/scenario spelling (`exact` | `reference`).
     pub fn parse(s: &str) -> Option<EngineSelect> {
         match s {
             "exact" => Some(EngineSelect::Exact),
-            "approx" => Some(EngineSelect::Approx),
             "reference" => Some(EngineSelect::Reference),
             _ => None,
         }
@@ -51,7 +40,6 @@ impl EngineSelect {
     pub fn name(self) -> &'static str {
         match self {
             EngineSelect::Exact => "exact",
-            EngineSelect::Approx => "approx",
             EngineSelect::Reference => "reference",
         }
     }
@@ -73,25 +61,7 @@ impl AnyEngine {
     pub fn new(topo: &Topology, select: EngineSelect) -> Self {
         match select {
             EngineSelect::Exact => AnyEngine::Soa(MemoryEngine::new(topo)),
-            EngineSelect::Approx => AnyEngine::Soa(MemoryEngine::with_mode(
-                topo,
-                EngineMode::Approx(ApproxParams::default()),
-            )),
             EngineSelect::Reference => AnyEngine::Reference(ReferenceEngine::new(topo)),
-        }
-    }
-
-    pub fn num_nodes(&self) -> usize {
-        match self {
-            AnyEngine::Soa(e) => e.num_nodes(),
-            AnyEngine::Reference(e) => e.num_nodes(),
-        }
-    }
-
-    pub fn contention(&self) -> ContentionSnapshot {
-        match self {
-            AnyEngine::Soa(e) => e.contention(),
-            AnyEngine::Reference(e) => e.contention(),
         }
     }
 
@@ -114,14 +84,6 @@ impl AnyEngine {
         match self {
             AnyEngine::Soa(e) => e.perf(),
             AnyEngine::Reference(_) => EnginePerf::default(),
-        }
-    }
-
-    /// See [`MemoryEngine::last_step_stationary`].
-    pub fn last_step_stationary(&self) -> bool {
-        match self {
-            AnyEngine::Soa(e) => e.last_step_stationary(),
-            AnyEngine::Reference(e) => e.last_step_stationary(),
         }
     }
 
@@ -148,7 +110,7 @@ mod tests {
 
     #[test]
     fn parse_round_trips() {
-        for s in [EngineSelect::Exact, EngineSelect::Approx, EngineSelect::Reference] {
+        for s in [EngineSelect::Exact, EngineSelect::Reference] {
             assert_eq!(EngineSelect::parse(s.name()), Some(s));
         }
         assert_eq!(EngineSelect::parse("turbo"), None);

@@ -110,9 +110,8 @@ pub struct MachineConfig {
     /// bit-identical to a build without fault injection.
     pub faults: FaultConfig,
     /// Which memory-engine implementation resolves execution (default the
-    /// exact incremental engine; `Reference` pins the frozen pre-rewrite
-    /// solver for byte-diffs, `Approx` trades bounded model error for
-    /// speed on noisy per-quantum runs).
+    /// incremental engine; `Reference` pins the frozen pre-rewrite solver
+    /// for byte-diffs). Both produce the same bytes.
     pub engine: EngineSelect,
 }
 

@@ -70,13 +70,7 @@ impl PerfSnapshot {
             ("whole_step_skips".into(), Json::from(e.whole_step_skips)),
             ("node_solves".into(), Json::from(e.node_solves)),
             ("node_clean_skips".into(), Json::from(e.node_clean_skips)),
-            ("memo_hits".into(), Json::from(e.memo_hits)),
-            ("memo_misses".into(), Json::from(e.memo_misses)),
-            ("memo_disables".into(), Json::from(e.memo_disables)),
-            ("replay_fires".into(), Json::from(e.replay_fires)),
             ("fp_rounds".into(), Json::from(e.fp_rounds)),
-            ("tolerance_exits".into(), Json::from(e.tolerance_exits)),
-            ("snap_backs".into(), Json::from(e.snap_backs)),
         ]);
         Json::Obj(vec![
             ("hosts".into(), Json::from(self.hosts)),

@@ -119,7 +119,4 @@ fn noisy_run_counts_solving_work() {
     assert_eq!(snap.engine.whole_step_skips, 0, "{:?}", snap.engine);
     assert!(snap.engine.node_solves > 0, "{:?}", snap.engine);
     assert!(snap.engine.fp_rounds > 0, "{:?}", snap.engine);
-    // Exact mode never consults the memo.
-    assert_eq!(snap.engine.memo_hits, 0);
-    assert_eq!(snap.engine.memo_misses, 0);
 }

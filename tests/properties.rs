@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use sim_core::{FaultConfig, SimDuration};
 use vprobe::{variants, Bounds};
 use workloads::{npb, speccpu, WorkloadSpec};
-use xen_sim::{CreditPolicy, Machine, MachineBuilder, VmConfig};
+use xen_sim::{CreditPolicy, Machine, MachineBuilder, MachineConfig, VmConfig};
 
 const GB: u64 = 1024 * 1024 * 1024;
 
@@ -85,43 +85,83 @@ fn soa_engine_is_byte_identical_across_schedulers_seeds_and_faults() {
     }
 }
 
-/// The approx engine is a model-error trade, not a correctness bug: its
-/// headline throughput prediction must track the exact engine within the
-/// documented tolerance (quantization grid 0.05 → ≤ ~2.5% per lookup,
-/// loosened here for accumulation across a full run).
+/// The noise-free regime: phased SPEC VMs beside hungry loops with the
+/// per-quantum intensity noise off, so engine inputs repeat between phase
+/// boundaries and the whole-step skip and node dirty bits fire (the noisy
+/// `PaperEval` setup above never reaches them). The incremental engine
+/// must still match the frozen reference byte for byte, under Credit and
+/// vProbe, and the run must really have skipped work.
 #[test]
-fn approx_engine_tracks_exact_within_documented_tolerance() {
-    let run = |engine: EngineSelect| {
-        let opts = RunOptions {
-            duration: SimDuration::from_secs(2),
-            warmup: SimDuration::from_secs(1),
-            seed: 7,
+fn exact_engine_matches_reference_without_intensity_noise() {
+    let run = |scheduler: Scheduler, seed: u64, engine: EngineSelect| {
+        let cfg = MachineConfig {
+            seed,
+            intensity_noise_sd: 0.0,
             engine,
-            ..RunOptions::default()
+            ..MachineConfig::default()
         };
-        run_workload(
-            Scheduler::VProbe,
-            SetupKind::PaperEval,
-            vec![npb::lu()],
-            vec![npb::lu()],
-            &opts,
-        )
-        .unwrap()
+        let spec = |name, w| VmConfig::new(name, 4, 2 * GB, AllocPolicy::MostFree, w);
+        let mut m = MachineBuilder::new(presets::xeon_e5620())
+            .config(cfg)
+            .policy(Scheduler::Credit.policy(2, seed))
+            .add_vm(spec(
+                "spec0",
+                vec![
+                    speccpu::soplex(),
+                    speccpu::mcf(),
+                    speccpu::milc(),
+                    speccpu::soplex(),
+                ],
+            ))
+            .add_vm(spec(
+                "spec1",
+                vec![
+                    speccpu::milc(),
+                    speccpu::soplex(),
+                    speccpu::mcf(),
+                    speccpu::mcf(),
+                ],
+            ))
+            .add_vm(VmConfig::new(
+                "hungry",
+                4,
+                GB,
+                AllocPolicy::MostFree,
+                vec![workloads::hungry::hungry_loop(); 4],
+            ))
+            .build()
+            .unwrap();
+        m.run(SimDuration::from_secs(1));
+        m.set_policy(scheduler.policy(2, seed));
+        m.reset_metrics();
+        m.run(SimDuration::from_secs(2));
+        (m.metrics().clone(), m.perf_snapshot().engine)
     };
-    let exact = run(EngineSelect::Exact);
-    let approx = run(EngineSelect::Approx);
-    let rel = (approx.instr_rate - exact.instr_rate).abs() / exact.instr_rate;
-    assert!(
-        rel < 0.05,
-        "approx instr_rate diverged {rel:.4} (exact {}, approx {})",
-        exact.instr_rate,
-        approx.instr_rate
-    );
-    let rel_remote = (approx.remote_ratio - exact.remote_ratio).abs();
-    assert!(
-        rel_remote < 0.05,
-        "approx remote ratio diverged {rel_remote:.4}"
-    );
+    for scheduler in [Scheduler::Credit, Scheduler::VProbe] {
+        for seed in [42, 1234] {
+            let label = (scheduler.name(), seed);
+            let (exact, perf) = run(scheduler, seed, EngineSelect::Exact);
+            let (reference, _) = run(scheduler, seed, EngineSelect::Reference);
+            assert!(
+                perf.whole_step_skips > 0,
+                "no whole-step skip: {label:?} {perf:?}"
+            );
+            assert!(
+                perf.node_clean_skips > 0,
+                "no clean-node skip: {label:?} {perf:?}"
+            );
+            assert_eq!(
+                exact.to_json(),
+                reference.to_json(),
+                "metrics diverged: {label:?}"
+            );
+            assert_eq!(
+                exact.series_csv(),
+                reference.series_csv(),
+                "series diverged: {label:?}"
+            );
+        }
+    }
 }
 
 /// The machine used by the fault-determinism properties: vProbe-GD so
