@@ -24,14 +24,10 @@
 //!
 //! and prints the analysis report: steal locality, partition-move churn,
 //! fault/degrade audit, and the per-period RPTI classification table.
-//! The run's wall-clock is merged into `BENCH_repro.json` under the
-//! `trace_tool` key, next to the `repro` sweep timings.
 
-use experiments::benchrec;
 use experiments::scenario::Scenario;
 use experiments::tracetool;
-use sim_core::{Json, SimDuration, SimError};
-use std::time::Instant;
+use sim_core::{SimDuration, SimError};
 
 const EXAMPLE: &str = r#"{
   "topology": "xeon_e5620",
@@ -102,7 +98,6 @@ fn trace_one(
     fault_seed: Option<u64>,
     trace_cap: usize,
 ) -> Result<(), SimError> {
-    let started = Instant::now();
     let json = std::fs::read_to_string(path)
         .map_err(|e| SimError::InvalidConfig(format!("cannot read {path}: {e}")))?;
     let mut scenario = Scenario::from_json(&json)?;
@@ -129,24 +124,6 @@ fn trace_one(
     write_out(out_dir, "decisions.jsonl", &machine.provenance_jsonl())?;
 
     println!("{}", tracetool::analysis_report(&machine));
-
-    // Scenario files have no engine knob: the trace tool always runs the
-    // exact engine, and a scenario's own duration is its "regime".
-    let mut fields = benchrec::stamp("full", "exact");
-    fields.extend([
-        ("scenario".into(), Json::Str(path.into())),
-        ("duration_s".into(), Json::from(scenario.duration_s)),
-        ("events".into(), Json::from(machine.trace().recorded())),
-        (
-            "decisions".into(),
-            Json::from(machine.provenance().recorded()),
-        ),
-        (
-            "wall_s".into(),
-            Json::Num(benchrec::round3(started.elapsed().as_secs_f64())),
-        ),
-    ]);
-    benchrec::record(benchrec::BENCH_FILE, "trace_tool", Json::Obj(fields));
     Ok(())
 }
 

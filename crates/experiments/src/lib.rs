@@ -14,7 +14,8 @@
 //! | [`fig8_period`] | Fig. 8 — sampling-period sweep on workload *mix* |
 //!
 //! [`extensions`] goes beyond the paper: the §VI future-work features
-//! (page migration) and a node-count scaling study. [`fig_faults`] is the
+//! (page migration), a node-count scaling study and ablations of
+//! vProbe's design choices. [`fig_faults`] is the
 //! robustness sweep — per-scheduler slowdown vs injected fault rate,
 //! including the graceful-degradation variant `vProbe-GD`. [`fig_fleet`]
 //! scales out to a whole fleet of hosts (the [`fleet`] crate) and compares
@@ -27,10 +28,9 @@
 //! analysis report the `trace` binary prints alongside its JSONL and
 //! Chrome Trace Event (Perfetto) exports. [`perfreport`] is the
 //! simulator's self-observability harness: it measures the
-//! work-avoidance machinery itself (deterministic counters, the
-//! `perf-report` binary, the `BENCH_history.jsonl` regression log).
+//! work-avoidance machinery itself (deterministic counters and the
+//! `perf-report` binary).
 
-pub mod benchrec;
 pub mod explain;
 pub mod extensions;
 pub mod fig1_remote_ratio;

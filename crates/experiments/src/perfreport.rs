@@ -27,10 +27,9 @@
 //! Each scenario runs under the incremental engine (the frozen reference
 //! engine has no counters). Everything printed on stdout derives from the
 //! deterministic counters alone: the report is byte-identical across
-//! `--jobs`, repeated runs, and machines, and
-//! [`digest`] pins the whole export with one token for
-//! `BENCH_history.jsonl` and the CI regression gate. Wall-clock lives in
-//! the caller's [`telemetry::PhaseTimers`] and stays out of the report.
+//! `--jobs`, repeated runs, and machines, and [`digest`] pins the whole
+//! export with one token for the CI digest gate. Wall-clock lives in the
+//! caller's [`telemetry::PhaseTimers`] and stays out of the report.
 
 use crate::report::{f3, Table};
 use crate::runner::{RunOptions, Scheduler, SetupKind};

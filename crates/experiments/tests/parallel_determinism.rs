@@ -6,7 +6,7 @@
 //! fan-out leaked state between runs or reordered them.
 
 use experiments::runner::{run_all_schedulers, RunOptions, SetupKind};
-use experiments::{fig1_remote_ratio, table3_overhead};
+use experiments::{extensions, fig1_remote_ratio, table3_overhead};
 use sim_core::parallel::set_jobs;
 use sim_core::SimDuration;
 use workloads::speccpu;
@@ -71,10 +71,13 @@ fn rendered_csv_bytes_are_identical_across_job_counts() {
         set_jobs(jobs);
         let fig1 = fig1_remote_ratio::render(&fig1_remote_ratio::run(&opts).unwrap()).to_csv();
         let t3 = table3_overhead::render(&table3_overhead::run(&opts).unwrap()).to_csv();
-        (fig1, t3)
+        let ablations = extensions::render_ablations(&extensions::run_ablations(&opts).unwrap());
+        (fig1, t3, ablations.to_csv())
     };
     let sequential = csvs(1);
-    let parallel = csvs(4);
+    let parallel: Vec<_> = [2, 4].into_iter().map(csvs).collect();
     set_jobs(0);
-    assert_eq!(sequential, parallel);
+    for p in parallel {
+        assert_eq!(sequential, p);
+    }
 }

@@ -13,8 +13,8 @@
 //!   exactly like CSVs.
 //! * **Wall-clock attribution** ([`PhaseTimers`]): real `Instant` time
 //!   per named phase. Non-deterministic by construction; it must only
-//!   ever feed best-effort records (`BENCH_repro.json`,
-//!   `BENCH_history.jsonl`) and never a deterministic artifact.
+//!   ever be printed for a human (`perf-report`'s stderr) and never feed
+//!   a deterministic artifact.
 //!
 //! Like the registry, everything here is ordered: counters and phases
 //! export in first-touch order, so serialization is byte-stable.
@@ -163,7 +163,7 @@ impl BatchHistogram {
 /// FNV-1a 64-bit digest of a string, as 16 lowercase hex digits.
 ///
 /// Used to pin a whole deterministic counter export with one short
-/// token in `BENCH_history.jsonl` and the CI regression gate.
+/// token, as the CI digest gate does.
 pub fn digest64(s: &str) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.as_bytes() {
