@@ -125,10 +125,7 @@ mod tests {
     #[test]
     fn falls_back_to_remote_node_when_local_empty() {
         let topo = presets::xeon_e5620();
-        let victims = vec![
-            (PcpuId::new(1), 4, vec![]),
-            (PcpuId::new(5), 2, vec![v(9)]),
-        ];
+        let victims = vec![(PcpuId::new(1), 4, vec![]), (PcpuId::new(5), 2, vec![v(9)])];
         let pressure = vec![0.0; 16];
         let got = numa_aware_steal(&ctx(&topo, 0, &victims, &pressure));
         assert_eq!(got, Some((PcpuId::new(5), v(9))));

@@ -7,7 +7,6 @@
 //! libquantum 22.41). §VI lists *dynamic* bounds as future work; a
 //! quantile-tracking implementation is provided here as [`DynamicBounds`].
 
-
 /// Static classification bounds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bounds {

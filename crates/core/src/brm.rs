@@ -111,12 +111,10 @@ impl SchedPolicy for BrmPolicy {
         }
         if self.rng.chance(self.cfg.bias) {
             // Biased move: the candidate gaining the most locality here.
-            all.iter()
-                .copied()
-                .max_by(|(_, a), (_, b)| {
-                    self.local_gain(*a, thief_node)
-                        .total_cmp(&self.local_gain(*b, thief_node))
-                })
+            all.iter().copied().max_by(|(_, a), (_, b)| {
+                self.local_gain(*a, thief_node)
+                    .total_cmp(&self.local_gain(*b, thief_node))
+            })
         } else {
             // Random move keeps the estimator exploring.
             let idx = self.rng.index(all.len())?;

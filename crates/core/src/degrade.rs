@@ -321,17 +321,17 @@ mod tests {
         // not dampened. The boundary must not flap.
         let cfg = DegradeConfig::default();
         let mut d = DegradeState::new(cfg);
-        feedback(&mut d, &[cfg.validity_threshold, cfg.validity_threshold], &[]);
+        feedback(
+            &mut d,
+            &[cfg.validity_threshold, cfg.validity_threshold],
+            &[],
+        );
         assert_eq!(d.mean_validity(), cfg.validity_threshold);
         assert!(!d.period_invalid());
         assert!(d.vcpu_valid(0));
         // Nudge one sample below: that VCPU is dampened but the period
         // mean may still pass.
-        feedback(
-            &mut d,
-            &[cfg.validity_threshold - 1e-9, 1.0],
-            &[],
-        );
+        feedback(&mut d, &[cfg.validity_threshold - 1e-9, 1.0], &[]);
         assert!(!d.vcpu_valid(0));
         assert!(d.vcpu_valid(1));
         assert!(!d.period_invalid());
@@ -372,13 +372,19 @@ mod tests {
         // the streak counter restarted, so the outage has to prove itself
         // again before partitioning is surrendered.
         feedback(&mut d, &[0.0], &[]);
-        assert!(d.period_invalid(), "the dark period itself is still skipped");
+        assert!(
+            d.period_invalid(),
+            "the dark period itself is still skipped"
+        );
         assert!(!d.in_fallback());
         feedback(&mut d, &[0.0], &[]);
         assert!(!d.in_fallback());
         feedback(&mut d, &[0.0], &[]);
         assert!(d.in_fallback());
-        assert!(d.entered_this_period(), "fresh transition, fresh entry flag");
+        assert!(
+            d.entered_this_period(),
+            "fresh transition, fresh entry flag"
+        );
     }
 
     #[test]

@@ -54,8 +54,7 @@ pub fn partition_vcpus_explained(
         return (Vec::new(), Vec::new());
     }
     // groupOfVc(c, p): FIFO per (type, affinity-node).
-    let mut groups: Vec<Vec<VecDeque<VcpuId>>> =
-        vec![vec![VecDeque::new(); num_nodes]; 2];
+    let mut groups: Vec<Vec<VecDeque<VcpuId>>> = vec![vec![VecDeque::new(); num_nodes]; 2];
     let type_index = |t: VcpuType| match t {
         VcpuType::Thrashing => Some(0),
         VcpuType::Fitting => Some(1),
@@ -66,7 +65,11 @@ pub fn partition_vcpus_explained(
         let Some(ti) = type_index(inp.vcpu_type) else {
             continue;
         };
-        let node = inp.affinity.map(|n| n.index()).unwrap_or(0).min(num_nodes - 1);
+        let node = inp
+            .affinity
+            .map(|n| n.index())
+            .unwrap_or(0)
+            .min(num_nodes - 1);
         groups[ti][node].push_back(inp.vcpu);
         remaining[ti] += 1;
     }
@@ -157,13 +160,14 @@ mod tests {
 
     #[test]
     fn loads_are_balanced_within_one() {
-        let inputs: Vec<_> = (0..9)
-            .map(|i| inp(i, VcpuType::Fitting, Some(0)))
-            .collect();
+        let inputs: Vec<_> = (0..9).map(|i| inp(i, VcpuType::Fitting, Some(0))).collect();
         let got = partition_vcpus(&inputs, 2);
         let l = loads(&got, 2);
         assert_eq!(l.iter().sum::<usize>(), 9);
-        assert!(l.iter().max().unwrap() - l.iter().min().unwrap() <= 1, "{l:?}");
+        assert!(
+            l.iter().max().unwrap() - l.iter().min().unwrap() <= 1,
+            "{l:?}"
+        );
     }
 
     #[test]

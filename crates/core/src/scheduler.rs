@@ -146,8 +146,7 @@ impl SchedPolicy for VProbePolicy {
                 affinity: m.affinity,
             })
             .collect();
-        let (placed, mut notes) =
-            partition_vcpus_explained(&inputs, self.num_nodes, self.explain);
+        let (placed, mut notes) = partition_vcpus_explained(&inputs, self.num_nodes, self.explain);
         // §VI extension: when a memory-intensive VCPU is assigned a node
         // other than its memory's, move its pages toward the assignment
         // instead of leaving it remote forever.
@@ -333,7 +332,11 @@ mod tests {
             .map(|x| (x.vcpu.raw(), x.node))
             .collect();
         assert_eq!(a[&0], Some(NodeId::new(1)), "thrasher to its affinity node");
-        assert_eq!(a[&2], Some(NodeId::new(0)), "fitting vcpu to its affinity node");
+        assert_eq!(
+            a[&2],
+            Some(NodeId::new(0)),
+            "fitting vcpu to its affinity node"
+        );
         assert!(!a.contains_key(&1), "friendly vcpu untouched");
     }
 

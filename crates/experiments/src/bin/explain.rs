@@ -58,9 +58,9 @@ fn run(mut args: Vec<String>) -> Result<(), SimError> {
                 usage();
                 std::process::exit(2);
             };
-            let id: u64 = id.parse().map_err(|_| {
-                SimError::InvalidConfig(format!("vm id: cannot parse '{id}'"))
-            })?;
+            let id: u64 = id
+                .parse()
+                .map_err(|_| SimError::InvalidConfig(format!("vm id: cannot parse '{id}'")))?;
             explain::explain_vm(&read(&trace_dir, "decisions.jsonl")?, id, at)?
         }
         Some("steal") => {

@@ -18,8 +18,13 @@ fn run() -> Result<(), SimError> {
             sample_period: SimDuration::from_secs_f64(p),
             ..RunOptions::default()
         };
-        let r = run_workload(Scheduler::VProbe, SetupKind::PaperEval,
-            speccpu::mix(), speccpu::mix(), &opts)?;
+        let r = run_workload(
+            Scheduler::VProbe,
+            SetupKind::PaperEval,
+            speccpu::mix(),
+            speccpu::mix(),
+            &opts,
+        )?;
         let vm1 = &r.metrics.per_vm[0];
         println!("p={p:<4} rate={:.3e} rratio={:.3} mpi={:.3} busy={:.1}s part_moves={} migr={} cross={} ovh={:.4}%",
             r.instr_rate, r.remote_ratio,

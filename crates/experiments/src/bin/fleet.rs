@@ -282,9 +282,10 @@ fn take_parsed<T: std::str::FromStr>(
     flag: &str,
 ) -> Result<Option<T>, SimError> {
     match take_value(args, flag)? {
-        Some(v) => v.parse().map(Some).map_err(|_| {
-            SimError::InvalidConfig(format!("{flag}: cannot parse '{v}'"))
-        }),
+        Some(v) => v
+            .parse()
+            .map(Some)
+            .map_err(|_| SimError::InvalidConfig(format!("{flag}: cannot parse '{v}'"))),
         None => Ok(None),
     }
 }

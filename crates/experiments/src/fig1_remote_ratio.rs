@@ -90,7 +90,17 @@ mod tests {
         let names: Vec<String> = workload_set().into_iter().map(|(n, _)| n).collect();
         assert_eq!(
             names,
-            vec!["bt", "cg", "lu", "mg", "sp", "soplex", "libquantum", "mcf", "milc"]
+            vec![
+                "bt",
+                "cg",
+                "lu",
+                "mg",
+                "sp",
+                "soplex",
+                "libquantum",
+                "mcf",
+                "milc"
+            ]
         );
     }
 
@@ -102,8 +112,14 @@ mod tests {
         opts.duration = SimDuration::from_secs(8);
         let (name, wl) = workload_set().remove(6); // libquantum
         assert_eq!(name, "libquantum");
-        let r = run_workload(Scheduler::Credit, SetupKind::Motivation, wl.clone(), wl, &opts)
-            .unwrap();
+        let r = run_workload(
+            Scheduler::Credit,
+            SetupKind::Motivation,
+            wl.clone(),
+            wl,
+            &opts,
+        )
+        .unwrap();
         assert!(
             r.remote_ratio > 0.2,
             "Credit should produce substantial remote traffic: {}",

@@ -167,7 +167,10 @@ mod tests {
         let rows = run(&quick()).unwrap();
         let by_name = |n: &str| rows.iter().find(|r| r.workload == n).unwrap();
         assert!(by_name("povray").miss_rate < 0.05);
-        assert!(by_name("lu").miss_rate < 0.25, "fitting program fits when alone");
+        assert!(
+            by_name("lu").miss_rate < 0.25,
+            "fitting program fits when alone"
+        );
         assert!(by_name("libquantum").miss_rate > 0.6);
         assert!(by_name("milc").miss_rate > 0.6);
     }

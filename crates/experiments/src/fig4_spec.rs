@@ -45,7 +45,11 @@ pub fn workload_set() -> Vec<(String, Vec<WorkloadSpec>, Vec<WorkloadSpec>)> {
         // "we run six instances of the mcf in VM1 and two instances in VM2
         // to guarantee that all four workloads have the same total number
         // of instances" (§V-B1).
-        ("mcf".into(), vec![speccpu::mcf(); 6], vec![speccpu::mcf(); 2]),
+        (
+            "mcf".into(),
+            vec![speccpu::mcf(); 6],
+            vec![speccpu::mcf(); 2],
+        ),
         (
             "milc".into(),
             vec![speccpu::milc(); 4],
@@ -87,7 +91,13 @@ pub fn run(opts: &RunOptions) -> Result<Vec<WorkloadBars>, SimError> {
 pub fn render(results: &[WorkloadBars], figure: &str) -> Table {
     let mut t = Table::new(
         format!("{figure} — normalized vs Credit (time / total accesses / remote accesses)"),
-        &["workload", "scheduler", "time (a)", "total (b)", "remote (c)"],
+        &[
+            "workload",
+            "scheduler",
+            "time (a)",
+            "total (b)",
+            "remote (c)",
+        ],
     );
     for wb in results {
         for b in &wb.bars {

@@ -52,7 +52,12 @@ pub fn run_levels(levels: &[u32], opts: &RunOptions) -> Result<Vec<Fig6Point>, S
     Ok(per_level.into_iter().flatten().collect())
 }
 
-fn point(c: u32, spec: &workloads::WorkloadSpec, r: &WorkloadRun, credit: &WorkloadRun) -> Fig6Point {
+fn point(
+    c: u32,
+    spec: &workloads::WorkloadSpec,
+    r: &WorkloadRun,
+    credit: &WorkloadRun,
+) -> Fig6Point {
     Fig6Point {
         concurrency: c,
         scheduler: r.scheduler.name(),
@@ -112,7 +117,10 @@ mod tests {
         let pts = run_levels(&[80], &quick()).unwrap();
         assert_eq!(pts.len(), 5);
         assert!(pts.iter().all(|p| p.concurrency == 80));
-        assert!((pts[0].norm_time - 1.0).abs() < 1e-9, "credit normalizes to 1");
+        assert!(
+            (pts[0].norm_time - 1.0).abs() < 1e-9,
+            "credit normalizes to 1"
+        );
         assert!(pts.iter().all(|p| p.completion_s > 0.0));
     }
 

@@ -152,10 +152,7 @@ pub fn to_json(points: &[FaultPoint]) -> String {
                     ("faults_injected".into(), Json::from(p.faults_injected)),
                     ("periods_skipped".into(), Json::from(p.periods_skipped)),
                     ("fallback_periods".into(), Json::from(p.fallback_periods)),
-                    (
-                        "migration_retries".into(),
-                        Json::from(p.migration_retries),
-                    ),
+                    ("migration_retries".into(), Json::from(p.migration_retries)),
                 ])
             })
             .collect(),

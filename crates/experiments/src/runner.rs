@@ -240,13 +240,7 @@ pub fn run_all_schedulers(
     opts: &RunOptions,
 ) -> Result<Vec<WorkloadRun>, SimError> {
     sim_core::parallel::parallel_try_map(ALL_SCHEDULERS.to_vec(), |s| {
-        run_workload(
-            s,
-            setup,
-            vm1_workloads.clone(),
-            vm2_workloads.clone(),
-            opts,
-        )
+        run_workload(s, setup, vm1_workloads.clone(), vm2_workloads.clone(), opts)
     })
 }
 

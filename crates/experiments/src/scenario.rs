@@ -122,11 +122,7 @@ fn field_f64(obj: &Json, key: &str, default: f64) -> Result<f64, SimError> {
 
 /// Reject any key of `obj` outside `known`, so a misspelled or retired
 /// field fails loudly instead of silently taking its default.
-fn reject_unknown_keys(
-    obj: &[(String, Json)],
-    known: &[&str],
-    what: &str,
-) -> Result<(), SimError> {
+fn reject_unknown_keys(obj: &[(String, Json)], known: &[&str], what: &str) -> Result<(), SimError> {
     match obj.iter().find(|(k, _)| !known.contains(&k.as_str())) {
         Some((k, _)) => Err(parse_err(format!(
             "unknown {what} field '{k}' (expected one of: {})",
@@ -146,7 +142,15 @@ const SCENARIO_KEYS: [&str; 7] = [
     "vms",
 ];
 
-const VM_KEYS: [&str; 7] = ["name", "vcpus", "mem_gb", "alloc", "workloads", "pin", "weight"];
+const VM_KEYS: [&str; 7] = [
+    "name",
+    "vcpus",
+    "mem_gb",
+    "alloc",
+    "workloads",
+    "pin",
+    "weight",
+];
 
 impl VmSpec {
     fn from_value(v: &Json) -> Result<VmSpec, SimError> {
@@ -191,10 +195,7 @@ impl VmSpec {
             ("vcpus".to_string(), Json::from(self.vcpus)),
             ("mem_gb".to_string(), Json::from(self.mem_gb)),
             ("alloc".to_string(), Json::from(self.alloc.clone())),
-            (
-                "workloads".to_string(),
-                Json::from(self.workloads.clone()),
-            ),
+            ("workloads".to_string(), Json::from(self.workloads.clone())),
         ];
         if let Some(pin) = &self.pin {
             pairs.push(("pin".to_string(), Json::from(pin.clone())));

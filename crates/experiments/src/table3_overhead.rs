@@ -70,7 +70,8 @@ pub fn render(rows: &[Table3Row]) -> Table {
 
 /// The paper's claim: overhead stays far below 0.1 % at every VM count.
 pub fn shape_holds(rows: &[Table3Row]) -> bool {
-    rows.iter().all(|r| r.overhead_percent < 0.1 && r.overhead_percent > 0.0)
+    rows.iter()
+        .all(|r| r.overhead_percent < 0.1 && r.overhead_percent > 0.0)
 }
 
 #[cfg(test)]

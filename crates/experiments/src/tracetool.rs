@@ -144,7 +144,10 @@ mod tests {
         assert!(report.contains("policy: vprobe"), "{report}");
         assert!(report.contains("steals:"), "{report}");
         assert!(report.contains("partition moves:"), "{report}");
-        assert!(report.contains("per-period RPTI classification"), "{report}");
+        assert!(
+            report.contains("per-period RPTI classification"),
+            "{report}"
+        );
         // 3 simulated seconds at the default 1 s period ⇒ 3 table rows.
         assert!(report.matches('\n').count() > 6, "{report}");
         // Deterministic: same scenario, same report.
@@ -161,9 +164,7 @@ mod tests {
             m.telemetry().counter_total_by_name("faults_injected"),
             Some(injected)
         );
-        let traced = m
-            .trace()
-            .count(|e| matches!(e, xen_sim::Event::Fault(_)));
+        let traced = m.trace().count(|e| matches!(e, xen_sim::Event::Fault(_)));
         assert_eq!(traced as u64, injected);
         let report = analysis_report(&m);
         assert!(report.contains("faults:"), "{report}");
@@ -185,12 +186,12 @@ mod tests {
             .unwrap();
         assert!(enter >= 1, "70% fault rate must force fallback");
         assert_eq!(enter, m.metrics().faults.fallbacks_triggered);
-        let traced_enter = m.trace().count(|e| {
-            matches!(e, xen_sim::Event::Degrade { fallback: true })
-        });
-        let traced_recover = m.trace().count(|e| {
-            matches!(e, xen_sim::Event::Degrade { fallback: false })
-        });
+        let traced_enter = m
+            .trace()
+            .count(|e| matches!(e, xen_sim::Event::Degrade { fallback: true }));
+        let traced_recover = m
+            .trace()
+            .count(|e| matches!(e, xen_sim::Event::Degrade { fallback: false }));
         assert_eq!(traced_enter as u64, enter);
         assert_eq!(traced_recover as u64, recover);
         let report = analysis_report(&m);

@@ -56,8 +56,8 @@ fn check_golden(file: &str, actual: &str) {
         eprintln!("updated {path}");
         return;
     }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read golden {path}: {e}"));
+    let expected =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read golden {path}: {e}"));
     assert!(
         actual == expected,
         "{file} diverged from its golden copy.\n\

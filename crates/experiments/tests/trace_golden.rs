@@ -44,17 +44,14 @@ fn golden_run() -> Machine {
 }
 
 fn check_golden(file: &str, actual: &str) {
-    let path = format!(
-        "{}/tests/golden/{file}",
-        env!("CARGO_MANIFEST_DIR")
-    );
+    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(&path, actual).unwrap();
         eprintln!("updated {path}");
         return;
     }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read golden {path}: {e}"));
+    let expected =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read golden {path}: {e}"));
     assert!(
         actual == expected,
         "{file} diverged from its golden copy.\n\

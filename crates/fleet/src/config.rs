@@ -35,12 +35,14 @@ impl FleetScheduler {
     pub fn policy(self, num_nodes: usize, _seed: u64) -> Box<dyn SchedPolicy> {
         match self {
             FleetScheduler::Credit => Box::new(CreditPolicy::new()),
-            FleetScheduler::VProbe => {
-                Box::new(vprobe::variants::vprobe(num_nodes, vprobe::Bounds::default()))
-            }
-            FleetScheduler::VProbeGd => {
-                Box::new(vprobe::variants::vprobe_gd(num_nodes, vprobe::Bounds::default()))
-            }
+            FleetScheduler::VProbe => Box::new(vprobe::variants::vprobe(
+                num_nodes,
+                vprobe::Bounds::default(),
+            )),
+            FleetScheduler::VProbeGd => Box::new(vprobe::variants::vprobe_gd(
+                num_nodes,
+                vprobe::Bounds::default(),
+            )),
         }
     }
 
@@ -377,7 +379,9 @@ mod tests {
 
     #[test]
     fn default_config_validates() {
-        FleetConfig::new(4, FleetScheduler::VProbe).validate().unwrap();
+        FleetConfig::new(4, FleetScheduler::VProbe)
+            .validate()
+            .unwrap();
     }
 
     #[test]
@@ -388,7 +392,9 @@ mod tests {
         let mut cfg = FleetConfig::new(4, FleetScheduler::Credit);
         cfg.churn.arrivals_per_epoch = -1.0;
         assert!(cfg.validate().is_err());
-        assert!(FleetConfig::new(0, FleetScheduler::Credit).validate().is_err());
+        assert!(FleetConfig::new(0, FleetScheduler::Credit)
+            .validate()
+            .is_err());
     }
 
     #[test]
@@ -412,8 +418,14 @@ mod tests {
 
     #[test]
     fn scheduler_and_preset_parse() {
-        assert_eq!(FleetScheduler::parse("vprobe-gd").unwrap(), FleetScheduler::VProbeGd);
-        assert_eq!(FleetScheduler::parse("Credit").unwrap(), FleetScheduler::Credit);
+        assert_eq!(
+            FleetScheduler::parse("vprobe-gd").unwrap(),
+            FleetScheduler::VProbeGd
+        );
+        assert_eq!(
+            FleetScheduler::parse("Credit").unwrap(),
+            FleetScheduler::Credit
+        );
         assert!(FleetScheduler::parse("brm").is_err());
         assert_eq!(HostPreset::parse("uma").unwrap(), HostPreset::UmaQuad);
         assert!(HostPreset::parse("pdp11").is_err());
@@ -430,7 +442,11 @@ mod tests {
 
     #[test]
     fn policies_instantiate() {
-        for s in [FleetScheduler::Credit, FleetScheduler::VProbe, FleetScheduler::VProbeGd] {
+        for s in [
+            FleetScheduler::Credit,
+            FleetScheduler::VProbe,
+            FleetScheduler::VProbeGd,
+        ] {
             assert!(!s.policy(2, 1).name().is_empty());
         }
     }

@@ -203,8 +203,10 @@ impl Fleet {
                     flavor: self.cfg.flavors[flavor_idx].clone(),
                     arrived_epoch: 0,
                 };
-                let fits =
-                    crate::placement::instances_fit(&self.hosts[h].capacity(&self.cfg.admission), &vm.flavor);
+                let fits = crate::placement::instances_fit(
+                    &self.hosts[h].capacity(&self.cfg.admission),
+                    &vm.flavor,
+                );
                 if fits == 0 {
                     return Err(SimError::ResourceExhausted(format!(
                         "initial VM {id} ({}) does not fit on host {h}",
@@ -313,9 +315,8 @@ impl Fleet {
             .filter_map(|h| h.machine.as_ref())
             .filter_map(|m| m.telemetry().export())
             .collect();
-        let host_rollup = telemetry::try_rollup(&host_docs).map_err(|e| {
-            SimError::InvalidConfig(format!("fleet telemetry rollup: {e}"))
-        })?;
+        let host_rollup = telemetry::try_rollup(&host_docs)
+            .map_err(|e| SimError::InvalidConfig(format!("fleet telemetry rollup: {e}")))?;
         Ok(Some(
             Json::Obj(vec![
                 ("budget_s".into(), Json::Num(p.budget_s)),
@@ -325,10 +326,7 @@ impl Fleet {
                     Json::Num(self.cfg.epoch_len.as_secs_f64()),
                 ),
                 ("total_burned_s".into(), Json::Num(total_burned)),
-                (
-                    "total_burn".into(),
-                    Json::Num(total_burned / p.budget_s),
-                ),
+                ("total_burn".into(), Json::Num(total_burned / p.budget_s)),
                 ("burn_by_epoch".into(), Json::Arr(burn_by_epoch)),
                 ("burned_by_host".into(), Json::Arr(burned_by_host)),
                 ("hosts_reporting".into(), Json::from(host_docs.len())),
@@ -460,7 +458,8 @@ impl Fleet {
                             self.registry.observe(self.tele.evac_latency_s, latency);
                             if let Some(p) = &mut self.prov {
                                 if inc.span != 0 {
-                                    p.spans.annotate(inc.span, "dst_host", Json::from(host.index));
+                                    p.spans
+                                        .annotate(inc.span, "dst_host", Json::from(host.index));
                                     p.spans.annotate(inc.span, "latency_s", Json::Num(latency));
                                     p.spans.annotate(inc.span, "outcome", Json::from("landed"));
                                     p.spans.end(inc.span, t_us);
@@ -477,7 +476,8 @@ impl Fleet {
                             self.metrics.admitted += 1;
                             if let Some(p) = &mut self.prov {
                                 if inc.span != 0 {
-                                    p.spans.annotate(inc.span, "dst_host", Json::from(host.index));
+                                    p.spans
+                                        .annotate(inc.span, "dst_host", Json::from(host.index));
                                     p.spans.annotate(inc.span, "outcome", Json::from("landed"));
                                     p.spans.end(inc.span, t_us);
                                 }
@@ -535,7 +535,10 @@ impl Fleet {
             // A copy that is already an evacuation was counted when its VM
             // was first displaced, and it can land only once; only the
             // residents and in-flight admissions are new displacements.
-            let new_in_flight = in_flight.iter().filter(|i| i.displaced_epoch.is_none()).count();
+            let new_in_flight = in_flight
+                .iter()
+                .filter(|i| i.displaced_epoch.is_none())
+                .count();
             let displaced_now = (vms.len() + new_in_flight) as u64;
             self.metrics.displaced += displaced_now;
             self.registry.inc(self.tele.displaced, displaced_now);
@@ -544,12 +547,9 @@ impl Fleet {
             for vm in vms {
                 let span = match &mut self.prov {
                     Some(p) => {
-                        let sid = p.spans.begin(
-                            &format!("evacuation vm{}", vm.id),
-                            h as u64,
-                            t_us,
-                            None,
-                        );
+                        let sid =
+                            p.spans
+                                .begin(&format!("evacuation vm{}", vm.id), h as u64, t_us, None);
                         p.spans.annotate(sid, "src_host", Json::from(h));
                         p.spans.annotate(sid, "rack", Json::from(rack));
                         p.evac_src.insert(sid, (h, rack));
@@ -587,7 +587,8 @@ impl Fleet {
                             )
                         };
                         let child = p.spans.begin("copy-lost", h as u64, t_us, Some(sid));
-                        p.spans.annotate(child, "reason", Json::from("target-crashed"));
+                        p.spans
+                            .annotate(child, "reason", Json::from("target-crashed"));
                         p.spans.end(child, t_us);
                         p.evac_src.entry(sid).or_insert((h, rack));
                         sid
@@ -653,11 +654,8 @@ impl Fleet {
                         self.cfg.epoch_len.as_micros() * e,
                         None,
                     );
-                    p.spans.annotate(
-                        sid,
-                        "flavor",
-                        Json::from(self.cfg.flavors[flavor_idx].name),
-                    );
+                    p.spans
+                        .annotate(sid, "flavor", Json::from(self.cfg.flavors[flavor_idx].name));
                     sid
                 }
                 None => 0,
@@ -738,7 +736,8 @@ impl Fleet {
                     .div_ceil(fail.copy_bandwidth_bytes_per_epoch)
                     .max(1)
             };
-            if fail.migration_delay_rate > 0.0 && self.migration_rng.chance(fail.migration_delay_rate)
+            if fail.migration_delay_rate > 0.0
+                && self.migration_rng.chance(fail.migration_delay_rate)
             {
                 copy_epochs *= 2;
                 self.metrics.migrations_delayed += 1;
@@ -778,14 +777,12 @@ impl Fleet {
         if let Some(p) = &mut self.prov {
             if q.span != 0 {
                 let us = self.cfg.epoch_len.as_micros();
-                let child = p.spans.begin(
-                    "retry",
-                    self.hosts.len() as u64,
-                    us * e,
-                    Some(q.span),
-                );
+                let child = p
+                    .spans
+                    .begin("retry", self.hosts.len() as u64, us * e, Some(q.span));
                 p.spans.annotate(child, "reason", Json::from(reason));
-                p.spans.annotate(child, "attempt", Json::from(q.retries as u64));
+                p.spans
+                    .annotate(child, "attempt", Json::from(q.retries as u64));
                 p.spans.end(child, us * q.next_attempt_epoch);
             }
         }
@@ -854,10 +851,13 @@ impl Fleet {
         let resident: usize = self.hosts.iter().map(|h| h.vms.len()).sum();
         let queued = self.evac_queue.len() + self.admit_queue.len();
         self.registry.set_gauge(self.tele.hosts_up, up as f64);
-        self.registry.set_gauge(self.tele.resident_vms, resident as f64);
-        self.registry.set_gauge(self.tele.queue_depth, queued as f64);
         self.registry
-            .snapshot(SimTime::from_micros(self.cfg.epoch_len.as_micros() * (e + 1)));
+            .set_gauge(self.tele.resident_vms, resident as f64);
+        self.registry
+            .set_gauge(self.tele.queue_depth, queued as f64);
+        self.registry.snapshot(SimTime::from_micros(
+            self.cfg.epoch_len.as_micros() * (e + 1),
+        ));
     }
 
     fn in_flight_evac(&self) -> u64 {
@@ -963,14 +963,35 @@ impl FleetReport {
             ("arrivals".into(), Json::from(m.arrivals)),
             ("departures".into(), Json::from(m.departures)),
             ("admitted".into(), Json::from(m.admitted)),
-            ("placement_attempts".into(), Json::from(m.placement_attempts)),
-            ("placement_failures".into(), Json::from(m.placement_failures)),
-            ("migration_failures".into(), Json::from(m.migration_failures)),
-            ("migrations_delayed".into(), Json::from(m.migrations_delayed)),
-            ("degraded_vm_epochs".into(), Json::from(m.degraded_vm_epochs)),
-            ("degraded_vm_minutes".into(), Json::Num(self.degraded_vm_minutes)),
+            (
+                "placement_attempts".into(),
+                Json::from(m.placement_attempts),
+            ),
+            (
+                "placement_failures".into(),
+                Json::from(m.placement_failures),
+            ),
+            (
+                "migration_failures".into(),
+                Json::from(m.migration_failures),
+            ),
+            (
+                "migrations_delayed".into(),
+                Json::from(m.migrations_delayed),
+            ),
+            (
+                "degraded_vm_epochs".into(),
+                Json::from(m.degraded_vm_epochs),
+            ),
+            (
+                "degraded_vm_minutes".into(),
+                Json::Num(self.degraded_vm_minutes),
+            ),
             ("host_down_epochs".into(), Json::from(m.host_down_epochs)),
-            ("evac_latency_mean_s".into(), Json::Num(m.evac_latency_s.mean())),
+            (
+                "evac_latency_mean_s".into(),
+                Json::Num(m.evac_latency_s.mean()),
+            ),
             (
                 "evac_latency_max_s".into(),
                 Json::Num(m.evac_latency_s.max().unwrap_or(0.0)),
@@ -982,10 +1003,16 @@ impl FleetReport {
             ("in_flight_evac".into(), Json::from(self.in_flight_evac)),
             ("in_flight_admit".into(), Json::from(self.in_flight_admit)),
             ("vms_lost".into(), Json::from(self.vms_lost as f64)),
-            ("total_instructions".into(), Json::from(self.total_instructions)),
+            (
+                "total_instructions".into(),
+                Json::from(self.total_instructions),
+            ),
             ("total_busy_us".into(), Json::Num(self.total_busy_us)),
             ("up_epochs_total".into(), Json::from(self.up_epochs_total)),
-            ("instr_per_host_up_s".into(), Json::Num(self.instr_per_host_up_s)),
+            (
+                "instr_per_host_up_s".into(),
+                Json::Num(self.instr_per_host_up_s),
+            ),
         ];
         if let Some(t) = &self.telemetry {
             fields.push(("telemetry".into(), t.clone()));
@@ -1038,7 +1065,10 @@ mod tests {
         cfg.failures.recovery_epochs_mean = 2.0;
         let mut fleet = Fleet::new(cfg).unwrap();
         let report = fleet.run().unwrap();
-        assert!(report.metrics.crashes > 0, "30% over 40 host-epochs must crash");
+        assert!(
+            report.metrics.crashes > 0,
+            "30% over 40 host-epochs must crash"
+        );
         assert!(report.metrics.displaced > 0);
         assert_eq!(report.vms_lost, 0, "every displaced VM accounted for");
         assert!(

@@ -36,7 +36,9 @@ pub struct FleetVm {
 pub enum HostState {
     Up,
     /// Crashed; comes back at the start of `until_epoch`.
-    Down { until_epoch: u64 },
+    Down {
+        until_epoch: u64,
+    },
 }
 
 /// A VM accepted onto a host whose live-migration copy is still in flight.
@@ -180,11 +182,8 @@ impl Host {
     fn fold_machine(&mut self) {
         if let Some(m) = self.machine.take() {
             let metrics = m.metrics();
-            self.retired_instructions += metrics
-                .per_vm
-                .iter()
-                .map(|vm| vm.instructions)
-                .sum::<u64>();
+            self.retired_instructions +=
+                metrics.per_vm.iter().map(|vm| vm.instructions).sum::<u64>();
             self.retired_busy_us += metrics.busy_us;
             self.retired_perf.merge(&m.perf_snapshot());
         }
@@ -195,9 +194,7 @@ impl Host {
     /// quiet fleet seeds exactly like a directly-built machine with the
     /// fleet seed.
     pub fn machine_seed(&self, cfg: &FleetConfig) -> u64 {
-        cfg.seed
-            .wrapping_add(self.index as u64)
-            ^ self.generation.wrapping_mul(PHI)
+        cfg.seed.wrapping_add(self.index as u64) ^ self.generation.wrapping_mul(PHI)
     }
 
     /// Rebuild the machine to match the current resident set. Called by

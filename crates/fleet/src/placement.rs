@@ -125,6 +125,9 @@ mod tests {
         let cfg = FleetConfig::new(1, FleetScheduler::Credit);
         let hosts = vec![Host::new(0, HostPreset::UmaQuad, cfg.rack_of(0))];
         // uma_quad has 4 cores; even 3× overcommit cannot take 16 vcpus.
-        assert_eq!(choose_host(&hosts, &flavor(16, 1), &AdmissionConfig::default()), None);
+        assert_eq!(
+            choose_host(&hosts, &flavor(16, 1), &AdmissionConfig::default()),
+            None
+        );
     }
 }

@@ -18,7 +18,6 @@
 //! * **LLC-thrashing** (milc, libquantum): `ws_bytes` far larger than the
 //!   LLC — the miss rate is high even with the whole cache.
 
-
 /// Piecewise-linear miss-rate curve. Rates are fractions in `[0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MissCurve {

@@ -424,7 +424,11 @@ impl MemoryEngine {
     /// per PCPU per share of the quantum; the hypervisor may split a
     /// quantum between two VCPUs by passing two entries with shares
     /// summing to ≤ 1 for that PCPU).
-    pub fn step(&mut self, quantum: SimDuration, usages: &[QuantumUsage]) -> Vec<VcpuQuantumResult> {
+    pub fn step(
+        &mut self,
+        quantum: SimDuration,
+        usages: &[QuantumUsage],
+    ) -> Vec<VcpuQuantumResult> {
         self.step_ref(quantum, usages).to_vec()
     }
 
@@ -762,8 +766,7 @@ impl MemoryEngine {
             let damp = if round == 0 { 1.0 } else { 0.5 };
             let mut changed = false;
             for (node, mult) in hot.cur_imc.iter_mut().enumerate() {
-                let target =
-                    self.imc[node].latency_multiplier(hot.node_demand[node] / quantum_s);
+                let target = self.imc[node].latency_multiplier(hot.node_demand[node] / quantum_s);
                 let before = *mult;
                 *mult += damp * (target - *mult);
                 changed |= *mult != before;
@@ -1317,7 +1320,10 @@ mod tests {
         let r = &e.step(quantum(), &[usage(1, 0, &p)])[0];
         assert!(r.llc_misses > 0);
         let remote_frac = r.remote_accesses as f64 / r.llc_misses as f64;
-        assert!((remote_frac - 0.75).abs() < 0.01, "remote_frac={remote_frac}");
+        assert!(
+            (remote_frac - 0.75).abs() < 0.01,
+            "remote_frac={remote_frac}"
+        );
         assert_eq!(
             r.node_accesses.iter().sum::<u64>(),
             r.llc_misses,
@@ -1347,7 +1353,7 @@ mod tests {
                 usage(3, 0, &thrash),
             ],
         )[0]
-            .instructions;
+        .instructions;
         assert!(
             alone as f64 > shared as f64 * 1.2,
             "alone={alone} shared={shared}"
@@ -1369,7 +1375,10 @@ mod tests {
             ],
         );
         let snap = e.contention();
-        assert!(snap.imc_multiplier[0] > 1.0, "imc should be loaded: {snap:?}");
+        assert!(
+            snap.imc_multiplier[0] > 1.0,
+            "imc should be loaded: {snap:?}"
+        );
         assert_eq!(snap.imc_multiplier[1], 1.0);
     }
 

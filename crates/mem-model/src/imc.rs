@@ -7,7 +7,6 @@
 //! throttles throughput (accesses simply take longer than the quantum
 //! allows), which the engine realizes through the inflated latency.
 
-
 /// Queueing model of one node's memory controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImcModel {
@@ -39,7 +38,9 @@ impl ImcModel {
     /// round, inside the hottest loop of the simulator.
     #[inline]
     pub fn latency_multiplier(&self, demand_bytes_per_s: f64) -> f64 {
-        let u = self.utilization(demand_bytes_per_s).min(self.utilization_cap);
+        let u = self
+            .utilization(demand_bytes_per_s)
+            .min(self.utilization_cap);
         1.0 / (1.0 - u)
     }
 }

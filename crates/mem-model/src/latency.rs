@@ -4,7 +4,6 @@
 //! latency) plus the dynamic contention multipliers into the cycle cost of
 //! one LLC miss, the quantity the execution engine charges per miss.
 
-
 /// Static latency parameters for composing access costs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyParams {

@@ -110,9 +110,11 @@ impl LlcModel {
         scratch.saturated.resize(n, false);
         let saturated = &mut scratch.saturated;
         scratch.weight.clear();
-        scratch.weight.extend(demands.iter().map(|d| {
-            d.rpti * d.runtime_share * (d.curve.ws_bytes as f64).min(cap)
-        }));
+        scratch.weight.extend(
+            demands
+                .iter()
+                .map(|d| d.rpti * d.runtime_share * (d.curve.ws_bytes as f64).min(cap)),
+        );
         let weight = &scratch.weight;
         for _round in 0..n.max(1) {
             if active.is_empty() || remaining_cap <= 0.0 {

@@ -162,7 +162,9 @@ impl VmMemoryLayout {
             }
             AllocPolicy::Striped { chunk_bytes } => {
                 if chunk_bytes == 0 {
-                    return Err(SimError::InvalidConfig("stripe chunk must be nonzero".into()));
+                    return Err(SimError::InvalidConfig(
+                        "stripe chunk must be nonzero".into(),
+                    ));
                 }
                 let mut remaining = bytes;
                 let mut i = 0usize;
@@ -259,7 +261,10 @@ impl VmMemoryLayout {
     ///
     /// Used to compute where a thread's private slice landed.
     pub fn range_distribution(&self, start: u64, end: u64) -> Vec<f64> {
-        assert!(start <= end && end <= self.total_bytes, "range out of bounds");
+        assert!(
+            start <= end && end <= self.total_bytes,
+            "range out of bounds"
+        );
         let mut v = vec![0.0f64; self.num_nodes];
         if start == end {
             return v;
@@ -288,7 +293,10 @@ impl VmMemoryLayout {
     /// names as future work: the guest address space is untouched; only
     /// the machine frames behind it move.
     pub fn migrate_range(&mut self, start: u64, end: u64, to_node: NodeId, max_bytes: u64) -> u64 {
-        assert!(start <= end && end <= self.total_bytes, "range out of bounds");
+        assert!(
+            start <= end && end <= self.total_bytes,
+            "range out of bounds"
+        );
         assert!(to_node.index() < self.num_nodes, "target node out of range");
         if start == end || max_bytes == 0 {
             return 0;
@@ -432,21 +440,17 @@ mod tests {
     #[test]
     fn on_node_prefers_then_spills() {
         let mut free = NodeFree::new(vec![2 * GB, 12 * GB]);
-        let vm =
-            VmMemoryLayout::allocate(4 * GB, AllocPolicy::OnNode(NodeId::new(0)), &mut free)
-                .unwrap();
+        let vm = VmMemoryLayout::allocate(4 * GB, AllocPolicy::OnNode(NodeId::new(0)), &mut free)
+            .unwrap();
         assert_eq!(vm.node_bytes(), vec![2 * GB, 2 * GB]);
     }
 
     #[test]
     fn striped_interleaves() {
         let mut free = two_nodes_12gb();
-        let vm = VmMemoryLayout::allocate(
-            4 * GB,
-            AllocPolicy::Striped { chunk_bytes: GB },
-            &mut free,
-        )
-        .unwrap();
+        let vm =
+            VmMemoryLayout::allocate(4 * GB, AllocPolicy::Striped { chunk_bytes: GB }, &mut free)
+                .unwrap();
         assert_eq!(vm.node_bytes(), vec![2 * GB, 2 * GB]);
     }
 
@@ -482,8 +486,14 @@ mod tests {
         let vm = VmMemoryLayout::allocate(8 * GB, AllocPolicy::SplitEven, &mut free).unwrap();
         let t0 = vm.thread_access_distribution(0, 4, 0.0);
         let t3 = vm.thread_access_distribution(3, 4, 0.0);
-        assert!((t0[0] - 1.0).abs() < 1e-9, "thread 0 local to node0: {t0:?}");
-        assert!((t3[1] - 1.0).abs() < 1e-9, "thread 3 local to node1: {t3:?}");
+        assert!(
+            (t0[0] - 1.0).abs() < 1e-9,
+            "thread 0 local to node0: {t0:?}"
+        );
+        assert!(
+            (t3[1] - 1.0).abs() < 1e-9,
+            "thread 3 local to node1: {t3:?}"
+        );
     }
 
     #[test]
@@ -565,7 +575,10 @@ mod tests {
         let (start, end) = vm.thread_range(0, 4);
         vm.migrate_range(start, end, NodeId::new(1), u64::MAX);
         let after = vm.thread_access_distribution(0, 4, 0.0);
-        assert!((after[1] - 1.0).abs() < 1e-9, "thread 0 now node1-local: {after:?}");
+        assert!(
+            (after[1] - 1.0).abs() < 1e-9,
+            "thread 0 now node1-local: {after:?}"
+        );
     }
 
     #[test]
@@ -582,7 +595,6 @@ mod tests {
     }
 }
 
-
 #[cfg(test)]
 mod proptests {
     use super::*;
@@ -591,15 +603,20 @@ mod proptests {
     const MB: u64 = 1024 * 1024;
 
     fn arb_layout() -> impl Strategy<Value = VmMemoryLayout> {
-        (1u64..64, prop_oneof![
-            Just(AllocPolicy::MostFree),
-            Just(AllocPolicy::SplitEven),
-            Just(AllocPolicy::Striped { chunk_bytes: 64 * MB }),
-        ])
-        .prop_map(|(size_mb, policy)| {
-            let mut free = NodeFree::new(vec![512 * MB, 512 * MB]);
-            VmMemoryLayout::allocate(size_mb * 16 * MB, policy, &mut free).unwrap()
-        })
+        (
+            1u64..64,
+            prop_oneof![
+                Just(AllocPolicy::MostFree),
+                Just(AllocPolicy::SplitEven),
+                Just(AllocPolicy::Striped {
+                    chunk_bytes: 64 * MB
+                }),
+            ],
+        )
+            .prop_map(|(size_mb, policy)| {
+                let mut free = NodeFree::new(vec![512 * MB, 512 * MB]);
+                VmMemoryLayout::allocate(size_mb * 16 * MB, policy, &mut free).unwrap()
+            })
     }
 
     proptest! {

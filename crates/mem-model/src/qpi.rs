@@ -8,7 +8,6 @@
 //! factor the paper lists, and the reason Fig. 1's 80 %-remote workloads
 //! hurt twice.
 
-
 /// Queueing model of one direction of one interconnect link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QpiModel {
@@ -46,7 +45,9 @@ impl QpiModel {
     /// Inlined: evaluated once per node pair per fixed-point round.
     #[inline]
     pub fn latency_multiplier(&self, traffic_bytes_per_s: f64) -> f64 {
-        let u = self.utilization(traffic_bytes_per_s).min(self.utilization_cap);
+        let u = self
+            .utilization(traffic_bytes_per_s)
+            .min(self.utilization_cap);
         1.0 / (1.0 - u)
     }
 }

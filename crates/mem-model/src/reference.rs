@@ -164,7 +164,11 @@ impl ReferenceEngine {
     }
 
     /// Resolve one quantum (see [`crate::MemoryEngine::step`]).
-    pub fn step(&mut self, quantum: SimDuration, usages: &[QuantumUsage]) -> Vec<VcpuQuantumResult> {
+    pub fn step(
+        &mut self,
+        quantum: SimDuration,
+        usages: &[QuantumUsage],
+    ) -> Vec<VcpuQuantumResult> {
         self.step_ref(quantum, usages).to_vec()
     }
 
@@ -390,7 +394,9 @@ impl ReferenceEngine {
                 for b in 0..self.num_nodes {
                     let idx = a * self.num_nodes + b;
                     let target = match &self.qpi[idx] {
-                        Some(q) => q.latency_multiplier(scratch.pair_traffic_bytes[idx] / quantum_s),
+                        Some(q) => {
+                            q.latency_multiplier(scratch.pair_traffic_bytes[idx] / quantum_s)
+                        }
                         None => 1.0,
                     };
                     let before = qpi_mult[idx];
@@ -444,7 +450,11 @@ mod equiv_proptests {
     /// engine's two-node specialisation), a one-node and a four-node
     /// machine (its generic path).
     fn topologies() -> [Topology; 3] {
-        [presets::xeon_e5620(), presets::uma_quad(), presets::four_socket_32core()]
+        [
+            presets::xeon_e5620(),
+            presets::uma_quad(),
+            presets::four_socket_32core(),
+        ]
     }
 
     /// Default calibration with a fractional per-miss traffic. With the
@@ -500,16 +510,22 @@ mod equiv_proptests {
     }
 
     fn arb_slot() -> impl Strategy<Value = SlotSpec> {
-        (0usize..3, 0u16..4, 0.05f64..1.0, 0.5f64..1.6, 1.0f64..4.0, 0.0f64..300.0).prop_map(
-            |(prof, node, share, scale, boost, overhead)| SlotSpec {
+        (
+            0usize..3,
+            0u16..4,
+            0.05f64..1.0,
+            0.5f64..1.6,
+            1.0f64..4.0,
+            0.0f64..300.0,
+        )
+            .prop_map(|(prof, node, share, scale, boost, overhead)| SlotSpec {
                 prof,
                 node,
                 share,
                 scale,
                 boost,
                 overhead,
-            },
-        )
+            })
     }
 
     fn arb_stream() -> impl Strategy<Value = Vec<Vec<SlotSpec>>> {

@@ -88,7 +88,9 @@ impl TopologyBuilder {
         let mut pcpu_node = Vec::new();
         for (i, &(_, cores)) in self.nodes.iter().enumerate() {
             if cores == 0 {
-                return Err(SimError::InvalidTopology(format!("node {i} has zero cores")));
+                return Err(SimError::InvalidTopology(format!(
+                    "node {i} has zero cores"
+                )));
             }
             for _ in 0..cores {
                 pcpu_node.push(NodeId::from_index(i));

@@ -1,6 +1,5 @@
 //! Cache descriptions.
 
-
 /// Configuration of one cache level.
 ///
 /// The contention model only needs the shared LLC (size and line size); L1

@@ -44,9 +44,8 @@ impl DistanceMatrix {
     /// Whether every off-diagonal entry is strictly greater than the
     /// corresponding diagonal ones (sanity check for NUMA-ness).
     pub fn is_numa(&self) -> bool {
-        (0..self.n).any(|i| {
-            (0..self.n).any(|j| i != j && self.d[i * self.n + j] > self.d[i * self.n + i])
-        })
+        (0..self.n)
+            .any(|i| (0..self.n).any(|j| i != j && self.d[i * self.n + j] > self.d[i * self.n + i]))
     }
 }
 

@@ -130,7 +130,9 @@ impl Topology {
     /// construct exotic machines.
     pub fn validate(&self) -> Result<(), SimError> {
         if self.nodes.is_empty() {
-            return Err(SimError::InvalidTopology("machine has no NUMA nodes".into()));
+            return Err(SimError::InvalidTopology(
+                "machine has no NUMA nodes".into(),
+            ));
         }
         if self.pcpu_node.is_empty() {
             return Err(SimError::InvalidTopology("machine has no PCPUs".into()));
@@ -147,11 +149,15 @@ impl Topology {
         }
         for node in self.nodes() {
             if self.pcpus_of_node(node).is_empty() {
-                return Err(SimError::InvalidTopology(format!("node {node} has no PCPUs")));
+                return Err(SimError::InvalidTopology(format!(
+                    "node {node} has no PCPUs"
+                )));
             }
             let cfg = self.node_config(node);
             if cfg.mem_bytes == 0 {
-                return Err(SimError::InvalidTopology(format!("node {node} has no memory")));
+                return Err(SimError::InvalidTopology(format!(
+                    "node {node} has no memory"
+                )));
             }
             if cfg.llc.size_bytes == 0 {
                 return Err(SimError::InvalidTopology(format!("node {node} has no LLC")));

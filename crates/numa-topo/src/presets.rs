@@ -12,8 +12,7 @@ use crate::Topology;
 /// * one IMC per socket, 25.6 GB/s, 12 GB of DRAM per node
 /// * 2 QPI links at 5.86 GT/s
 pub fn xeon_e5620() -> Topology {
-    let base = TopologyBuilder::new(2_400)
-        .add_nodes(NodeConfig::e5620_node(), 4, 2);
+    let base = TopologyBuilder::new(2_400).add_nodes(NodeConfig::e5620_node(), 4, 2);
     // Table I lists two QPI links; model both so link contention is split
     // across them as on the real part (one link also carries I/O traffic,
     // which we fold into the same capacity).

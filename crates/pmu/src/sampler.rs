@@ -53,7 +53,14 @@ impl PeriodSampler {
         remote: u64,
         node_accesses: &[u64],
     ) {
-        self.pmus[vcpu].record(instructions, llc_refs, llc_misses, local, remote, node_accesses);
+        self.pmus[vcpu].record(
+            instructions,
+            llc_refs,
+            llc_misses,
+            local,
+            remote,
+            node_accesses,
+        );
     }
 
     /// If `now` has reached the period boundary, close every VCPU's window

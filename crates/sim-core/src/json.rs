@@ -546,8 +546,8 @@ impl<'a> Parser<'a> {
         if self.pos + 4 > self.bytes.len() {
             return Err("truncated \\u escape".into());
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|e| e.to_string())?;
+        let hex =
+            std::str::from_utf8(&self.bytes[self.pos..self.pos + 4]).map_err(|e| e.to_string())?;
         let v = u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape '{hex}'"))?;
         self.pos += 4;
         Ok(v)

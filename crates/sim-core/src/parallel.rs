@@ -191,8 +191,13 @@ mod tests {
 
     #[test]
     fn try_map_returns_first_error_by_index() {
-        let r: Result<Vec<u32>, String> =
-            parallel_try_map((0..16).collect(), |x| if x % 5 == 3 { Err(format!("e{x}")) } else { Ok(x) });
+        let r: Result<Vec<u32>, String> = parallel_try_map((0..16).collect(), |x| {
+            if x % 5 == 3 {
+                Err(format!("e{x}"))
+            } else {
+                Ok(x)
+            }
+        });
         assert_eq!(r.unwrap_err(), "e3");
         let ok: Result<Vec<u32>, String> = parallel_try_map((0..4).collect(), Ok);
         assert_eq!(ok.unwrap(), vec![0, 1, 2, 3]);

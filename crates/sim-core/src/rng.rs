@@ -488,7 +488,10 @@ mod tests {
         let mut a = SimRng::seed_from(1);
         let mut b = SimRng::seed_from(2);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert!(same < 4, "streams should be decorrelated, {same} collisions");
+        assert!(
+            same < 4,
+            "streams should be decorrelated, {same} collisions"
+        );
     }
 
     #[test]
@@ -659,7 +662,11 @@ mod tests {
             let mut words = [0u32; 16];
             c.block(counter.wrapping_add(blk), &mut words);
             let lane = blk as usize * 16;
-            assert_eq!(&c.buf[lane..lane + 16], &words, "block {blk} at counter {counter:#x}");
+            assert_eq!(
+                &c.buf[lane..lane + 16],
+                &words,
+                "block {blk} at counter {counter:#x}"
+            );
         }
         assert_eq!(c.counter, counter.wrapping_add(4));
     }

@@ -1,6 +1,5 @@
 //! Statistics containers for experiment measurement.
 
-
 /// A monotonically increasing event counter with window support.
 ///
 /// The PMU crate samples counters per period: [`Counter::window`] returns

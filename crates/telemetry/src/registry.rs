@@ -104,7 +104,13 @@ impl Registry {
     }
 
     /// Register a fixed-bucket histogram over `[lo, hi)`.
-    pub fn histogram(&mut self, name: &'static str, lo: f64, hi: f64, buckets: usize) -> HistogramId {
+    pub fn histogram(
+        &mut self,
+        name: &'static str,
+        lo: f64,
+        hi: f64,
+        buckets: usize,
+    ) -> HistogramId {
         debug_assert!(
             self.histograms.iter().all(|h| h.name != name),
             "duplicate histogram '{name}'"
@@ -167,7 +173,10 @@ impl Registry {
 
     /// Per-period delta series of a counter, by name.
     pub fn counter_series(&self, name: &str) -> Option<&TimeSeries> {
-        self.counters.iter().find(|c| c.name == name).map(|c| &c.series)
+        self.counters
+            .iter()
+            .find(|c| c.name == name)
+            .map(|c| &c.series)
     }
 
     /// Whole-run total of a counter, by name.
@@ -180,7 +189,10 @@ impl Registry {
 
     /// Final histogram of a metric, by name.
     pub fn histogram_by_name(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.iter().find(|h| h.name == name).map(|h| &h.hist)
+        self.histograms
+            .iter()
+            .find(|h| h.name == name)
+            .map(|h| &h.hist)
     }
 
     /// Close the current sampling period: push each counter's window delta,

@@ -208,7 +208,10 @@ mod tests {
             Some(Json::Arr(v)) => v.clone(),
             _ => panic!("counters array"),
         };
-        assert_eq!(counters[0].get("name").and_then(Json::as_str), Some("steals"));
+        assert_eq!(
+            counters[0].get("name").and_then(Json::as_str),
+            Some("steals")
+        );
         assert_eq!(counters[0].get("total").and_then(Json::as_u64), Some(7));
         let hists = match roll.get("histograms") {
             Some(Json::Arr(v)) => v.clone(),
@@ -249,7 +252,9 @@ mod tests {
         let roll = try_rollup(&[doc]).unwrap();
         assert_eq!(roll.get("hosts").and_then(Json::as_u64), Some(1));
         assert_eq!(
-            roll.get("counters").and_then(Json::as_array).map(<[Json]>::len),
+            roll.get("counters")
+                .and_then(Json::as_array)
+                .map(<[Json]>::len),
             Some(0)
         );
         assert_eq!(

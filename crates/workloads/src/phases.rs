@@ -52,7 +52,11 @@ impl PhasedWorkload {
             "phases must have nonzero duration"
         );
         let cycle = phases.iter().map(|p| p.duration).sum();
-        PhasedWorkload { base, phases, cycle }
+        PhasedWorkload {
+            base,
+            phases,
+            cycle,
+        }
     }
 
     /// A steady workload (single identity phase).

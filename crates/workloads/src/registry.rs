@@ -54,8 +54,18 @@ mod tests {
 
     #[test]
     fn lookup_finds_paper_workloads() {
-        for name in ["soplex", "libquantum", "mcf", "milc", "bt", "cg", "lu", "mg", "sp", "hungry"]
-        {
+        for name in [
+            "soplex",
+            "libquantum",
+            "mcf",
+            "milc",
+            "bt",
+            "cg",
+            "lu",
+            "mg",
+            "sp",
+            "hungry",
+        ] {
             assert!(by_name(name).is_ok(), "missing {name}");
         }
     }

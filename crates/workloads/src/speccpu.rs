@@ -218,7 +218,10 @@ mod tests {
         }
         assert!(lbm().solo_miss_rate(12 * MB) > 0.8, "lbm streams");
         assert!(gobmk().solo_miss_rate(12 * MB) < 0.05);
-        assert!(omnetpp().mlp < gcc().mlp + 1.0, "pointer chaser overlaps little");
+        assert!(
+            omnetpp().mlp < gcc().mlp + 1.0,
+            "pointer chaser overlaps little"
+        );
     }
 
     #[test]

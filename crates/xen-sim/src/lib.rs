@@ -32,14 +32,14 @@ pub mod vcpu;
 pub mod vm;
 
 pub use credit::CreditPolicy;
+pub use export::{to_chrome, to_jsonl, ChromeContext};
 pub use machine::{Machine, MachineBuilder, MachineConfig};
 pub use metrics::{FaultMetrics, RunMetrics, VmMetrics};
+pub use perf::{MachinePerf, PerfSnapshot};
 pub use policy::{
     AnalyzerView, DegradeReport, PageMigration, PartitionNote, PartitionPlan, PeriodFeedback,
     SchedPolicy, StealContext, VcpuAssignment, VcpuView,
 };
-pub use export::{to_chrome, to_jsonl, ChromeContext};
-pub use perf::{MachinePerf, PerfSnapshot};
 pub use provenance::{Decision, DecisionRecord, ProvenanceLog, StealCandidate};
 pub use sim_core::{FaultConfig, FaultInjector};
 pub use trace::{Event, FaultEvent, TraceLog};

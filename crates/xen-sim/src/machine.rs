@@ -217,9 +217,7 @@ impl MachineBuilder {
         // node owning at least one PCPU.
         for n in 0..self.topo.num_nodes() {
             if self.topo.pcpus_of_node(NodeId::from_index(n)).is_empty() {
-                return Err(SimError::InvalidConfig(format!(
-                    "node {n} has no PCPUs"
-                )));
+                return Err(SimError::InvalidConfig(format!("node {n} has no PCPUs")));
             }
         }
         self.cfg.faults.validate()?;
@@ -799,7 +797,10 @@ impl Machine {
                 if self.pcpus[p].current.is_some() {
                     let (uses_pmu, lock_cost) = *charge.get_or_insert_with(|| {
                         let runnable: usize = self.pcpus.iter().map(|x| x.workload()).sum();
-                        (self.policy.uses_pmu(), self.policy.tick_overhead_us(runnable))
+                        (
+                            self.policy.uses_pmu(),
+                            self.policy.tick_overhead_us(runnable),
+                        )
                     });
                     if uses_pmu {
                         let cost = self.overhead.charge_sample();
@@ -956,11 +957,21 @@ impl Machine {
                 self.telemetry.inc(self.tids.c_credit_boosts, 1);
             }
             if self.trace.is_enabled() {
-                self.trace
-                    .record(now, crate::trace::Event::IdlerWake { vcpu: vid, pcpu: target });
+                self.trace.record(
+                    now,
+                    crate::trace::Event::IdlerWake {
+                        vcpu: vid,
+                        pcpu: target,
+                    },
+                );
                 if boosted {
-                    self.trace
-                        .record(now, crate::trace::Event::CreditBoost { vcpu: vid, pcpu: target });
+                    self.trace.record(
+                        now,
+                        crate::trace::Event::CreditBoost {
+                            vcpu: vid,
+                            pcpu: target,
+                        },
+                    );
                 }
             }
             if self.provenance.is_enabled() {
@@ -1019,8 +1030,13 @@ impl Machine {
                 self.active_weight -= weight;
                 self.idler_wakes.push(Reverse((v.next_wake, cur.raw())));
                 if self.trace.is_enabled() {
-                    self.trace
-                        .record(self.clock.now(), crate::trace::Event::SwitchOut { vcpu: cur, pcpu: pid });
+                    self.trace.record(
+                        self.clock.now(),
+                        crate::trace::Event::SwitchOut {
+                            vcpu: cur,
+                            pcpu: pid,
+                        },
+                    );
                 }
             } else {
                 let vcpus = &self.vcpus;
@@ -1037,8 +1053,13 @@ impl Machine {
                 // Deschedule.
                 self.pcpus[pid.index()].current = None;
                 if self.trace.is_enabled() {
-                    self.trace
-                        .record(self.clock.now(), crate::trace::Event::SwitchOut { vcpu: cur, pcpu: pid });
+                    self.trace.record(
+                        self.clock.now(),
+                        crate::trace::Event::SwitchOut {
+                            vcpu: cur,
+                            pcpu: pid,
+                        },
+                    );
                 }
                 let vstate = &mut self.vcpus[cur.index()];
                 vstate.running_on = None;
@@ -1046,7 +1067,9 @@ impl Machine {
                     vstate.queued_on = Some(pid);
                     self.pcpus[pid.index()].queue.push(cur);
                 } else {
-                    let target = vstate.assigned_node.expect("not allowed implies assignment");
+                    let target = vstate
+                        .assigned_node
+                        .expect("not allowed implies assignment");
                     self.enqueue_on_node(cur, target);
                 }
             }
@@ -1274,8 +1297,10 @@ impl Machine {
         v.timeslice_left = self.timeslice_quanta;
         self.pcpus[pid.index()].current = Some(vcpu);
         if self.trace.is_enabled() {
-            self.trace
-                .record(self.clock.now(), crate::trace::Event::SwitchIn { vcpu, pcpu: pid });
+            self.trace.record(
+                self.clock.now(),
+                crate::trace::Event::SwitchIn { vcpu, pcpu: pid },
+            );
         }
     }
 
@@ -1458,8 +1483,7 @@ impl Machine {
                 remote as f64 / (local + remote) as f64
             };
             self.metrics.remote_ratio_series[vm.id.index()].push(now, ratio);
-            self.metrics.throughput_series[vm.id.index()]
-                .push(now, instr as f64 / period_s);
+            self.metrics.throughput_series[vm.id.index()].push(now, instr as f64 / period_s);
         }
 
         if self.policy.uses_pmu() {
@@ -1626,7 +1650,8 @@ impl Machine {
                 };
                 self.telemetry.inc(class, 1);
             }
-            self.telemetry.set_gauge(self.tids.g_active_vcpus, active as f64);
+            self.telemetry
+                .set_gauge(self.tids.g_active_vcpus, active as f64);
             self.telemetry.snapshot(now);
         }
     }
@@ -1663,8 +1688,10 @@ impl Machine {
             self.metrics.partition_moves += 1;
             self.telemetry.inc(self.tids.c_partition_moves, 1);
             if self.trace.is_enabled() {
-                self.trace
-                    .record(now, crate::trace::Event::PartitionMove { vcpu, node: target });
+                self.trace.record(
+                    now,
+                    crate::trace::Event::PartitionMove { vcpu, node: target },
+                );
             }
         }
         if self.policy.uses_pmu() {
@@ -1712,9 +1739,9 @@ impl Machine {
                 if self.trace.is_enabled() {
                     self.trace.record(
                         now,
-                        crate::trace::Event::Fault(
-                            crate::trace::FaultEvent::AffinityCorrupted { vcpu },
-                        ),
+                        crate::trace::Event::Fault(crate::trace::FaultEvent::AffinityCorrupted {
+                            vcpu,
+                        }),
                     );
                 }
             }
@@ -1737,7 +1764,11 @@ impl Machine {
         }
     }
 
-    fn apply_page_migrations(&mut self, now: SimTime, page_migrations: Vec<crate::policy::PageMigration>) {
+    fn apply_page_migrations(
+        &mut self,
+        now: SimTime,
+        page_migrations: Vec<crate::policy::PageMigration>,
+    ) {
         // §VI extension: page migrations requested by the policy. The copy
         // engine moves ~2 bytes/ns; its time is charged as overhead on the
         // PCPU where the migrated VCPU would run (the VM stalls on the
@@ -1801,9 +1832,27 @@ pub(crate) mod tests_helpers {
     pub fn basic_machine_pub() -> Machine {
         MachineBuilder::new(presets::xeon_e5620())
             .policy(Box::new(CreditPolicy::new()))
-            .add_vm(VmConfig::new("vm1", 8, 8 * GB, AllocPolicy::MostFree, vec![npb::lu()]))
-            .add_vm(VmConfig::new("vm2", 8, 5 * GB, AllocPolicy::MostFree, vec![npb::lu()]))
-            .add_vm(VmConfig::new("vm3", 8, GB, AllocPolicy::MostFree, vec![hungry::hungry_loop(); 8]))
+            .add_vm(VmConfig::new(
+                "vm1",
+                8,
+                8 * GB,
+                AllocPolicy::MostFree,
+                vec![npb::lu()],
+            ))
+            .add_vm(VmConfig::new(
+                "vm2",
+                8,
+                5 * GB,
+                AllocPolicy::MostFree,
+                vec![npb::lu()],
+            ))
+            .add_vm(VmConfig::new(
+                "vm3",
+                8,
+                GB,
+                AllocPolicy::MostFree,
+                vec![hungry::hungry_loop(); 8],
+            ))
             .build()
             .unwrap()
     }
@@ -1949,7 +1998,10 @@ mod tests {
         let mut m = basic_machine();
         m.run(SimDuration::from_secs(5));
         let vm1 = &m.metrics().per_vm[0];
-        assert!(vm1.remote_accesses > 0, "NUMA-oblivious credit must go remote");
+        assert!(
+            vm1.remote_accesses > 0,
+            "NUMA-oblivious credit must go remote"
+        );
         assert!(vm1.remote_ratio() > 0.2, "ratio={}", vm1.remote_ratio());
     }
 
@@ -1979,7 +2031,9 @@ mod tests {
         let mut m = basic_machine();
         m.run(SimDuration::from_secs(1));
         let vm1 = m.vm_id_by_name("vm1").unwrap();
-        let sum: u64 = (0..4).map(|i| m.vcpu_totals(VcpuId::new(i)).instructions).sum();
+        let sum: u64 = (0..4)
+            .map(|i| m.vcpu_totals(VcpuId::new(i)).instructions)
+            .sum();
         assert_eq!(sum, m.metrics().vm(vm1).instructions);
     }
 
@@ -2032,11 +2086,18 @@ mod debug_tests {
         let mut m = basic_machine_pub();
         m.run(sim_core::SimDuration::from_secs(10));
         let met = m.metrics();
-        eprintln!("migrations={} cross={} steals={} partition={}",
-            met.migrations, met.cross_node_migrations, met.steals, met.partition_moves);
+        eprintln!(
+            "migrations={} cross={} steals={} partition={}",
+            met.migrations, met.cross_node_migrations, met.steals, met.partition_moves
+        );
         for (i, vm) in met.per_vm.iter().enumerate() {
-            eprintln!("vm{i}: instr={} busy={}us remote_ratio={:.3} total_acc={}",
-                vm.instructions, vm.busy_us, vm.remote_ratio(), vm.total_accesses());
+            eprintln!(
+                "vm{i}: instr={} busy={}us remote_ratio={:.3} total_acc={}",
+                vm.instructions,
+                vm.busy_us,
+                vm.remote_ratio(),
+                vm.total_accesses()
+            );
         }
     }
 }
@@ -2058,14 +2119,19 @@ impl Machine {
     pub fn check_invariants(&self) -> Result<(), String> {
         for v in &self.vcpus {
             // A VCPU is in exactly one of: running, queued, blocked-idle.
-            let states =
-                u8::from(v.running_on.is_some()) + u8::from(v.queued_on.is_some()) + u8::from(v.blocked);
+            let states = u8::from(v.running_on.is_some())
+                + u8::from(v.queued_on.is_some())
+                + u8::from(v.blocked);
             if states != 1 {
                 return Err(format!("{} is in {} states at once", v.id, states));
             }
             if let Some(p) = v.running_on {
                 if self.pcpus[p.index()].current != Some(v.id) {
-                    return Err(format!("{} claims to run on {p} which runs {:?}", v.id, self.pcpus[p.index()].current));
+                    return Err(format!(
+                        "{} claims to run on {p} which runs {:?}",
+                        v.id,
+                        self.pcpus[p.index()].current
+                    ));
                 }
                 if !v.allowed_on(self.topo.node_of_pcpu(p)) {
                     return Err(format!("{} runs on {p} outside its pinned node", v.id));
@@ -2152,13 +2218,21 @@ mod feature_tests {
     #[test]
     fn weights_shift_cpu_shares() {
         let build = |w1: u32, w2: u32| {
-            let mut a = VmConfig::new("a", 4, 2 * GB, AllocPolicy::MostFree, vec![
-                speccpu::povray(); 4
-            ]);
+            let mut a = VmConfig::new(
+                "a",
+                4,
+                2 * GB,
+                AllocPolicy::MostFree,
+                vec![speccpu::povray(); 4],
+            );
             a.weight = w1;
-            let mut b = VmConfig::new("b", 4, 2 * GB, AllocPolicy::MostFree, vec![
-                speccpu::povray(); 4
-            ]);
+            let mut b = VmConfig::new(
+                "b",
+                4,
+                2 * GB,
+                AllocPolicy::MostFree,
+                vec![speccpu::povray(); 4],
+            );
             b.weight = w2;
             // 8 CPU-bound VCPUs on 4 PCPUs so weights can bite.
             let topo = crate::machine::tests_helpers::quad_topo();
@@ -2173,7 +2247,10 @@ mod feature_tests {
             met.per_vm[0].busy_us as f64 / met.per_vm[1].busy_us.max(1) as f64
         };
         let equal = build(256, 256);
-        assert!((0.8..1.25).contains(&equal), "equal weights ~equal: {equal}");
+        assert!(
+            (0.8..1.25).contains(&equal),
+            "equal weights ~equal: {equal}"
+        );
         let skewed = build(512, 256);
         assert!(
             skewed > equal * 1.2,
@@ -2245,7 +2322,10 @@ mod feature_tests {
             kinds.contains("placement") || kinds.contains("wake_placement"),
             "placement decisions present: {kinds:?}"
         );
-        assert!(kinds.contains("steal"), "steal decisions present: {kinds:?}");
+        assert!(
+            kinds.contains("steal"),
+            "steal decisions present: {kinds:?}"
+        );
         // Every JSONL line round-trips through the shared parser and
         // carries the common fields.
         let jsonl = probed.provenance_jsonl();
@@ -2328,7 +2408,10 @@ mod trace_and_serde_tests {
         let trace = m.trace();
         assert!(!trace.is_empty());
         let switches = trace.count(|e| matches!(e, Event::SwitchIn { .. }));
-        assert!(switches > 100, "expected plenty of context switches: {switches}");
+        assert!(
+            switches > 100,
+            "expected plenty of context switches: {switches}"
+        );
         // Steal events in the trace agree with the metric counter (modulo
         // ring eviction, which the capacity above prevents).
         assert_eq!(trace.dropped(), 0);
@@ -2478,8 +2561,20 @@ mod fault_tests {
         MachineBuilder::new(presets::xeon_e5620())
             .policy(super::vprobe_test_policy::pm_policy(false))
             .faults(FaultConfig::uniform(rate, fault_seed))
-            .add_vm(VmConfig::new("vm1", 8, 8 * GB, AllocPolicy::MostFree, vec![npb::lu()]))
-            .add_vm(VmConfig::new("vm2", 8, 5 * GB, AllocPolicy::MostFree, vec![npb::lu()]))
+            .add_vm(VmConfig::new(
+                "vm1",
+                8,
+                8 * GB,
+                AllocPolicy::MostFree,
+                vec![npb::lu()],
+            ))
+            .add_vm(VmConfig::new(
+                "vm2",
+                8,
+                5 * GB,
+                AllocPolicy::MostFree,
+                vec![npb::lu()],
+            ))
             .build()
             .unwrap()
     }
@@ -2492,7 +2587,13 @@ mod fault_tests {
                 sample_loss: 2.0,
                 ..FaultConfig::none()
             })
-            .add_vm(VmConfig::new("vm1", 8, GB, AllocPolicy::MostFree, vec![npb::lu()]))
+            .add_vm(VmConfig::new(
+                "vm1",
+                8,
+                GB,
+                AllocPolicy::MostFree,
+                vec![npb::lu()],
+            ))
             .build();
         let Err(err) = err else {
             panic!("expected an invalid-fault-config error")
@@ -2505,7 +2606,13 @@ mod fault_tests {
         let err = MachineBuilder::new(presets::xeon_e5620())
             .policy(Box::new(CreditPolicy::new()))
             .sample_period(SimDuration::ZERO)
-            .add_vm(VmConfig::new("vm1", 8, GB, AllocPolicy::MostFree, vec![npb::lu()]))
+            .add_vm(VmConfig::new(
+                "vm1",
+                8,
+                GB,
+                AllocPolicy::MostFree,
+                vec![npb::lu()],
+            ))
             .build();
         let Err(err) = err else {
             panic!("expected a zero-sample-period error")
@@ -2559,7 +2666,13 @@ mod fault_tests {
             let mut m = MachineBuilder::new(presets::xeon_e5620())
                 .policy(Box::new(CreditPolicy::new()))
                 .faults(faults)
-                .add_vm(VmConfig::new("vm1", 8, GB, AllocPolicy::MostFree, vec![npb::lu()]))
+                .add_vm(VmConfig::new(
+                    "vm1",
+                    8,
+                    GB,
+                    AllocPolicy::MostFree,
+                    vec![npb::lu()],
+                ))
                 .build()
                 .unwrap();
             m.run(SimDuration::from_secs(3));

@@ -254,7 +254,13 @@ impl RunMetrics {
             .enumerate()
         {
             for (&(t, r), &(_, ips)) in rr.points().iter().zip(tp.points()) {
-                out.push_str(&format!("{:.3},{},{:.4},{:.4e}\n", t.as_secs_f64(), vm, r, ips));
+                out.push_str(&format!(
+                    "{:.3},{},{:.4},{:.4e}\n",
+                    t.as_secs_f64(),
+                    vm,
+                    r,
+                    ips
+                ));
             }
         }
         out
@@ -305,7 +311,10 @@ impl RunMetrics {
                 "steal_attempts_empty".into(),
                 Json::from(self.steal_attempts_empty),
             ),
-            ("steals_per_vm".into(), Json::from(self.steals_per_vm.clone())),
+            (
+                "steals_per_vm".into(),
+                Json::from(self.steals_per_vm.clone()),
+            ),
             ("idle_steals".into(), Json::from(self.idle_steals)),
             ("partition_moves".into(), Json::from(self.partition_moves)),
             ("page_migrations".into(), Json::from(self.page_migrations)),

@@ -117,7 +117,10 @@ mod tests {
         s.machine.plain_step();
         let json = s.to_json().to_string();
         assert_eq!(json, s.to_json().to_string());
-        assert!(json.starts_with("{\"hosts\":1,\"engine\":{\"steps\":0"), "{json}");
+        assert!(
+            json.starts_with("{\"hosts\":1,\"engine\":{\"steps\":0"),
+            "{json}"
+        );
         assert!(!json.contains("batches"), "{json}");
         assert!(!json.contains("horizon"), "{json}");
     }

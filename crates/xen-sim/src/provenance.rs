@@ -489,7 +489,9 @@ mod tests {
             "{\"t_us\":10000,\"seq\":0,\"kind\":\"steal\",\"rule\":\"local-heaviest-min-pressure\""
         ));
         assert!(lines[0].contains("\"prio\":\"under\""));
-        assert!(lines[1].contains("\"candidates\":[{\"node\":0,\"load\":4},{\"node\":1,\"load\":2}]"));
+        assert!(
+            lines[1].contains("\"candidates\":[{\"node\":0,\"load\":4},{\"node\":1,\"load\":2}]")
+        );
         assert!(lines[2].contains("\"num_candidates\":4"));
         assert!(lines[3].contains("\"fallback\":true"));
     }

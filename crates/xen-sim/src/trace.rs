@@ -200,7 +200,11 @@ impl TraceLog {
                 }
                 Event::Degrade { fallback } => format!(
                     "{t} degrade    {}",
-                    if *fallback { "enter fallback" } else { "recover" }
+                    if *fallback {
+                        "enter fallback"
+                    } else {
+                        "recover"
+                    }
                 ),
                 Event::Fault(f) => format!("{t} fault      {}", f.kind()),
             })

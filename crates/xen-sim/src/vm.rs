@@ -83,10 +83,16 @@ impl VmConfig {
 
     pub fn validate(&self) -> Result<(), SimError> {
         if self.vcpus == 0 {
-            return Err(SimError::InvalidConfig(format!("{}: zero VCPUs", self.name)));
+            return Err(SimError::InvalidConfig(format!(
+                "{}: zero VCPUs",
+                self.name
+            )));
         }
         if self.mem_bytes == 0 {
-            return Err(SimError::InvalidConfig(format!("{}: zero memory", self.name)));
+            return Err(SimError::InvalidConfig(format!(
+                "{}: zero memory",
+                self.name
+            )));
         }
         let threads = self.total_threads();
         if threads == 0 {
@@ -110,7 +116,10 @@ impl VmConfig {
             }
         }
         if self.weight == 0 {
-            return Err(SimError::InvalidConfig(format!("{}: zero weight", self.name)));
+            return Err(SimError::InvalidConfig(format!(
+                "{}: zero weight",
+                self.name
+            )));
         }
         Ok(())
     }
@@ -276,7 +285,12 @@ impl VmRuntime {
     /// `vm_idx`'s current thread to `to_node`; returns bytes moved.
     /// Refreshes every thread's access distribution (extents changed for
     /// the whole VM).
-    pub fn migrate_thread_pages(&mut self, vm_idx: usize, to_node: numa_topo::NodeId, max_bytes: u64) -> u64 {
+    pub fn migrate_thread_pages(
+        &mut self,
+        vm_idx: usize,
+        to_node: numa_topo::NodeId,
+        max_bytes: u64,
+    ) -> u64 {
         let n = self.threads.len();
         assert!(vm_idx < n, "slot {vm_idx} is not a worker slot");
         let thread = self.slot_thread[vm_idx];
@@ -425,13 +439,7 @@ mod phase_tests {
 
     #[test]
     fn phase_period_makes_behaviour_time_varying() {
-        let mut cfg = VmConfig::new(
-            "phased",
-            4,
-            4 * GB,
-            AllocPolicy::MostFree,
-            vec![npb::lu()],
-        );
+        let mut cfg = VmConfig::new("phased", 4, 4 * GB, AllocPolicy::MostFree, vec![npb::lu()]);
         cfg.phase_period = Some(SimDuration::from_secs(2));
         let mut free = NodeFree::new(vec![12 * GB, 12 * GB]);
         let vm = VmRuntime::create(VmId::new(0), &cfg, &mut free, 0).unwrap();
@@ -439,7 +447,12 @@ mod phase_tests {
         let t1 = SimTime::ZERO + SimDuration::from_millis(1_500);
         let heavy = vm.threads[0].spec_at(t0);
         let light = vm.threads[0].spec_at(t1);
-        assert!(heavy.rpti > light.rpti * 2.0, "{} vs {}", heavy.rpti, light.rpti);
+        assert!(
+            heavy.rpti > light.rpti * 2.0,
+            "{} vs {}",
+            heavy.rpti,
+            light.rpti
+        );
     }
 
     #[test]

@@ -23,10 +23,22 @@ fn main() {
         ..RunOptions::default()
     };
 
-    println!("{}", fig1_remote_ratio::render(&fig1_remote_ratio::run(&opts).unwrap()).to_text());
-    println!("{}", fig3_bounds::render(&fig3_bounds::run(&opts).unwrap()).to_text());
-    println!("{}", fig4_spec::render(&fig4_spec::run(&opts).unwrap(), "Fig. 4").to_text());
-    println!("{}", fig5_npb::render(&fig5_npb::run(&opts).unwrap()).to_text());
+    println!(
+        "{}",
+        fig1_remote_ratio::render(&fig1_remote_ratio::run(&opts).unwrap()).to_text()
+    );
+    println!(
+        "{}",
+        fig3_bounds::render(&fig3_bounds::run(&opts).unwrap()).to_text()
+    );
+    println!(
+        "{}",
+        fig4_spec::render(&fig4_spec::run(&opts).unwrap(), "Fig. 4").to_text()
+    );
+    println!(
+        "{}",
+        fig5_npb::render(&fig5_npb::run(&opts).unwrap()).to_text()
+    );
     println!(
         "{}",
         fig6_memcached::render(&fig6_memcached::run_levels(&[16, 64, 112], &opts).unwrap())
@@ -37,7 +49,10 @@ fn main() {
         fig7_redis::render(&fig7_redis::run_levels(&[2_000, 6_000, 10_000], &opts).unwrap())
             .to_text()
     );
-    println!("{}", table3_overhead::render(&table3_overhead::run(&opts).unwrap()).to_text());
+    println!(
+        "{}",
+        table3_overhead::render(&table3_overhead::run(&opts).unwrap()).to_text()
+    );
     println!(
         "{}",
         fig8_period::render(&fig8_period::run_periods(&[0.1, 0.5, 1.0, 2.0, 10.0], &opts).unwrap())

@@ -45,7 +45,15 @@ fn main() {
     }
 
     let steals = trace.count(|e| matches!(e, Event::Steal { .. }));
-    let cross = trace.count(|e| matches!(e, Event::Steal { cross_node: true, .. }));
+    let cross = trace.count(|e| {
+        matches!(
+            e,
+            Event::Steal {
+                cross_node: true,
+                ..
+            }
+        )
+    });
     let moves = trace.count(|e| matches!(e, Event::PartitionMove { .. }));
     let switches = trace.count(|e| matches!(e, Event::SwitchIn { .. }));
     println!("\n5 simulated seconds under vProbe:");

@@ -26,8 +26,16 @@ fn all_five_schedulers_run_to_completion() {
     .unwrap();
     assert_eq!(runs.len(), ALL_SCHEDULERS.len());
     for r in &runs {
-        assert!(r.instr_rate > 0.0, "{} made no progress", r.scheduler.name());
-        assert!(r.total_accesses > 0, "{} accessed no memory", r.scheduler.name());
+        assert!(
+            r.instr_rate > 0.0,
+            "{} made no progress",
+            r.scheduler.name()
+        );
+        assert!(
+            r.total_accesses > 0,
+            "{} accessed no memory",
+            r.scheduler.name()
+        );
     }
 }
 
