@@ -109,6 +109,7 @@ mod tests {
     use super::*;
     use crate::scenario::Scenario;
     use sim_core::SimDuration;
+    use xen_sim::Event;
 
     fn quick_scenario(scheduler: &str, fault_rate: f64) -> Machine {
         quick_scenario_secs(scheduler, fault_rate, 3)
@@ -158,14 +159,50 @@ mod tests {
     #[test]
     fn faulty_vprobe_gd_run_is_auditable() {
         let m = quick_scenario("vprobe-gd", 0.2);
-        let injected = m.metrics().faults.injected();
+        let (met, trace) = (m.metrics(), m.trace());
+        let counter = |name: &str| m.telemetry().counter_total_by_name(name).unwrap();
+        assert_eq!(trace.dropped(), 0, "capacity must hold the full run");
+        let injected = met.faults.injected();
         assert!(injected > 0, "fault rate 0.2 must inject");
-        assert_eq!(
-            m.telemetry().counter_total_by_name("faults_injected"),
-            Some(injected)
-        );
-        let traced = m.trace().count(|e| matches!(e, xen_sim::Event::Fault(_)));
-        assert_eq!(traced as u64, injected);
+        assert_eq!(counter("faults_injected"), injected);
+        let faults = trace.count(|e| matches!(e, Event::Fault(_)));
+        assert_eq!(faults as u64, injected);
+        // Each fault kind's traced count is its FaultMetrics field, and
+        // the run reaches every kind.
+        let f = &met.faults;
+        for (kind, field) in [
+            ("sample_lost", f.samples_lost),
+            ("counter_noise", f.counters_noised),
+            ("affinity_corrupted", f.affinity_corruptions),
+            ("migration_failed", f.migrations_failed),
+            ("migration_delayed", f.migrations_delayed),
+            ("steal_failed", f.steals_failed),
+            ("pcpu_stall", f.pcpu_stalls),
+            ("node_throttled", f.node_throttled_periods),
+        ] {
+            let n = trace.count(|e| matches!(e, Event::Fault(fe) if fe.kind() == kind));
+            assert_eq!((n as u64, field > 0), (field, true), "{kind}");
+        }
+        // Each event counter agrees with the trace, and with RunMetrics.
+        let kind_of = |e: &Event| match e {
+            Event::Steal { cross_node, .. } if *cross_node => "steals_remote",
+            Event::PartitionMove { .. } => "partition_moves",
+            Event::IdlerWake { .. } => "idler_wakes",
+            Event::CreditBoost { .. } => "credit_boosts",
+            _ => "",
+        };
+        for name in [
+            "steals_remote",
+            "partition_moves",
+            "idler_wakes",
+            "credit_boosts",
+        ] {
+            let n = trace.count(|e| kind_of(e) == name) as u64;
+            assert_eq!((counter(name), n > 0), (n, true), "{name}");
+        }
+        let steals = counter("steals_local") + counter("steals_remote");
+        assert_eq!(steals, met.steals);
+        assert_eq!(counter("partition_moves"), met.partition_moves);
         let report = analysis_report(&m);
         assert!(report.contains("faults:"), "{report}");
     }

@@ -19,6 +19,7 @@
 use crate::metrics::RunMetrics;
 use crate::pcpu::PcpuState;
 use crate::policy::{AnalyzerView, PeriodFeedback, SchedPolicy, StealContext, VcpuView};
+use crate::trace::{Event, FaultEvent};
 use crate::vcpu::{Priority, VcpuKind, VcpuState};
 use crate::vm::{VmConfig, VmRuntime};
 use mem_model::{AnyEngine, EngineSelect, NodeFree, QuantumUsage};
@@ -487,6 +488,50 @@ impl Machine {
         }
     }
 
+    /// The machine's one recording path for scheduling events. Appends `e`
+    /// to the trace, bumps the telemetry counter its kind maps to (both
+    /// no-ops while their sink is off) and, for an injected fault, the
+    /// matching [`FaultMetrics`](crate::metrics::FaultMetrics) field —
+    /// always, since those are ground-truth run metrics.
+    #[inline]
+    fn emit(&mut self, t: SimTime, e: Event) {
+        let counter = match &e {
+            Event::Steal {
+                cross_node: true, ..
+            } => Some(self.tids.c_steals_remote),
+            Event::Steal {
+                cross_node: false, ..
+            } => Some(self.tids.c_steals_local),
+            Event::PartitionMove { .. } => Some(self.tids.c_partition_moves),
+            Event::IdlerWake { .. } => Some(self.tids.c_idler_wakes),
+            Event::CreditBoost { .. } => Some(self.tids.c_credit_boosts),
+            Event::Degrade { fallback: true } => Some(self.tids.c_degrade_enter),
+            Event::Degrade { fallback: false } => Some(self.tids.c_degrade_recover),
+            Event::Fault(f) => {
+                let faults = &mut self.metrics.faults;
+                *match f {
+                    FaultEvent::SampleLost { .. } => &mut faults.samples_lost,
+                    FaultEvent::CounterNoise { .. } => &mut faults.counters_noised,
+                    FaultEvent::AffinityCorrupted { .. } => &mut faults.affinity_corruptions,
+                    FaultEvent::MigrationFailed { .. } => &mut faults.migrations_failed,
+                    FaultEvent::MigrationDelayed { .. } => &mut faults.migrations_delayed,
+                    FaultEvent::StealFailed { .. } => &mut faults.steals_failed,
+                    FaultEvent::PcpuStall { .. } => &mut faults.pcpu_stalls,
+                    FaultEvent::NodeThrottled { .. } => &mut faults.node_throttled_periods,
+                } += 1;
+                Some(self.tids.c_faults)
+            }
+            Event::SwitchIn { .. }
+            | Event::SwitchOut { .. }
+            | Event::SamplePeriod { .. }
+            | Event::PageMigration { .. } => None,
+        };
+        if let Some(id) = counter {
+            self.telemetry.inc(id, 1);
+        }
+        self.trace.record(t, e);
+    }
+
     pub fn topology(&self) -> &Topology {
         &self.topo
     }
@@ -727,17 +772,13 @@ impl Machine {
                 self.metrics.faults.stalled_quanta += 1;
             } else if let Some(quanta) = self.injector.pcpu_stall() {
                 self.pcpus[p].stall_left = quanta;
-                self.metrics.faults.pcpu_stalls += 1;
-                self.telemetry.inc(self.tids.c_faults, 1);
-                if self.trace.is_enabled() {
-                    self.trace.record(
-                        now,
-                        crate::trace::Event::Fault(crate::trace::FaultEvent::PcpuStall {
-                            pcpu: PcpuId::from_index(p),
-                            quanta: u64::from(quanta),
-                        }),
-                    );
-                }
+                self.emit(
+                    now,
+                    Event::Fault(FaultEvent::PcpuStall {
+                        pcpu: PcpuId::from_index(p),
+                        quanta: u64::from(quanta),
+                    }),
+                );
             }
         }
         if !self.delayed_moves.is_empty() {
@@ -936,7 +977,7 @@ impl Machine {
         fired.sort_unstable();
         for i in fired {
             debug_assert!(self.vcpus[i].blocked && self.vcpus[i].next_wake <= now);
-            let target = self
+            let pcpu = self
                 .pcpus
                 .iter()
                 .filter(|p| self.vcpus[i].allowed_on(p.node))
@@ -947,32 +988,14 @@ impl Machine {
             v.blocked = false;
             v.burst_left = 1;
             v.priority = v.wake_priority();
-            v.queued_on = Some(target);
-            let vid = v.id;
+            v.queued_on = Some(pcpu);
+            let vcpu = v.id;
             let boosted = v.priority == Priority::Boost;
             self.active_weight += self.vms[v.vm.index()].weight as u64;
-            self.pcpus[target.index()].queue.push(vid);
-            self.telemetry.inc(self.tids.c_idler_wakes, 1);
+            self.pcpus[pcpu.index()].queue.push(vcpu);
+            self.emit(now, Event::IdlerWake { vcpu, pcpu });
             if boosted {
-                self.telemetry.inc(self.tids.c_credit_boosts, 1);
-            }
-            if self.trace.is_enabled() {
-                self.trace.record(
-                    now,
-                    crate::trace::Event::IdlerWake {
-                        vcpu: vid,
-                        pcpu: target,
-                    },
-                );
-                if boosted {
-                    self.trace.record(
-                        now,
-                        crate::trace::Event::CreditBoost {
-                            vcpu: vid,
-                            pcpu: target,
-                        },
-                    );
-                }
+                self.emit(now, Event::CreditBoost { vcpu, pcpu });
             }
             if self.provenance.is_enabled() {
                 let num_candidates = self
@@ -984,8 +1007,8 @@ impl Machine {
                     now,
                     "first-idle-least-loaded",
                     crate::provenance::Decision::WakePlacement {
-                        vcpu: vid,
-                        chosen: target,
+                        vcpu,
+                        chosen: pcpu,
                         num_candidates,
                     },
                 );
@@ -1029,15 +1052,6 @@ impl Machine {
                 v.next_wake = self.clock.now() + period;
                 self.active_weight -= weight;
                 self.idler_wakes.push(Reverse((v.next_wake, cur.raw())));
-                if self.trace.is_enabled() {
-                    self.trace.record(
-                        self.clock.now(),
-                        crate::trace::Event::SwitchOut {
-                            vcpu: cur,
-                            pcpu: pid,
-                        },
-                    );
-                }
             } else {
                 let vcpus = &self.vcpus;
                 let v = &vcpus[cur.index()];
@@ -1052,15 +1066,6 @@ impl Machine {
                 }
                 // Deschedule.
                 self.pcpus[pid.index()].current = None;
-                if self.trace.is_enabled() {
-                    self.trace.record(
-                        self.clock.now(),
-                        crate::trace::Event::SwitchOut {
-                            vcpu: cur,
-                            pcpu: pid,
-                        },
-                    );
-                }
                 let vstate = &mut self.vcpus[cur.index()];
                 vstate.running_on = None;
                 if vstate.allowed_on(node) {
@@ -1073,6 +1078,14 @@ impl Machine {
                     self.enqueue_on_node(cur, target);
                 }
             }
+            // Either way, `cur` has left the PCPU.
+            self.emit(
+                self.clock.now(),
+                Event::SwitchOut {
+                    vcpu: cur,
+                    pcpu: pid,
+                },
+            );
         }
 
         // Pick next: prefer own BOOST/UNDER work; steal when the best the
@@ -1095,16 +1108,10 @@ impl Machine {
                 // the victim's queue lock and gives up (Xen retries at the
                 // next balance trigger, and so do we).
                 if self.faults_enabled && self.injector.steal_failed() {
-                    self.metrics.faults.steals_failed += 1;
-                    self.telemetry.inc(self.tids.c_faults, 1);
-                    if self.trace.is_enabled() {
-                        self.trace.record(
-                            self.clock.now(),
-                            crate::trace::Event::Fault(crate::trace::FaultEvent::StealFailed {
-                                thief: pid,
-                            }),
-                        );
-                    }
+                    self.emit(
+                        self.clock.now(),
+                        Event::Fault(FaultEvent::StealFailed { thief: pid }),
+                    );
                 } else {
                     self.perform_steal(pid, victim, vcpu, head.is_none());
                     return;
@@ -1134,32 +1141,21 @@ impl Machine {
         }
         let victim_node = self.pcpus[victim.index()].node;
         let thief_node = self.pcpus[pid.index()].node;
-        let cross = victim_node != thief_node;
-        self.telemetry.inc(
-            if cross {
-                self.tids.c_steals_remote
-            } else {
-                self.tids.c_steals_local
-            },
-            1,
-        );
         // "Steal latency" as NUMA distance victim → thief: the cost proxy
         // for how far the stolen VCPU's cache state has to travel.
         self.telemetry.observe(
             self.tids.h_steal_latency,
             self.topo.distance().get(victim_node, thief_node) as f64,
         );
-        if self.trace.is_enabled() {
-            self.trace.record(
-                self.clock.now(),
-                crate::trace::Event::Steal {
-                    thief: pid,
-                    victim,
-                    vcpu,
-                    cross_node: cross,
-                },
-            );
-        }
+        self.emit(
+            self.clock.now(),
+            Event::Steal {
+                thief: pid,
+                victim,
+                vcpu,
+                cross_node: victim_node != thief_node,
+            },
+        );
         self.switch_in(pid, vcpu);
     }
 
@@ -1296,12 +1292,7 @@ impl Machine {
         v.last_pcpu = Some(pid);
         v.timeslice_left = self.timeslice_quanta;
         self.pcpus[pid.index()].current = Some(vcpu);
-        if self.trace.is_enabled() {
-            self.trace.record(
-                self.clock.now(),
-                crate::trace::Event::SwitchIn { vcpu, pcpu: pid },
-            );
-        }
+        self.emit(self.clock.now(), Event::SwitchIn { vcpu, pcpu: pid });
     }
 
     /// Queue a VCPU on a uniformly random PCPU of `node`.
@@ -1456,14 +1447,12 @@ impl Machine {
         if self.faults_enabled {
             self.inject_sample_faults(now, &mut samples);
         }
-        if self.trace.is_enabled() {
-            self.trace.record(
-                now,
-                crate::trace::Event::SamplePeriod {
-                    periods: self.sampler.periods_completed(),
-                },
-            );
-        }
+        self.emit(
+            now,
+            Event::SamplePeriod {
+                periods: self.sampler.periods_completed(),
+            },
+        );
         // Refresh the machine-cached per-VCPU pressures (Eq. 2).
         for (v, s) in samples.iter().enumerate() {
             self.pressure[v] = s.llc_access_pressure(1_000.0);
@@ -1521,11 +1510,7 @@ impl Machine {
         self.metrics.faults.migration_retries += u64::from(report.migration_retries);
         // Edge-detect degrade-mode transitions for the trace and counters.
         if report.fallback_entered {
-            self.telemetry.inc(self.tids.c_degrade_enter, 1);
-            if self.trace.is_enabled() {
-                self.trace
-                    .record(now, crate::trace::Event::Degrade { fallback: true });
-            }
+            self.emit(now, Event::Degrade { fallback: true });
             if self.provenance.is_enabled() {
                 self.provenance.record(
                     now,
@@ -1535,11 +1520,7 @@ impl Machine {
             }
         }
         if self.was_fallback && !report.fallback_active {
-            self.telemetry.inc(self.tids.c_degrade_recover, 1);
-            if self.trace.is_enabled() {
-                self.trace
-                    .record(now, crate::trace::Event::Degrade { fallback: false });
-            }
+            self.emit(now, Event::Degrade { fallback: false });
             if self.provenance.is_enabled() {
                 self.provenance.record(
                     now,
@@ -1580,39 +1561,27 @@ impl Machine {
             if self.faults_enabled {
                 match self.injector.migration_fault() {
                     MigrationFault::Failed => {
-                        self.metrics.faults.migrations_failed += 1;
                         self.failed_migrations.push((a.vcpu, target));
-                        self.telemetry.inc(self.tids.c_faults, 1);
-                        if self.trace.is_enabled() {
-                            self.trace.record(
-                                now,
-                                crate::trace::Event::Fault(
-                                    crate::trace::FaultEvent::MigrationFailed {
-                                        vcpu: a.vcpu,
-                                        node: target,
-                                    },
-                                ),
-                            );
-                        }
+                        self.emit(
+                            now,
+                            Event::Fault(FaultEvent::MigrationFailed {
+                                vcpu: a.vcpu,
+                                node: target,
+                            }),
+                        );
                         continue;
                     }
                     MigrationFault::Delayed(quanta) => {
-                        self.metrics.faults.migrations_delayed += 1;
                         let due = now + self.cfg.quantum * u64::from(quanta);
                         self.delayed_moves.push((due, a.vcpu, target));
-                        self.telemetry.inc(self.tids.c_faults, 1);
-                        if self.trace.is_enabled() {
-                            self.trace.record(
-                                now,
-                                crate::trace::Event::Fault(
-                                    crate::trace::FaultEvent::MigrationDelayed {
-                                        vcpu: a.vcpu,
-                                        node: target,
-                                        quanta: u64::from(quanta),
-                                    },
-                                ),
-                            );
-                        }
+                        self.emit(
+                            now,
+                            Event::Fault(FaultEvent::MigrationDelayed {
+                                vcpu: a.vcpu,
+                                node: target,
+                                quanta: u64::from(quanta),
+                            }),
+                        );
                         continue;
                     }
                     MigrationFault::None => {}
@@ -1675,10 +1644,7 @@ impl Machine {
         if let Some(pid) = self.vcpus[idx].running_on {
             self.pcpus[pid.index()].current = None;
             self.vcpus[idx].running_on = None;
-            if self.trace.is_enabled() {
-                self.trace
-                    .record(now, crate::trace::Event::SwitchOut { vcpu, pcpu: pid });
-            }
+            self.emit(now, Event::SwitchOut { vcpu, pcpu: pid });
         } else if let Some(pid) = self.vcpus[idx].queued_on {
             self.pcpus[pid.index()].queue.remove(vcpu);
             self.vcpus[idx].queued_on = None;
@@ -1686,13 +1652,7 @@ impl Machine {
         self.enqueue_on_node(vcpu, target);
         if was_cross {
             self.metrics.partition_moves += 1;
-            self.telemetry.inc(self.tids.c_partition_moves, 1);
-            if self.trace.is_enabled() {
-                self.trace.record(
-                    now,
-                    crate::trace::Event::PartitionMove { vcpu, node: target },
-                );
-            }
+            self.emit(now, Event::PartitionMove { vcpu, node: target });
         }
         if self.policy.uses_pmu() {
             let cost = self.overhead.charge_migration();
@@ -1709,57 +1669,30 @@ impl Machine {
             if self.injector.sample_lost() {
                 *s = PmuSample::zeroed(num_nodes);
                 self.sample_validity[i] = 0.0;
-                self.metrics.faults.samples_lost += 1;
-                self.telemetry.inc(self.tids.c_faults, 1);
-                if self.trace.is_enabled() {
-                    self.trace.record(
-                        now,
-                        crate::trace::Event::Fault(crate::trace::FaultEvent::SampleLost { vcpu }),
-                    );
-                }
+                self.emit(now, Event::Fault(FaultEvent::SampleLost { vcpu }));
                 continue;
             }
             self.sample_validity[i] = 1.0;
             if let Some(f) = self.injector.multiplex_factor() {
                 s.scale_llc(f);
-                self.metrics.faults.counters_noised += 1;
-                self.telemetry.inc(self.tids.c_faults, 1);
-                if self.trace.is_enabled() {
-                    self.trace.record(
-                        now,
-                        crate::trace::Event::Fault(crate::trace::FaultEvent::CounterNoise { vcpu }),
-                    );
-                }
+                self.emit(now, Event::Fault(FaultEvent::CounterNoise { vcpu }));
             }
             if self.injector.affinity_corrupted() {
                 let k = self.injector.affinity_rotation(num_nodes);
                 s.rotate_node_accesses(k);
-                self.metrics.faults.affinity_corruptions += 1;
-                self.telemetry.inc(self.tids.c_faults, 1);
-                if self.trace.is_enabled() {
-                    self.trace.record(
-                        now,
-                        crate::trace::Event::Fault(crate::trace::FaultEvent::AffinityCorrupted {
-                            vcpu,
-                        }),
-                    );
-                }
+                self.emit(now, Event::Fault(FaultEvent::AffinityCorrupted { vcpu }));
             }
         }
         for n in 0..num_nodes {
             let throttled = self.injector.node_throttled();
             self.node_throttled[n] = throttled;
-            self.metrics.faults.node_throttled_periods += u64::from(throttled);
             if throttled {
-                self.telemetry.inc(self.tids.c_faults, 1);
-                if self.trace.is_enabled() {
-                    self.trace.record(
-                        now,
-                        crate::trace::Event::Fault(crate::trace::FaultEvent::NodeThrottled {
-                            node: NodeId::from_index(n),
-                        }),
-                    );
-                }
+                self.emit(
+                    now,
+                    Event::Fault(FaultEvent::NodeThrottled {
+                        node: NodeId::from_index(n),
+                    }),
+                );
             }
         }
     }
@@ -1785,16 +1718,14 @@ impl Machine {
                 self.metrics.page_migrations += 1;
                 self.metrics.page_migration_bytes += moved;
                 self.pcpus[charged_pcpu.index()].pending_overhead_us += moved as f64 / 2_000.0;
-                if self.trace.is_enabled() {
-                    self.trace.record(
-                        now,
-                        crate::trace::Event::PageMigration {
-                            vcpu: pm.vcpu,
-                            node: pm.to_node,
-                            bytes: moved,
-                        },
-                    );
-                }
+                self.emit(
+                    now,
+                    Event::PageMigration {
+                        vcpu: pm.vcpu,
+                        node: pm.to_node,
+                        bytes: moved,
+                    },
+                );
                 if self.provenance.is_enabled() {
                     self.provenance.record(
                         now,
@@ -1852,6 +1783,30 @@ pub(crate) mod tests_helpers {
                 GB,
                 AllocPolicy::MostFree,
                 vec![hungry::hungry_loop(); 8],
+            ))
+            .build()
+            .unwrap()
+    }
+
+    /// Two LU VMs under the round-robin partitioning test policy, with
+    /// uniform fault injection at `rate`.
+    pub fn faulty_machine(rate: f64, fault_seed: u64) -> Machine {
+        MachineBuilder::new(presets::xeon_e5620())
+            .policy(super::vprobe_test_policy::pm_policy(false))
+            .faults(FaultConfig::uniform(rate, fault_seed))
+            .add_vm(VmConfig::new(
+                "vm1",
+                8,
+                8 * GB,
+                AllocPolicy::MostFree,
+                vec![npb::lu()],
+            ))
+            .add_vm(VmConfig::new(
+                "vm2",
+                8,
+                5 * GB,
+                AllocPolicy::MostFree,
+                vec![npb::lu()],
             ))
             .build()
             .unwrap()
@@ -2167,7 +2122,7 @@ impl Machine {
 
 #[cfg(test)]
 mod feature_tests {
-    use super::tests_helpers::basic_machine_pub;
+    use super::tests_helpers::{basic_machine_pub, faulty_machine};
     use super::*;
     use crate::credit::CreditPolicy;
     use mem_model::AllocPolicy;
@@ -2337,6 +2292,25 @@ mod feature_tests {
             assert!(doc.get("kind").is_some(), "kind in {line}");
             assert!(doc.get("rule").is_some(), "rule in {line}");
         }
+        // Every sink at once, on a faulty partitioning run: trace,
+        // telemetry, provenance and perf together leave every other
+        // `RunMetrics` byte — the fault counts included — unchanged.
+        let mut quiet = faulty_machine(0.1, 7);
+        let mut loud = faulty_machine(0.1, 7);
+        loud.enable_trace(1_000_000);
+        loud.enable_telemetry();
+        loud.enable_provenance(1_000_000);
+        loud.enable_perf();
+        let mut quiet_metrics = quiet.run(SimDuration::from_secs(2)).clone();
+        let mut loud_metrics = loud.run(SimDuration::from_secs(2)).clone();
+        assert!(loud_metrics.faults.injected() > 0, "faults fire");
+        assert!(!loud.trace().is_empty() && !loud.provenance().is_empty());
+        assert!(loud_metrics.telemetry.is_some() && loud_metrics.perf.is_some());
+        for m in [&mut quiet_metrics, &mut loud_metrics] {
+            m.telemetry = None;
+            m.perf = None;
+        }
+        assert_eq!(quiet_metrics.to_json(), loud_metrics.to_json());
     }
 }
 
@@ -2398,7 +2372,6 @@ mod vprobe_test_policy {
 mod trace_and_serde_tests {
     use super::tests_helpers::basic_machine_pub;
     use super::*;
-    use crate::trace::Event;
 
     #[test]
     fn trace_records_scheduling_events() {
@@ -2548,7 +2521,7 @@ mod edge_case_tests {
 
 #[cfg(test)]
 mod fault_tests {
-    use super::tests_helpers::basic_machine_pub;
+    use super::tests_helpers::{basic_machine_pub, faulty_machine};
     use super::*;
     use crate::credit::CreditPolicy;
     use mem_model::AllocPolicy;
@@ -2556,28 +2529,6 @@ mod fault_tests {
     use workloads::npb;
 
     const GB: u64 = 1024 * 1024 * 1024;
-
-    fn faulty_machine(rate: f64, fault_seed: u64) -> Machine {
-        MachineBuilder::new(presets::xeon_e5620())
-            .policy(super::vprobe_test_policy::pm_policy(false))
-            .faults(FaultConfig::uniform(rate, fault_seed))
-            .add_vm(VmConfig::new(
-                "vm1",
-                8,
-                8 * GB,
-                AllocPolicy::MostFree,
-                vec![npb::lu()],
-            ))
-            .add_vm(VmConfig::new(
-                "vm2",
-                8,
-                5 * GB,
-                AllocPolicy::MostFree,
-                vec![npb::lu()],
-            ))
-            .build()
-            .unwrap()
-    }
 
     #[test]
     fn builder_rejects_invalid_fault_config() {

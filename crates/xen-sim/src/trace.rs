@@ -16,8 +16,10 @@ use sim_core::SimTime;
 use std::collections::VecDeque;
 
 /// One injected fault, as seen by the trace. Variants map one-to-one onto
-/// the injection sites counted by `sim_core::faults::FaultMetrics`, so a
-/// full (undropped) trace contains exactly `FaultMetrics::injected()`
+/// the injection fields of [`FaultMetrics`](crate::metrics::FaultMetrics),
+/// whose only writer is `Machine::emit` — the same call that traces the
+/// event — so a full (undropped) trace contains exactly
+/// [`FaultMetrics::injected`](crate::metrics::FaultMetrics::injected)
 /// fault events.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultEvent {
