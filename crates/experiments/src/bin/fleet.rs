@@ -54,9 +54,8 @@ fn usage() {
          [--migration-fail-rate R] [--migration-delay-rate R] \
          [--fault-rate R] [--fault-seed N] [--jobs N] [--out FILE] \
          [--trace-host IDX] [--trace-out FILE] [--provenance-dir DIR] \
-         [--slo-budget-s S] [--engine E] [--perf-out FILE] [--compare-single]\n\
-         schedulers: credit, vprobe, vprobe-gd; presets: xeon-e5620, 4s32c, uma-quad; \
-         engines: exact, reference"
+         [--slo-budget-s S] [--perf-out FILE] [--compare-single]\n\
+         schedulers: credit, vprobe, vprobe-gd; presets: xeon-e5620, 4s32c, uma-quad"
     );
 }
 
@@ -118,11 +117,6 @@ fn run(mut args: Vec<String>) -> Result<(), SimError> {
     }
     if let Some(s) = take_parsed::<f64>(&mut args, "--slo-budget-s")? {
         cfg.slo_evac_budget_s = s;
-    }
-    if let Some(e) = take_value(&mut args, "--engine")? {
-        cfg.engine = mem_model::EngineSelect::parse(&e).ok_or_else(|| {
-            SimError::UnknownName(format!("engine '{e}' (known: exact, reference)"))
-        })?;
     }
     let perf_out = take_value(&mut args, "--perf-out")?;
     cfg.perf = perf_out.is_some();
@@ -223,8 +217,7 @@ fn compare_single_host(cfg: &FleetConfig) -> Result<(), SimError> {
         .policy(quiet.scheduler.policy(num_nodes, quiet.seed))
         .sample_period(quiet.epoch_len)
         .seed(quiet.seed)
-        .faults(faults)
-        .engine(quiet.engine);
+        .faults(faults);
     for id in 0..quiet.initial_vms_per_host as u64 {
         let flavor = &quiet.flavors[id as usize % quiet.flavors.len()];
         builder = builder.add_vm(flavor.vm_config(id));

@@ -10,7 +10,6 @@
 //! repro --fault-rate 0.05 --fault-seed 1 all   # run under fault injection
 //! repro fig-faults     # the robustness sweep (rates swept internally)
 //! repro fig-fleet      # the fleet sweep (churn + host failures at scale)
-//! repro --reference-engine all # frozen pre-rewrite memory engine
 //! ```
 //!
 //! The total wall-clock time goes to stderr. Results are bit-identical
@@ -22,7 +21,6 @@ use experiments::{
     fig1_remote_ratio, fig3_bounds, fig4_spec, fig5_npb, fig6_memcached, fig7_redis, fig8_period,
     fig_faults, fig_fleet, table3_overhead,
 };
-use mem_model::EngineSelect;
 use sim_core::{parallel, FaultConfig, SimDuration, SimError};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -51,12 +49,10 @@ fn main() {
     let seed = take_value(&mut args, "--seed").map(|v| parse_num(&v, "--seed"));
     let fault_rate = take_value(&mut args, "--fault-rate").map(|v| parse_rate(&v, "--fault-rate"));
     let fault_seed = take_value(&mut args, "--fault-seed").map(|v| parse_num(&v, "--fault-seed"));
-    let reference_engine = take_flag(&mut args, "--reference-engine");
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
             "usage: repro [--quick] [--csv DIR] [--jobs N] [--seed N] \
-             [--fault-rate R] [--fault-seed N] \
-             [--reference-engine] all | {}",
+             [--fault-rate R] [--fault-seed N] all | {}",
             ARTIFACTS.join(" | ")
         );
         std::process::exit(2);
@@ -64,17 +60,19 @@ fn main() {
     if let Some(j) = jobs {
         parallel::set_jobs(j as usize);
     }
+    // Checked before `all` expands, so a stray flag beside it is an error
+    // rather than silently ignored.
+    for a in &args {
+        if a != "all" && !ARTIFACTS.contains(&a.as_str()) {
+            eprintln!("unknown artifact '{a}'; known: {}", ARTIFACTS.join(", "));
+            std::process::exit(2);
+        }
+    }
     let selected: Vec<&str> = if args.iter().any(|a| a == "all") {
         ARTIFACTS.to_vec()
     } else {
         args.iter().map(|s| s.as_str()).collect()
     };
-    for s in &selected {
-        if !ARTIFACTS.contains(s) {
-            eprintln!("unknown artifact '{s}'; known: {}", ARTIFACTS.join(", "));
-            std::process::exit(2);
-        }
-    }
 
     let mut opts = if quick {
         RunOptions {
@@ -92,11 +90,6 @@ fn main() {
     if let Some(s) = seed {
         opts.seed = s;
     }
-    opts.engine = if reference_engine {
-        EngineSelect::Reference
-    } else {
-        EngineSelect::Exact
-    };
     if fault_rate.is_some() || fault_seed.is_some() {
         let cfg = FaultConfig::uniform(fault_rate.unwrap_or(0.0), fault_seed.unwrap_or(1));
         if let Err(e) = cfg.validate() {

@@ -107,8 +107,8 @@ pub fn sweep_config(
 }
 
 /// Run the paper-scale sweep: [`SCHEDULERS`] × [`FULL_SIZES`]. Only
-/// `opts.seed` and `opts.engine` apply — fleet time is measured in
-/// epochs, not the single-machine duration/warmup window.
+/// `opts.seed` applies — fleet time is measured in epochs, not the
+/// single-machine duration/warmup window.
 pub fn run(opts: &RunOptions) -> Result<Vec<FleetPoint>, SimError> {
     run_grid(&SCHEDULERS, &FULL_SIZES, opts, 12, false)
 }
@@ -129,8 +129,7 @@ pub fn run_grid(
     let mut points = Vec::with_capacity(schedulers.len() * sizes.len());
     for &scheduler in schedulers {
         for &hosts in sizes {
-            let mut cfg = sweep_config(scheduler, hosts, opts.seed, epochs, smoke);
-            cfg.engine = opts.engine;
+            let cfg = sweep_config(scheduler, hosts, opts.seed, epochs, smoke);
             let report = Fleet::new(cfg)?.run()?;
             if report.vms_lost != 0 {
                 return Err(SimError::InvalidConfig(format!(

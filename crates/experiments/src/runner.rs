@@ -1,6 +1,6 @@
 //! Shared experiment machinery: the paper's §V-A testbed and scheduler set.
 
-use mem_model::{AllocPolicy, EngineSelect};
+use mem_model::AllocPolicy;
 use numa_topo::presets;
 use sim_core::{FaultConfig, SimDuration, SimError};
 use vprobe::{variants, Bounds, BrmPolicy};
@@ -87,10 +87,6 @@ pub struct RunOptions {
     pub warmup: SimDuration,
     /// Fault injection (default [`FaultConfig::none`]: clean run).
     pub faults: FaultConfig,
-    /// Memory-engine implementation (default the incremental engine;
-    /// `--reference-engine` on the binaries selects the frozen
-    /// pre-rewrite solver, which produces the same bytes).
-    pub engine: EngineSelect,
 }
 
 impl Default for RunOptions {
@@ -102,7 +98,6 @@ impl Default for RunOptions {
             shuffle: Some(SimDuration::from_secs(8)),
             warmup: SimDuration::from_secs(10),
             faults: FaultConfig::none(),
-            engine: EngineSelect::Exact,
         }
     }
 }
@@ -191,7 +186,6 @@ pub fn build_machine(
         .sample_period(opts.sample_period)
         .seed(opts.seed)
         .faults(opts.faults.clone())
-        .engine(opts.engine)
         .add_vm(vm1)
         .add_vm(vm2)
         .add_vm(vm3)

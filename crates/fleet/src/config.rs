@@ -1,7 +1,6 @@
 //! Fleet configuration: host presets, VM flavors, churn/failure/admission
 //! knobs, and the scheduler choice replicated on every host.
 
-use mem_model::EngineSelect;
 use numa_topo::{presets, Topology};
 use sim_core::{SimDuration, SimError};
 use workloads::{hungry, npb, speccpu, WorkloadSpec};
@@ -260,10 +259,6 @@ pub struct FleetConfig {
     pub host_fault_rate: f64,
     /// Seed for per-host fault streams (host `i` uses `fault_seed + i`).
     pub fault_seed: u64,
-    /// Memory-engine implementation on every host (default the
-    /// incremental engine; `Reference` pins the frozen pre-rewrite
-    /// solver, with the same bytes).
-    pub engine: EngineSelect,
     /// Perf introspection on every host machine (work-avoidance counters,
     /// see `xen_sim::perf`). Observation only —
     /// the report and every other output stay byte-identical.
@@ -292,7 +287,6 @@ impl FleetConfig {
             admission: AdmissionConfig::default(),
             host_fault_rate: 0.0,
             fault_seed: 1,
-            engine: EngineSelect::default(),
             perf: false,
             slo_evac_budget_s: 60.0,
         }

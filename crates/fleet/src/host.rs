@@ -224,8 +224,7 @@ impl Host {
             .policy(cfg.scheduler.policy(num_nodes, seed))
             .sample_period(cfg.epoch_len)
             .seed(seed)
-            .faults(faults)
-            .engine(cfg.engine);
+            .faults(faults);
         for vm in &self.vms {
             builder = builder.add_vm(vm.flavor.vm_config(vm.id));
         }

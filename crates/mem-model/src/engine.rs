@@ -43,14 +43,18 @@
 //! Every solve warm-starts from the previous quantum's multipliers, as the
 //! original engine did, and every fixed-point round recomputes every
 //! active slot. The engine is byte-identical to
-//! [`crate::reference::ReferenceEngine`] — pinned by equivalence proptests
-//! here and a scheduler×seed×fault byte-equality matrix at machine level.
+//! [`crate::reference::ReferenceEngine`]: every debug build steps that
+//! oracle in lockstep and panics on the first bit that differs (see
+//! [`MemoryEngine::step_ref`]), and the equivalence proptests in
+//! [`crate::reference`] pin it on arbitrary usage streams.
 
 use crate::curve::MissCurve;
 use crate::imc::ImcModel;
 use crate::latency::LatencyParams;
 use crate::llc::{LlcDemand, LlcModel, LlcOccupancy, LlcScratch};
 use crate::qpi::QpiModel;
+#[cfg(debug_assertions)]
+use crate::reference::ReferenceEngine;
 use numa_topo::{NodeId, Topology};
 use sim_core::SimDuration;
 
@@ -336,6 +340,9 @@ pub struct MemoryEngine {
     stationary: bool,
     /// Work-avoidance accounting (read via [`MemoryEngine::perf`]).
     perf: EnginePerf,
+    /// The frozen oracle, stepped in lockstep with every solve.
+    #[cfg(debug_assertions)]
+    shadow: Box<ReferenceEngine>,
 }
 
 impl MemoryEngine {
@@ -397,6 +404,8 @@ impl MemoryEngine {
             results: Vec::new(),
             stationary: false,
             perf: EnginePerf::default(),
+            #[cfg(debug_assertions)]
+            shadow: Box::new(ReferenceEngine::with_params(topo, params)),
         }
     }
 
@@ -465,11 +474,58 @@ impl MemoryEngine {
 
     /// Allocation-free form of [`MemoryEngine::step`]: the returned slice
     /// borrows pooled per-engine buffers that the next step overwrites.
+    ///
+    /// Debug builds step the frozen
+    /// [`ReferenceEngine`](crate::reference::ReferenceEngine) on the same
+    /// inputs and panic on the first bit that differs, so every debug-built
+    /// run is an engine-equivalence check.
     pub fn step_ref(
         &mut self,
         quantum: SimDuration,
         usages: &[QuantumUsage],
     ) -> &[VcpuQuantumResult] {
+        self.solve(quantum, usages);
+        #[cfg(debug_assertions)]
+        self.check_against_shadow(quantum, usages);
+        &self.results
+    }
+
+    /// Step the shadow oracle on the same inputs and demand bitwise-equal
+    /// results, contention multipliers and stationarity.
+    #[cfg(debug_assertions)]
+    fn check_against_shadow(&mut self, quantum: SimDuration, usages: &[QuantumUsage]) {
+        let step = self.perf.steps;
+        let oracle = self.shadow.step_ref(quantum, usages);
+        assert_eq!(
+            self.results.len(),
+            oracle.len(),
+            "MemoryEngine diverged from ReferenceEngine at step {step}: result count"
+        );
+        for (got, want) in self.results.iter().zip(oracle) {
+            assert!(
+                results_bits_eq(got, want),
+                "MemoryEngine diverged from ReferenceEngine at step {step}, key {}: \
+                 {got:?} != {want:?}",
+                got.key
+            );
+        }
+        let want = self.shadow.contention();
+        assert!(
+            slices_bits_eq(&self.imc_mult, &want.imc_multiplier)
+                && slices_bits_eq(&self.qpi_mult, &want.qpi_multiplier),
+            "MemoryEngine diverged from ReferenceEngine at step {step}: contention {:?} != {want:?}",
+            self.contention()
+        );
+        assert_eq!(
+            self.stationary,
+            self.shadow.last_step_stationary(),
+            "MemoryEngine diverged from ReferenceEngine at step {step}: stationarity"
+        );
+    }
+
+    /// The incremental solve behind [`MemoryEngine::step_ref`]; leaves its
+    /// answer in `self.results`.
+    fn solve(&mut self, quantum: SimDuration, usages: &[QuantumUsage]) {
         let quantum_us = quantum.as_micros() as f64;
         assert!(quantum_us > 0.0, "zero quantum");
         self.perf.steps += 1;
@@ -621,7 +677,7 @@ impl MemoryEngine {
         if !any_changed && self.stationary {
             self.perf.whole_step_skips += 1;
             materialize_results(hot, results, n);
-            return &self.results;
+            return;
         }
 
         if any_changed {
@@ -790,7 +846,6 @@ impl MemoryEngine {
         self.imc_mult.copy_from_slice(&hot.cur_imc);
         self.qpi_mult.copy_from_slice(&hot.cur_qpi);
         materialize_results(hot, results, n);
-        &self.results
     }
 }
 
@@ -1205,6 +1260,37 @@ fn bits_ne(a: f64, b: f64) -> bool {
     a.to_bits() != b.to_bits()
 }
 
+/// Field-by-field bitwise equality of two results. The derived `==` would
+/// call `-0.0` equal to `0.0` and an identical NaN unequal.
+#[cfg(debug_assertions)]
+fn results_bits_eq(a: &VcpuQuantumResult, b: &VcpuQuantumResult) -> bool {
+    let VcpuQuantumResult {
+        key,
+        instructions,
+        llc_refs,
+        llc_misses,
+        local_accesses,
+        remote_accesses,
+        node_accesses,
+        effective_cpi,
+        miss_rate,
+    } = a;
+    *key == b.key
+        && *instructions == b.instructions
+        && *llc_refs == b.llc_refs
+        && *llc_misses == b.llc_misses
+        && *local_accesses == b.local_accesses
+        && *remote_accesses == b.remote_accesses
+        && *node_accesses == b.node_accesses
+        && !bits_ne(*effective_cpi, b.effective_cpi)
+        && !bits_ne(*miss_rate, b.miss_rate)
+}
+
+#[cfg(debug_assertions)]
+fn slices_bits_eq(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| !bits_ne(x, y))
+}
+
 /// Damped fixed-point iterations per quantum: enough for convergence at
 /// the queueing knee, cheap enough to run every quantum. The solve exits
 /// early once a round leaves every multiplier bitwise unchanged — each
@@ -1460,6 +1546,21 @@ mod tests {
             assert_eq!(incr.contention(), ref_e.contention());
             assert_eq!(incr.last_step_stationary(), ref_e.last_step_stationary());
         }
+    }
+
+    /// The debug shadow is live: corrupt state the next solve reads and
+    /// the lockstep check must catch it. A shadow that never steps, or
+    /// compares the wrong buffer, fails this test.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "MemoryEngine diverged from ReferenceEngine at step 2")]
+    fn shadow_catches_a_corrupted_solve() {
+        let p = profile(20.0, 16, vec![0.6, 0.4]);
+        let usages = [usage(1, 0, &p), usage(2, 1, &p)];
+        let mut e = engine();
+        e.step_ref(quantum(), &usages);
+        e.imc_mult[0] *= 4.0;
+        e.step_ref(quantum(), &usages);
     }
 }
 

@@ -28,7 +28,6 @@ pub mod llc;
 pub mod pages;
 pub mod qpi;
 pub mod reference;
-pub mod select;
 
 pub use curve::MissCurve;
 pub use engine::{AccessProfile, EnginePerf, MemoryEngine, QuantumUsage, VcpuQuantumResult};
@@ -38,4 +37,3 @@ pub use llc::{LlcModel, LlcOccupancy};
 pub use pages::{AllocPolicy, NodeFree, VmMemoryLayout};
 pub use qpi::QpiModel;
 pub use reference::ReferenceEngine;
-pub use select::{AnyEngine, EngineSelect};

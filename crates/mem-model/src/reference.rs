@@ -5,10 +5,11 @@
 //! data-oriented rewrite: per-usage structs, a full LLC re-solve every
 //! quantum, results rewritten every fixed-point round. The rewritten
 //! [`MemoryEngine`](crate::MemoryEngine) must reproduce its output bit for
-//! bit in exact mode; the equivalence proptests in this module and the
-//! machine-level byte-equality matrix in the workspace tests pin that.
-//! Keeping the original around also gives CI an `--reference-engine` sweep
-//! to byte-diff against and bisection a known-good baseline.
+//! bit. No build can select this engine to run a machine: every debug
+//! build of `MemoryEngine` steps one of these in lockstep as a shadow and
+//! panics on the first differing bit, so every debug-built run (the whole
+//! test suite included) is an equivalence check, and the proptests in
+//! this module pin it on arbitrary usage streams.
 //!
 //! This module is intentionally frozen: performance work happens in
 //! [`crate::engine`], not here.

@@ -22,7 +22,7 @@ use crate::policy::{AnalyzerView, PeriodFeedback, SchedPolicy, StealContext, Vcp
 use crate::trace::{Event, FaultEvent};
 use crate::vcpu::{Priority, VcpuKind, VcpuState};
 use crate::vm::{VmConfig, VmRuntime};
-use mem_model::{AnyEngine, EngineSelect, NodeFree, QuantumUsage};
+use mem_model::{MemoryEngine, NodeFree, QuantumUsage};
 use numa_topo::{NodeId, PcpuId, Topology, VcpuId, VmId};
 use pmu::{OverheadModel, OverheadTracker, PeriodSampler, PmuSample};
 use sim_core::{
@@ -110,10 +110,6 @@ pub struct MachineConfig {
     /// own seeded streams, so the all-zero default leaves the simulation
     /// bit-identical to a build without fault injection.
     pub faults: FaultConfig,
-    /// Which memory-engine implementation resolves execution (default the
-    /// incremental engine; `Reference` pins the frozen pre-rewrite solver
-    /// for byte-diffs). Both produce the same bytes.
-    pub engine: EngineSelect,
 }
 
 impl Default for MachineConfig {
@@ -135,7 +131,6 @@ impl Default for MachineConfig {
             overhead: OverheadModel::default(),
             seed: 42,
             faults: FaultConfig::none(),
-            engine: EngineSelect::Exact,
         }
     }
 }
@@ -177,12 +172,6 @@ impl MachineBuilder {
     /// Enable fault injection (validated at [`MachineBuilder::build`]).
     pub fn faults(mut self, faults: FaultConfig) -> Self {
         self.cfg.faults = faults;
-        self
-    }
-
-    /// Select the memory-engine implementation (default exact).
-    pub fn engine(mut self, select: EngineSelect) -> Self {
-        self.cfg.engine = select;
         self
     }
 
@@ -231,7 +220,7 @@ pub struct Machine {
     topo: Topology,
     cfg: MachineConfig,
     policy: Box<dyn SchedPolicy>,
-    engine: AnyEngine,
+    engine: MemoryEngine,
     sampler: PeriodSampler,
     overhead: OverheadTracker,
     clock: Clock,
@@ -447,7 +436,7 @@ impl Machine {
             was_fallback: false,
             provenance: crate::provenance::ProvenanceLog::disabled(),
             perf: None,
-            engine: AnyEngine::new(&topo, cfg.engine),
+            engine: MemoryEngine::new(&topo),
             sampler: PeriodSampler::new(num_vcpus, num_nodes, cfg.sample_period),
             overhead: OverheadTracker::new(cfg.overhead),
             clock: Clock::new(cfg.quantum),
@@ -490,19 +479,28 @@ impl Machine {
 
     /// The machine's one recording path for scheduling events. Appends `e`
     /// to the trace, bumps the telemetry counter its kind maps to (both
-    /// no-ops while their sink is off) and, for an injected fault, the
-    /// matching [`FaultMetrics`](crate::metrics::FaultMetrics) field —
-    /// always, since those are ground-truth run metrics.
+    /// no-ops while their sink is off) and the run metric that counts it —
+    /// steals (total and per VM), partition moves, and the matching
+    /// [`FaultMetrics`](crate::metrics::FaultMetrics) field for an injected
+    /// fault — always, since those are ground-truth run metrics.
     #[inline]
     fn emit(&mut self, t: SimTime, e: Event) {
         let counter = match &e {
             Event::Steal {
-                cross_node: true, ..
-            } => Some(self.tids.c_steals_remote),
-            Event::Steal {
-                cross_node: false, ..
-            } => Some(self.tids.c_steals_local),
-            Event::PartitionMove { .. } => Some(self.tids.c_partition_moves),
+                vcpu, cross_node, ..
+            } => {
+                self.metrics.steals += 1;
+                self.metrics.steals_per_vm[self.vcpus[vcpu.index()].vm.index()] += 1;
+                Some(if *cross_node {
+                    self.tids.c_steals_remote
+                } else {
+                    self.tids.c_steals_local
+                })
+            }
+            Event::PartitionMove { .. } => {
+                self.metrics.partition_moves += 1;
+                Some(self.tids.c_partition_moves)
+            }
             Event::IdlerWake { .. } => Some(self.tids.c_idler_wakes),
             Event::CreditBoost { .. } => Some(self.tids.c_credit_boosts),
             Event::Degrade { fallback: true } => Some(self.tids.c_degrade_enter),
@@ -1134,8 +1132,6 @@ impl Machine {
         let removed = self.pcpus[victim.index()].queue.remove(vcpu);
         debug_assert!(removed, "stolen vcpu must be queued on victim");
         self.vcpus[vcpu.index()].queued_on = None;
-        self.metrics.steals += 1;
-        self.metrics.steals_per_vm[self.vcpus[vcpu.index()].vm.index()] += 1;
         if was_idle {
             self.metrics.idle_steals += 1;
         }
@@ -1651,7 +1647,6 @@ impl Machine {
         }
         self.enqueue_on_node(vcpu, target);
         if was_cross {
-            self.metrics.partition_moves += 1;
             self.emit(now, Event::PartitionMove { vcpu, node: target });
         }
         if self.policy.uses_pmu() {

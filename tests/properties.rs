@@ -2,7 +2,7 @@
 //! whole stack for arbitrary configurations.
 
 use experiments::runner::{run_workload, RunOptions, Scheduler, SetupKind, ALL_SCHEDULERS};
-use mem_model::{AllocPolicy, EngineSelect};
+use mem_model::AllocPolicy;
 use numa_topo::{presets, NodeConfig, TopologyBuilder};
 use proptest::prelude::*;
 use sim_core::{FaultConfig, SimDuration};
@@ -12,7 +12,7 @@ use xen_sim::{CreditPolicy, Machine, MachineBuilder, MachineConfig, VmConfig};
 
 const GB: u64 = 1024 * 1024 * 1024;
 
-/// Every scheduler the exact engine must match the reference engine
+/// Every scheduler the memory engine's reference shadow checks runs
 /// under: the paper's five plus the gracefully-degrading vProbe variant.
 const EQUIV_SCHEDULERS: [Scheduler; 6] = [
     ALL_SCHEDULERS[0],
@@ -23,10 +23,11 @@ const EQUIV_SCHEDULERS: [Scheduler; 6] = [
     Scheduler::VProbeGd,
 ];
 
-/// Run one (scheduler, seed, fault, mix) configuration under the exact
-/// incremental engine and the frozen reference engine and demand
-/// byte-identical metrics and series.
-fn assert_engine_invisible(
+/// Run one (scheduler, seed, fault, mix) configuration to completion. In a
+/// debug build `MemoryEngine` steps the frozen `ReferenceEngine` beside
+/// every solve and panics on the first differing bit, so finishing the run
+/// is the engine-equivalence check.
+fn run_under_reference_shadow(
     scheduler: Scheduler,
     seed: u64,
     fault_rate: f64,
@@ -43,43 +44,22 @@ fn assert_engine_invisible(
     if fault_rate > 0.0 {
         opts.faults = FaultConfig::uniform(fault_rate, seed + 1);
     }
-    let run = |engine: EngineSelect| {
-        let mut o = opts.clone();
-        o.engine = engine;
-        run_workload(
-            scheduler,
-            SetupKind::PaperEval,
-            vec![w1.clone()],
-            vec![w2.clone()],
-            &o,
-        )
-        .unwrap()
-        .metrics
-    };
-    let soa = run(EngineSelect::Exact);
-    let reference = run(EngineSelect::Reference);
-    let label = (scheduler.name(), seed, fault_rate);
-    assert_eq!(
-        soa.to_json(),
-        reference.to_json(),
-        "metrics diverged: {label:?}"
-    );
-    assert_eq!(
-        soa.series_csv(),
-        reference.series_csv(),
-        "series diverged: {label:?}"
-    );
+    run_workload(scheduler, SetupKind::PaperEval, vec![w1], vec![w2], &opts).unwrap();
 }
 
-/// Golden equivalence of the incremental SoA engine: for every scheduler,
-/// across seeds and fault rates, exact-mode runs are bit-identical to the
-/// frozen pre-rewrite engine.
+/// Golden equivalence of the incremental engine: for every scheduler,
+/// across seeds and fault rates, every quantum's solve is bit-identical to
+/// the frozen pre-rewrite engine.
 #[test]
-fn soa_engine_is_byte_identical_across_schedulers_seeds_and_faults() {
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "the reference shadow runs only in debug builds"
+)]
+fn reference_shadow_passes_across_schedulers_seeds_and_faults() {
     for scheduler in EQUIV_SCHEDULERS {
         for seed in [1, 2, 3] {
             for fault_rate in [0.0, 0.15] {
-                assert_engine_invisible(scheduler, seed, fault_rate, npb::lu(), npb::lu());
+                run_under_reference_shadow(scheduler, seed, fault_rate, npb::lu(), npb::lu());
             }
         }
     }
@@ -88,60 +68,59 @@ fn soa_engine_is_byte_identical_across_schedulers_seeds_and_faults() {
 /// The noise-free regime: phased SPEC VMs beside hungry loops with the
 /// per-quantum intensity noise off, so engine inputs repeat between phase
 /// boundaries and the whole-step skip and node dirty bits fire (the noisy
-/// `PaperEval` setup above never reaches them). The incremental engine
-/// must still match the frozen reference byte for byte, under Credit and
-/// vProbe, and the run must really have skipped work.
+/// `PaperEval` setup above never reaches them). The reference shadow must
+/// still pass every step, under Credit and vProbe, and the run must really
+/// have skipped work.
 #[test]
-fn exact_engine_matches_reference_without_intensity_noise() {
-    let run = |scheduler: Scheduler, seed: u64, engine: EngineSelect| {
-        let cfg = MachineConfig {
-            seed,
-            intensity_noise_sd: 0.0,
-            engine,
-            ..MachineConfig::default()
-        };
-        let spec = |name, w| VmConfig::new(name, 4, 2 * GB, AllocPolicy::MostFree, w);
-        let mut m = MachineBuilder::new(presets::xeon_e5620())
-            .config(cfg)
-            .policy(Scheduler::Credit.policy(2, seed))
-            .add_vm(spec(
-                "spec0",
-                vec![
-                    speccpu::soplex(),
-                    speccpu::mcf(),
-                    speccpu::milc(),
-                    speccpu::soplex(),
-                ],
-            ))
-            .add_vm(spec(
-                "spec1",
-                vec![
-                    speccpu::milc(),
-                    speccpu::soplex(),
-                    speccpu::mcf(),
-                    speccpu::mcf(),
-                ],
-            ))
-            .add_vm(VmConfig::new(
-                "hungry",
-                4,
-                GB,
-                AllocPolicy::MostFree,
-                vec![workloads::hungry::hungry_loop(); 4],
-            ))
-            .build()
-            .unwrap();
-        m.run(SimDuration::from_secs(1));
-        m.set_policy(scheduler.policy(2, seed));
-        m.reset_metrics();
-        m.run(SimDuration::from_secs(2));
-        (m.metrics().clone(), m.perf_snapshot().engine)
-    };
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "the reference shadow runs only in debug builds"
+)]
+fn reference_shadow_passes_without_intensity_noise() {
     for scheduler in [Scheduler::Credit, Scheduler::VProbe] {
         for seed in [42, 1234] {
+            let cfg = MachineConfig {
+                seed,
+                intensity_noise_sd: 0.0,
+                ..MachineConfig::default()
+            };
+            let spec = |name, w| VmConfig::new(name, 4, 2 * GB, AllocPolicy::MostFree, w);
+            let mut m = MachineBuilder::new(presets::xeon_e5620())
+                .config(cfg)
+                .policy(Scheduler::Credit.policy(2, seed))
+                .add_vm(spec(
+                    "spec0",
+                    vec![
+                        speccpu::soplex(),
+                        speccpu::mcf(),
+                        speccpu::milc(),
+                        speccpu::soplex(),
+                    ],
+                ))
+                .add_vm(spec(
+                    "spec1",
+                    vec![
+                        speccpu::milc(),
+                        speccpu::soplex(),
+                        speccpu::mcf(),
+                        speccpu::mcf(),
+                    ],
+                ))
+                .add_vm(VmConfig::new(
+                    "hungry",
+                    4,
+                    GB,
+                    AllocPolicy::MostFree,
+                    vec![workloads::hungry::hungry_loop(); 4],
+                ))
+                .build()
+                .unwrap();
+            m.run(SimDuration::from_secs(1));
+            m.set_policy(scheduler.policy(2, seed));
+            m.reset_metrics();
+            m.run(SimDuration::from_secs(2));
+            let perf = m.perf_snapshot().engine;
             let label = (scheduler.name(), seed);
-            let (exact, perf) = run(scheduler, seed, EngineSelect::Exact);
-            let (reference, _) = run(scheduler, seed, EngineSelect::Reference);
             assert!(
                 perf.whole_step_skips > 0,
                 "no whole-step skip: {label:?} {perf:?}"
@@ -149,16 +128,6 @@ fn exact_engine_matches_reference_without_intensity_noise() {
             assert!(
                 perf.node_clean_skips > 0,
                 "no clean-node skip: {label:?} {perf:?}"
-            );
-            assert_eq!(
-                exact.to_json(),
-                reference.to_json(),
-                "metrics diverged: {label:?}"
-            );
-            assert_eq!(
-                exact.series_csv(),
-                reference.series_csv(),
-                "series diverged: {label:?}"
             );
         }
     }
@@ -207,6 +176,10 @@ proptest! {
     /// Exact-vs-reference engine equivalence must also hold for arbitrary
     /// workload mixes, not just the enumerated golden matrix above.
     #[test]
+    #[cfg_attr(
+        not(debug_assertions),
+        ignore = "the reference shadow runs only in debug builds"
+    )]
     fn exact_engine_matches_reference_for_arbitrary_mixes(
         sched_idx in 0usize..EQUIV_SCHEDULERS.len(),
         w1 in arb_workload(),
@@ -215,7 +188,7 @@ proptest! {
         faulty in any::<bool>(),
     ) {
         let rate = if faulty { 0.1 } else { 0.0 };
-        assert_engine_invisible(EQUIV_SCHEDULERS[sched_idx], seed, rate, w1, w2);
+        run_under_reference_shadow(EQUIV_SCHEDULERS[sched_idx], seed, rate, w1, w2);
     }
 
     /// Conservation: every memory access a VM makes is either local or
