@@ -156,19 +156,21 @@ mod tests {
         assert_eq!(report, again);
     }
 
-    #[test]
-    fn faulty_vprobe_gd_run_is_auditable() {
-        let m = quick_scenario("vprobe-gd", 0.2);
+    /// The audit contract of a traced, fault-injected run: the trace
+    /// holds one event per injected fault, and each fault kind and event
+    /// counter agrees with the trace and with `RunMetrics`. Returns the
+    /// traced count of each fault kind and counter.
+    fn assert_auditable(m: &Machine) -> Vec<(&'static str, u64)> {
         let (met, trace) = (m.metrics(), m.trace());
         let counter = |name: &str| m.telemetry().counter_total_by_name(name).unwrap();
         assert_eq!(trace.dropped(), 0, "capacity must hold the full run");
         let injected = met.faults.injected();
-        assert!(injected > 0, "fault rate 0.2 must inject");
+        assert!(injected > 0, "the fault rate must inject");
         assert_eq!(counter("faults_injected"), injected);
         let faults = trace.count(|e| matches!(e, Event::Fault(_)));
         assert_eq!(faults as u64, injected);
-        // Each fault kind's traced count is its FaultMetrics field, and
-        // the run reaches every kind.
+        let mut traced = Vec::new();
+        // Each fault kind's traced count is its FaultMetrics field.
         let f = &met.faults;
         for (kind, field) in [
             ("sample_lost", f.samples_lost),
@@ -180,8 +182,9 @@ mod tests {
             ("pcpu_stall", f.pcpu_stalls),
             ("node_throttled", f.node_throttled_periods),
         ] {
-            let n = trace.count(|e| matches!(e, Event::Fault(fe) if fe.kind() == kind));
-            assert_eq!((n as u64, field > 0), (field, true), "{kind}");
+            let n = trace.count(|e| matches!(e, Event::Fault(fe) if fe.kind() == kind)) as u64;
+            assert_eq!(n, field, "{kind}");
+            traced.push((kind, n));
         }
         // Each event counter agrees with the trace, and with RunMetrics.
         let kind_of = |e: &Event| match e {
@@ -198,13 +201,36 @@ mod tests {
             "credit_boosts",
         ] {
             let n = trace.count(|e| kind_of(e) == name) as u64;
-            assert_eq!((counter(name), n > 0), (n, true), "{name}");
+            assert_eq!(counter(name), n, "{name}");
+            traced.push((name, n));
         }
         let steals = counter("steals_local") + counter("steals_remote");
         assert_eq!(steals, met.steals);
         assert_eq!(counter("partition_moves"), met.partition_moves);
-        let report = analysis_report(&m);
+        // Every steal contributes one latency observation.
+        let latency = m.telemetry().histogram_by_name("steal_latency").unwrap();
+        assert_eq!(latency.count(), met.steals);
+        let report = analysis_report(m);
         assert!(report.contains("faults:"), "{report}");
+        traced
+    }
+
+    #[test]
+    fn faulty_vprobe_gd_run_is_auditable() {
+        let m = quick_scenario("vprobe-gd", 0.2);
+        // The run reaches every fault kind and every event counter.
+        for (name, n) in assert_auditable(&m) {
+            assert!(n > 0, "{name}");
+        }
+    }
+
+    /// The same contract under Credit, which neither samples nor
+    /// partitions.
+    #[test]
+    fn faulty_credit_run_is_auditable() {
+        let m = quick_scenario("credit", 0.2);
+        assert_auditable(&m);
+        assert!(m.metrics().steals > 0, "the run must steal");
     }
 
     /// A heavy sample-loss run must push vprobe-gd through its Credit

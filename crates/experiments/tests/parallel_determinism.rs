@@ -5,10 +5,12 @@
 //! writes results back by input index, so any divergence here means the
 //! fan-out leaked state between runs or reordered them.
 
+use experiments::perfreport::{self, ReportOptions};
 use experiments::runner::{run_all_schedulers, RunOptions, SetupKind};
 use experiments::{extensions, fig1_remote_ratio, table3_overhead};
 use sim_core::parallel::set_jobs;
 use sim_core::SimDuration;
+use telemetry::PhaseTimers;
 use workloads::speccpu;
 
 fn quick_opts() -> RunOptions {
@@ -80,4 +82,19 @@ fn rendered_csv_bytes_are_identical_across_job_counts() {
     for p in parallel {
         assert_eq!(sequential, p);
     }
+}
+
+/// The `perf-report --quick` stdout, whose counter digest CI pins, is the
+/// same at `--jobs 1` and `--jobs 4`.
+#[test]
+fn perf_report_bytes_are_identical_across_job_counts() {
+    let report = |jobs: usize| {
+        set_jobs(jobs);
+        let points = perfreport::run(&ReportOptions::quick(), &mut PhaseTimers::new()).unwrap();
+        perfreport::report_text(&points)
+    };
+    let sequential = report(1);
+    let parallel = report(4);
+    set_jobs(0);
+    assert_eq!(sequential, parallel);
 }

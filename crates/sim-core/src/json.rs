@@ -9,6 +9,7 @@
 //! value tree: [`ObjWriter`] appends each object straight into one output
 //! `String`, byte-for-byte as [`Json`]'s compact form would print it.
 
+use std::cell::RefCell;
 use std::fmt::Write as _;
 
 /// A parsed JSON value.
@@ -182,34 +183,139 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
+#[inline]
 fn write_num(out: &mut String, n: f64) {
     if n.is_finite() && n.fract() == 0.0 && n.abs() < EXACT_INT_LIMIT as f64 {
-        let _ = write!(out, "{}", n as i64);
+        // `-0.0 as i64` is 0, so negative zero prints as `0`.
+        let i = n as i64;
+        if i < 0 {
+            out.push('-');
+        }
+        write_digits(out, i.unsigned_abs());
     } else if n.is_finite() {
-        // Shortest representation that round-trips through f64.
-        let _ = write!(out, "{n}");
+        write_fraction(out, n);
     } else {
         // JSON has no Inf/NaN; null is the conventional stand-in.
         out.push_str("null");
     }
 }
 
+/// Longest float text the memo keeps; longer ones are formatted each time.
+const MEMO_TEXT: usize = 24;
+const MEMO_SLOTS: usize = 128;
+type MemoSlot = (u64, u8, [u8; MEMO_TEXT]);
+
+thread_local! {
+    /// Recently printed non-integral floats and their text, direct-mapped
+    /// by bit pattern. Key 0 (`0.0`, integral) marks an empty slot.
+    static MEMO: RefCell<[MemoSlot; MEMO_SLOTS]> =
+        const { RefCell::new([(0, 0, [0; MEMO_TEXT]); MEMO_SLOTS]) };
+}
+
+/// Print a finite, non-integral `n` in its shortest round-trip form
+/// (`f64`'s `Display`). Exports repeat the same sampled values many
+/// times (a VCPU's pressure holds for a whole sampling period), and
+/// `Display` costs about ten times a copy, so each text is memoized.
+fn write_fraction(out: &mut String, n: f64) {
+    let bits = n.to_bits();
+    let slot = (bits.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 57) as usize;
+    MEMO.with_borrow_mut(|memo| {
+        let (key, len, text) = &mut memo[slot];
+        if *key == bits {
+            // SAFETY: the slot holds a copy of `Display` output for these
+            // exact bits, which is ASCII.
+            out.push_str(unsafe { std::str::from_utf8_unchecked(&text[..usize::from(*len)]) });
+            return;
+        }
+        let start = out.len();
+        let _ = write!(out, "{n}");
+        let printed = &out.as_bytes()[start..];
+        if printed.len() <= MEMO_TEXT {
+            *key = bits;
+            *len = printed.len() as u8;
+            text[..printed.len()].copy_from_slice(printed);
+        }
+    });
+}
+
 /// Integers below this print as their exact decimal (every such value is
 /// exact in an `f64`); larger ones go through [`write_num`] like any float.
 const EXACT_INT_LIMIT: u64 = 9_000_000_000_000_000;
 
+#[inline]
 fn write_u64(out: &mut String, v: u64) {
     if v < EXACT_INT_LIMIT {
-        let _ = write!(out, "{v}");
+        write_digits(out, v);
     } else {
         write_num(out, v as f64);
+    }
+}
+
+/// `"00"`, `"01"`, …, `"99"`: the two digits of each value below 100.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Append the decimal digits of `v`, two per step, straight into `out`'s
+/// spare capacity; no `core::fmt` and no UTF-8 re-validation.
+#[inline]
+fn write_digits(out: &mut String, mut v: u64) {
+    let n = v.checked_ilog10().unwrap_or(0) as usize + 1;
+    out.reserve(n);
+    // SAFETY: `reserve` left at least `n` spare bytes, each of the `n`
+    // positions below `len + n` is written exactly once with an ASCII
+    // digit, and only then does the length grow, so `out` stays UTF-8.
+    unsafe {
+        let bytes = out.as_mut_vec();
+        let len = bytes.len();
+        let start = bytes.as_mut_ptr().add(len);
+        let mut end = start.add(n);
+        while v >= 100 {
+            let pair = (v % 100) as usize * 2;
+            v /= 100;
+            end = end.sub(2);
+            std::ptr::copy_nonoverlapping(DIGIT_PAIRS.as_ptr().add(pair), end, 2);
+        }
+        if v >= 10 {
+            end = end.sub(2);
+            std::ptr::copy_nonoverlapping(DIGIT_PAIRS.as_ptr().add(v as usize * 2), end, 2);
+        } else {
+            end = end.sub(1);
+            *end = b'0' + v as u8;
+        }
+        debug_assert_eq!(end, start);
+        bytes.set_len(len + n);
+    }
+}
+
+/// Whether `b` must be escaped inside a JSON string.
+#[inline]
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
+}
+
+/// Write `s` as a JSON string: one scan, then one copy when no byte needs
+/// an escape (the common case), else [`write_escaped`].
+#[inline]
+fn write_str(out: &mut String, s: &str) {
+    if s.bytes().any(needs_escape) {
+        write_escaped(out, s);
+    } else {
+        out.reserve(s.len() + 2);
+        out.push('"');
+        out.push_str(s);
+        out.push('"');
     }
 }
 
 /// Escape `s` as a JSON string. Runs of bytes that need no escape are
 /// copied as one slice; every escaped byte is ASCII, so each slice
 /// boundary is a char boundary.
-fn write_str(out: &mut String, s: &str) {
+#[cold]
+fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {
@@ -262,33 +368,51 @@ pub struct ObjWriter<'a> {
 
 impl ObjWriter<'_> {
     /// Append one object to `out`: `{`, the fields `fill` writes, `}`.
+    #[inline]
     pub fn write(out: &mut String, fill: impl FnOnce(&mut ObjWriter<'_>)) {
         out.push('{');
         fill(&mut ObjWriter { out, empty: true });
         out.push('}');
     }
 
+    /// Append the field head `,"key":` (no comma before the first field)
+    /// after one capacity check, and return the output for the value.
+    #[inline]
     fn key(&mut self, key: &'static str) -> &mut String {
         debug_assert!(
-            key.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\'),
+            !key.bytes().any(needs_escape),
             "object key {key:?} needs escaping"
         );
-        if !self.empty {
-            self.out.push(',');
-        }
+        let comma = usize::from(!self.empty);
         self.empty = false;
-        self.out.push('"');
-        self.out.push_str(key);
-        self.out.push_str("\":");
+        let head = comma + key.len() + 3;
+        self.out.reserve(head);
+        // SAFETY: `reserve` left at least `head` spare bytes, and exactly
+        // `head` are written below before the length grows: ASCII
+        // punctuation around the bytes of `key`, itself a `&str`, so the
+        // string stays UTF-8.
+        unsafe {
+            let bytes = self.out.as_mut_vec();
+            let len = bytes.len();
+            let at = bytes.as_mut_ptr().add(len);
+            *at = b',';
+            *at.add(comma) = b'"';
+            std::ptr::copy_nonoverlapping(key.as_ptr(), at.add(comma + 1), key.len());
+            *at.add(comma + 1 + key.len()) = b'"';
+            *at.add(comma + 2 + key.len()) = b':';
+            bytes.set_len(len + head);
+        }
         self.out
     }
 
+    #[inline]
     pub fn u64(&mut self, key: &'static str, v: u64) -> &mut Self {
         write_u64(self.key(key), v);
         self
     }
 
     /// An integer field, or `null` for `None`.
+    #[inline]
     pub fn opt_u64(&mut self, key: &'static str, v: Option<u64>) -> &mut Self {
         match v {
             Some(v) => self.u64(key, v),
@@ -296,21 +420,25 @@ impl ObjWriter<'_> {
         }
     }
 
+    #[inline]
     pub fn f64(&mut self, key: &'static str, v: f64) -> &mut Self {
         write_num(self.key(key), v);
         self
     }
 
+    #[inline]
     pub fn str(&mut self, key: &'static str, v: &str) -> &mut Self {
         write_str(self.key(key), v);
         self
     }
 
+    #[inline]
     pub fn bool(&mut self, key: &'static str, v: bool) -> &mut Self {
         self.key(key).push_str(if v { "true" } else { "false" });
         self
     }
 
+    #[inline]
     pub fn null(&mut self, key: &'static str) -> &mut Self {
         self.key(key).push_str("null");
         self
@@ -324,6 +452,7 @@ impl ObjWriter<'_> {
     }
 
     /// A nested object whose fields `fill` writes.
+    #[inline]
     pub fn object(
         &mut self,
         key: &'static str,
@@ -334,6 +463,7 @@ impl ObjWriter<'_> {
     }
 
     /// An array with one object per item, its fields written by `fill`.
+    #[inline]
     pub fn array<T>(
         &mut self,
         key: &'static str,
@@ -834,6 +964,106 @@ mod tests {
         let mut out = String::new();
         ObjWriter::write(&mut out, |_| {});
         assert_eq!(out, "{}");
+    }
+
+    /// The `core::fmt` number printers the digit-pair path and the float
+    /// memo replaced.
+    fn oracle_write_num(out: &mut String, n: f64) {
+        if n.is_finite() && n.fract() == 0.0 && n.abs() < EXACT_INT_LIMIT as f64 {
+            let _ = write!(out, "{}", n as i64);
+        } else if n.is_finite() {
+            let _ = write!(out, "{n}");
+        } else {
+            out.push_str("null");
+        }
+    }
+
+    fn oracle_write_u64(out: &mut String, v: u64) {
+        if v < EXACT_INT_LIMIT {
+            let _ = write!(out, "{v}");
+        } else {
+            oracle_write_num(out, v as f64);
+        }
+    }
+
+    /// `v` through `ObjWriter::u64`/`opt_u64` and `Json`'s `Display` must
+    /// print the oracle's bytes.
+    fn check_u64(v: u64) {
+        let mut want = String::new();
+        oracle_write_u64(&mut want, v);
+        let want = format!("{{\"a\":{want},\"b\":{want}}}");
+        let mut out = String::new();
+        ObjWriter::write(&mut out, |w| {
+            w.u64("a", v).opt_u64("b", Some(v));
+        });
+        assert_eq!(out, want, "{v}");
+        let tree = Json::Obj(vec![
+            ("a".into(), Json::from(v)),
+            ("b".into(), Json::from(v)),
+        ]);
+        assert_eq!(tree.to_string(), want, "{v}");
+    }
+
+    /// `n` through `ObjWriter::f64` and `Json`'s `Display` must print the
+    /// oracle's bytes.
+    fn check_f64(n: f64) {
+        let mut want = String::new();
+        oracle_write_num(&mut want, n);
+        let want = format!("{{\"x\":{want}}}");
+        let mut out = String::new();
+        ObjWriter::write(&mut out, |w| {
+            w.f64("x", n);
+        });
+        assert_eq!(out, want, "{n:?}");
+        assert_eq!(
+            Json::Obj(vec![("x".into(), Json::Num(n))]).to_string(),
+            want
+        );
+    }
+
+    #[test]
+    fn number_printers_match_fmt_oracle_at_every_boundary() {
+        let mut ints = vec![0, 2u64.pow(53) - 1, 2u64.pow(53), 2u64.pow(53) + 1];
+        ints.extend([EXACT_INT_LIMIT - 1, EXACT_INT_LIMIT, u64::MAX]);
+        for k in 1..=15 {
+            let p = 10u64.pow(k);
+            ints.extend([p - 1, p, p + 1]);
+        }
+        for &v in &ints {
+            check_u64(v);
+            check_f64(v as f64);
+            check_f64(-(v as f64));
+        }
+        let two53 = 2f64.powi(53);
+        for n in [
+            0.0,
+            -0.0,
+            -1.0,
+            two53,
+            -two53,
+            -8.999999999999999e15,
+            9e15,
+            -9e15,
+        ] {
+            check_f64(n);
+        }
+    }
+
+    #[test]
+    fn number_printers_match_fmt_oracle_on_a_random_sweep() {
+        let mut rng = crate::SimRng::seed_from(20_261_020);
+        for _ in 0..100_000 {
+            // Every magnitude from one digit to twenty.
+            let v = rng.next_u64() >> rng.range(0..64u32);
+            check_u64(v);
+            check_f64(v as f64);
+            check_f64(-((v >> 11) as f64));
+            // Non-integral values, drawn from a small pool so that most
+            // hit the memo and some collide in it.
+            let x = (v % 600) as f64 / 7.0 + 1e-3;
+            check_f64(x);
+            check_f64(f64::from_bits(v));
+        }
     }
 
     #[test]

@@ -38,16 +38,20 @@ pub struct ChromeTrace {
 
 impl Default for ChromeTrace {
     fn default() -> Self {
-        ChromeTrace {
-            buf: HEAD.to_string(),
-            len: 0,
-        }
+        ChromeTrace::with_capacity(0)
     }
 }
 
 impl ChromeTrace {
     pub fn new() -> Self {
         ChromeTrace::default()
+    }
+
+    /// An empty trace whose buffer has room for `bytes` of events.
+    pub fn with_capacity(bytes: usize) -> Self {
+        let mut buf = String::with_capacity(HEAD.len() + bytes + TAIL.len());
+        buf.push_str(HEAD);
+        ChromeTrace { buf, len: 0 }
     }
 
     fn event(&mut self, fill: impl FnOnce(&mut ObjWriter<'_>)) {

@@ -19,8 +19,8 @@
 //!   lifecycles;
 //! * [`rollup`] — per-host → fleet aggregation of registry export
 //!   documents;
-//! * [`perf`] — work-avoidance introspection: deterministic counter
-//!   sets, batch-length histograms and digests, plus explicitly
+//! * [`perf`] — work-avoidance introspection: deterministic
+//!   batch-length histograms and digests, plus explicitly
 //!   non-deterministic wall-clock phase timers that only ever feed
 //!   best-effort bench records.
 //!
@@ -35,7 +35,7 @@ pub mod rollup;
 pub mod span;
 
 pub use chrome::{Arg, ChromeTrace};
-pub use perf::{digest64, BatchHistogram, CounterSet, PhaseTimers};
+pub use perf::{digest64, BatchHistogram, PhaseTimers};
 pub use registry::{CounterId, GaugeId, HistogramId, Registry};
 pub use rollup::{rollup, try_rollup};
 pub use span::{Span, SpanLog};

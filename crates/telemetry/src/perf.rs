@@ -6,8 +6,8 @@
 //! required not to change. This module provides the two ingredients the
 //! perf layer records with — kept strictly apart:
 //!
-//! * **Deterministic counters** ([`CounterSet`], [`BatchHistogram`],
-//!   [`digest64`]): pure functions of the simulated execution. Two runs
+//! * **Deterministic counters** ([`BatchHistogram`], [`digest64`]):
+//!   pure functions of the simulated execution. Two runs
 //!   of the same seed produce bitwise-equal values at any `--jobs`, so
 //!   their JSON export (and its digest) can be pinned by golden files
 //!   exactly like CSVs.
@@ -16,69 +16,11 @@
 //!   ever be printed for a human (`perf-report`'s stderr) and never feed
 //!   a deterministic artifact.
 //!
-//! Like the registry, everything here is ordered: counters and phases
-//! export in first-touch order, so serialization is byte-stable.
+//! Like the registry, everything here is ordered: phases export in
+//! first-touch order, so serialization is byte-stable.
 
 use sim_core::Json;
 use std::time::{Duration, Instant};
-
-/// An ordered set of named `u64` counters with stable JSON export.
-///
-/// Names are registered implicitly on first touch and export in that
-/// order. Merging follows the same rule, so summing per-host sets in
-/// host index order is deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CounterSet {
-    entries: Vec<(String, u64)>,
-}
-
-impl CounterSet {
-    pub fn new() -> CounterSet {
-        CounterSet::default()
-    }
-
-    /// Add `n` to `name`, creating the slot at the end on first touch.
-    pub fn add(&mut self, name: &str, n: u64) {
-        match self.entries.iter_mut().find(|(k, _)| k == name) {
-            Some(slot) => slot.1 += n,
-            None => self.entries.push((name.to_string(), n)),
-        }
-    }
-
-    /// Current value of `name` (0 if never touched).
-    pub fn get(&self, name: &str) -> u64 {
-        self.entries
-            .iter()
-            .find(|(k, _)| k == name)
-            .map_or(0, |(_, v)| *v)
-    }
-
-    /// Add every counter of `other` into `self` (first-touch order for
-    /// names `self` has not seen).
-    pub fn merge(&mut self, other: &CounterSet) {
-        for (k, v) in &other.entries {
-            self.add(k, *v);
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    pub fn entries(&self) -> &[(String, u64)] {
-        &self.entries
-    }
-
-    /// `{"name": n, ...}` in first-touch order.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(
-            self.entries
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::from(*v)))
-                .collect(),
-        )
-    }
-}
 
 /// Number of log2 buckets in a [`BatchHistogram`] (lengths 1 .. 2^16+).
 pub const BATCH_BUCKETS: usize = 17;
@@ -237,26 +179,6 @@ impl PhaseTimers {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_set_orders_by_first_touch_and_merges() {
-        let mut a = CounterSet::new();
-        a.add("hits", 2);
-        a.add("misses", 1);
-        a.add("hits", 3);
-        assert_eq!(a.get("hits"), 5);
-        assert_eq!(a.get("unknown"), 0);
-
-        let mut b = CounterSet::new();
-        b.add("misses", 10);
-        b.add("skips", 4);
-        a.merge(&b);
-        assert_eq!(a.get("misses"), 11);
-        assert_eq!(
-            a.to_json().to_string(),
-            r#"{"hits":5,"misses":11,"skips":4}"#
-        );
-    }
 
     #[test]
     fn batch_histogram_buckets_by_log2() {
