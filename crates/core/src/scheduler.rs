@@ -213,7 +213,6 @@ impl SchedPolicy for VProbePolicy {
         // the interplay the VCPU-P/LB ablation exposes.
         PartitionPlan {
             assignments,
-            hard: false,
             page_migrations,
             report,
             notes,

@@ -10,20 +10,17 @@
 //!   only evaluates N = 2. This experiment repeats the core comparison on
 //!   a 4-socket machine.
 //! * **Ablations**: VM1's rate on workload *mix* when one design choice
-//!   changes: hard (pin-until-next-period) instead of soft partitioning,
-//!   Eq. 2's α scaled by 0.5 and 2 (the bounds scale with it), and the
-//!   §VI dynamic bounds instead of the static 3/20.
+//!   changes: Eq. 2's α scaled by 0.5 and 2 (the bounds scale with it),
+//!   and the §VI dynamic bounds instead of the static 3/20.
 
 use crate::report::{f3, pct, Table};
 use crate::runner::{build_machine, RunOptions, Scheduler, SetupKind};
 use mem_model::AllocPolicy;
-use numa_topo::{presets, NodeId, PcpuId, VcpuId};
+use numa_topo::{presets, NodeId};
 use sim_core::SimError;
 use vprobe::{variants, Bounds, VProbePolicy};
 use workloads::{hungry, npb, speccpu};
-use xen_sim::{
-    AnalyzerView, CreditPolicy, MachineBuilder, PartitionPlan, SchedPolicy, StealContext, VmConfig,
-};
+use xen_sim::{CreditPolicy, MachineBuilder, SchedPolicy, VmConfig};
 
 const GB: u64 = 1024 * 1024 * 1024;
 
@@ -187,24 +184,6 @@ pub struct AblationRow {
     pub instr_rate: f64,
 }
 
-/// vProbe whose partitioning plan pins each VCPU to its node until the
-/// next period.
-struct HardPinVProbe(VProbePolicy);
-
-impl SchedPolicy for HardPinVProbe {
-    fn name(&self) -> &str {
-        "vprobe-hardpin"
-    }
-    fn on_sample(&mut self, view: AnalyzerView<'_>) -> PartitionPlan {
-        let mut plan = self.0.on_sample(view);
-        plan.hard = true;
-        plan
-    }
-    fn steal(&mut self, ctx: StealContext<'_>) -> Option<(PcpuId, VcpuId)> {
-        self.0.steal(ctx)
-    }
-}
-
 /// Run each ablation on workload *mix* in the paper's setup (warm start
 /// under Credit, like [`crate::runner::run_workload`]) and report VM1's
 /// instruction rate. The paper configuration runs once and is the
@@ -215,7 +194,6 @@ pub fn run_ablations(opts: &RunOptions) -> Result<Vec<AblationRow>, SimError> {
     // first case is the paper's vProbe: soft partitioning, static 3/20.
     let cases: Vec<fn() -> Box<dyn SchedPolicy>> = vec![
         || Box::new(variants::vprobe(2, Bounds::default())),
-        || Box::new(HardPinVProbe(variants::vprobe(2, Bounds::default()))),
         || Box::new(variants::vprobe(2, Bounds::new(1.5, 10.0))),
         || Box::new(variants::vprobe(2, Bounds::new(6.0, 40.0))),
         || Box::new(VProbePolicy::new(2, Bounds::default()).with_dynamic_bounds()),
@@ -237,7 +215,7 @@ pub fn run_ablations(opts: &RunOptions) -> Result<Vec<AblationRow>, SimError> {
         let m = machine.metrics();
         Ok(m.per_vm[0].instr_per_second(m.elapsed))
     })?;
-    let [paper, hard, alpha_half, alpha_double, dynamic] = rates[..] else {
+    let [paper, alpha_half, alpha_double, dynamic] = rates[..] else {
         unreachable!("one rate per case");
     };
     let row = |ablation, variant, instr_rate| AblationRow {
@@ -247,7 +225,6 @@ pub fn run_ablations(opts: &RunOptions) -> Result<Vec<AblationRow>, SimError> {
     };
     Ok(vec![
         row("partitioning", "soft (paper)", paper),
-        row("partitioning", "hard pin", hard),
         row("alpha", "x0.5 (bounds 1.5/10)", alpha_half),
         row("alpha", "paper (bounds 3/20)", paper),
         row("alpha", "x2 (bounds 6/40)", alpha_double),
@@ -333,6 +310,24 @@ mod tests {
                 vp.remote_ratio < credit.remote_ratio,
                 "n={nodes}: vProbe must cut remote traffic"
             );
+        }
+    }
+
+    #[test]
+    fn ablations_print_one_on_every_paper_row() {
+        let opts = RunOptions {
+            duration: SimDuration::from_secs(2),
+            ..quick()
+        };
+        let csv = render_ablations(&run_ablations(&opts).unwrap()).to_csv();
+        let paper_rows: Vec<_> = csv
+            .lines()
+            .skip(1)
+            .filter(|l| l.split(',').nth(1).is_some_and(|v| v.contains("paper")))
+            .collect();
+        assert_eq!(paper_rows.len(), 3, "{csv}");
+        for row in paper_rows {
+            assert!(row.ends_with(",1.000"), "{row}");
         }
     }
 

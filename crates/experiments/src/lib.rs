@@ -26,10 +26,9 @@
 //! five schedulers, one-run measurement); [`report`] renders results as
 //! aligned text tables and CSV. [`tracetool`] turns a traced run into the
 //! analysis report the `trace` binary prints alongside its JSONL and
-//! Chrome Trace Event (Perfetto) exports. [`perfreport`] is the
-//! simulator's self-observability harness: it measures the
-//! work-avoidance machinery itself (deterministic counters and the
-//! `perf-report` binary).
+//! Chrome Trace Event (Perfetto) exports. [`perfreport`] measures the
+//! work-avoidance machinery itself: deterministic counters on four fixed
+//! scenarios, pinned by the `perf_report_golden` test.
 
 pub mod explain;
 pub mod extensions;

@@ -5,12 +5,11 @@
 //! writes results back by input index, so any divergence here means the
 //! fan-out leaked state between runs or reordered them.
 
-use experiments::perfreport::{self, ReportOptions};
+use experiments::perfreport;
 use experiments::runner::{run_all_schedulers, RunOptions, SetupKind};
 use experiments::{extensions, fig1_remote_ratio, table3_overhead};
 use sim_core::parallel::set_jobs;
 use sim_core::SimDuration;
-use telemetry::PhaseTimers;
 use workloads::speccpu;
 
 fn quick_opts() -> RunOptions {
@@ -84,17 +83,18 @@ fn rendered_csv_bytes_are_identical_across_job_counts() {
     }
 }
 
-/// The `perf-report --quick` stdout, whose counter digest CI pins, is the
-/// same at `--jobs 1` and `--jobs 4`.
+/// The perf counter export that `perf_report_golden` pins is the same at
+/// `--jobs 1` and `--jobs 4`, and again on a repeated `--jobs 1` run.
 #[test]
 fn perf_report_bytes_are_identical_across_job_counts() {
     let report = |jobs: usize| {
         set_jobs(jobs);
-        let points = perfreport::run(&ReportOptions::quick(), &mut PhaseTimers::new()).unwrap();
-        perfreport::report_text(&points)
+        perfreport::to_json(&perfreport::run().unwrap())
     };
     let sequential = report(1);
     let parallel = report(4);
+    let repeated = report(1);
     set_jobs(0);
-    assert_eq!(sequential, parallel);
+    assert_eq!(sequential, parallel, "byte-identical across --jobs");
+    assert_eq!(sequential, repeated, "and across repeated runs");
 }

@@ -1,21 +1,19 @@
-//! Golden-file pin for the perf-report counter export, and the
+//! Golden-file pin for the perf counter export, and the
 //! work-avoidance acceptance contract on the quick regime.
 //!
 //! The deterministic counter export is a public contract like the trace
 //! and provenance exports: this test byte-compares it against
-//! `tests/golden/perf_report_quick.json`, and CI checks the quick
-//! report's digest against `tests/golden/perf_report_quick.digest`. A
-//! diff means the simulator's *work-avoidance behavior* changed — a
-//! cache stopped hitting, a skip stopped firing — which is exactly the
-//! class of silent regression the perf layer exists to catch.
+//! `tests/golden/perf_report_quick.json`, and CI runs it on a release
+//! build as well. A diff means the simulator's *work-avoidance behavior*
+//! changed — a cache stopped hitting, a skip stopped firing — which is
+//! exactly the class of silent regression the perf layer exists to catch.
 //! Regenerate a deliberate change with
 //!
 //! ```sh
 //! UPDATE_GOLDEN=1 cargo test -p experiments --test perf_report_golden
 //! ```
 
-use experiments::perfreport::{self, ReportOptions};
-use telemetry::PhaseTimers;
+use experiments::perfreport;
 
 fn check_golden(file: &str, actual: &str) {
     let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
@@ -38,8 +36,9 @@ fn check_golden(file: &str, actual: &str) {
 
 #[test]
 fn quick_regime_counters_match_golden_and_contract() {
-    let mut timers = PhaseTimers::new();
-    let points = perfreport::run(&ReportOptions::quick(), &mut timers).unwrap();
+    let points = perfreport::run().unwrap();
+    let scenarios: Vec<_> = points.iter().map(|p| p.scenario).collect();
+    assert_eq!(scenarios, ["noisy", "phased", "quiescent", "fleet"]);
 
     // The work-avoidance contract on the 10 s sims. The noisy run's
     // per-quantum noise dirties every node every step, so it shows the
@@ -61,12 +60,9 @@ fn quick_regime_counters_match_golden_and_contract() {
     let quiet = find("quiescent");
     assert!(quiet.engine.whole_step_skips * 2 > quiet.engine.steps);
 
-    // And the export those counters produce is pinned byte-for-byte,
-    // with its digest alongside for the CI gate to compare against the
-    // `counter digest:` line of the binary's output.
+    // The fleet run aggregates every one of its 8 hosts.
+    assert_eq!(find("fleet").hosts, 8);
+
+    // And the export those counters produce is pinned byte-for-byte.
     check_golden("perf_report_quick.json", &perfreport::to_json(&points));
-    check_golden(
-        "perf_report_quick.digest",
-        &format!("{}\n", perfreport::digest(&points)),
-    );
 }

@@ -455,11 +455,6 @@ impl MemoryEngine {
         self.perf
     }
 
-    /// Results of the most recent solve.
-    pub fn last_results(&self) -> &[VcpuQuantumResult] {
-        &self.results
-    }
-
     /// Detach the pooled results buffer so a caller can apply it while
     /// holding other borrows; hand it back via
     /// [`MemoryEngine::put_back_results`] to keep the pooling.

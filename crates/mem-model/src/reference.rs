@@ -178,11 +178,6 @@ impl ReferenceEngine {
         self.stationary
     }
 
-    /// Results of the most recent solve.
-    pub fn last_results(&self) -> &[VcpuQuantumResult] {
-        &self.results
-    }
-
     /// Detach the pooled results buffer (see
     /// [`crate::MemoryEngine::take_results`]).
     pub fn take_results(&mut self) -> Vec<VcpuQuantumResult> {

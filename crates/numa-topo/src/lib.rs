@@ -116,11 +116,6 @@ impl Topology {
         self.freq_mhz
     }
 
-    /// Cycles executed per microsecond at the machine clock.
-    pub fn cycles_per_us(&self) -> f64 {
-        self.freq_mhz as f64
-    }
-
     /// Total machine memory in bytes.
     pub fn total_mem_bytes(&self) -> u64 {
         self.nodes.iter().map(|n| n.mem_bytes).sum()

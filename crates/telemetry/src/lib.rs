@@ -20,9 +20,7 @@
 //! * [`rollup`] — per-host → fleet aggregation of registry export
 //!   documents;
 //! * [`perf`] — work-avoidance introspection: deterministic
-//!   batch-length histograms and digests, plus explicitly
-//!   non-deterministic wall-clock phase timers that only ever feed
-//!   best-effort bench records.
+//!   batch-length histograms and digests.
 //!
 //! This crate deliberately knows nothing about VCPUs or NUMA: the machine
 //! layer decides *what* to record; this layer guarantees the recording is
@@ -35,7 +33,7 @@ pub mod rollup;
 pub mod span;
 
 pub use chrome::{Arg, ChromeTrace};
-pub use perf::{digest64, BatchHistogram, PhaseTimers};
+pub use perf::{digest64, BatchHistogram};
 pub use registry::{CounterId, GaugeId, HistogramId, Registry};
 pub use rollup::{rollup, try_rollup};
 pub use span::{Span, SpanLog};

@@ -1,26 +1,13 @@
-//! Perf introspection primitives: deterministic work-avoidance counters
-//! and explicitly non-deterministic wall-clock attribution.
+//! Perf introspection primitives: deterministic work-avoidance counters.
 //!
 //! The simulator's optimization machinery (incremental memory engine,
 //! fleet sharding) is invisible from the outputs it is
-//! required not to change. This module provides the two ingredients the
-//! perf layer records with — kept strictly apart:
-//!
-//! * **Deterministic counters** ([`BatchHistogram`], [`digest64`]):
-//!   pure functions of the simulated execution. Two runs
-//!   of the same seed produce bitwise-equal values at any `--jobs`, so
-//!   their JSON export (and its digest) can be pinned by golden files
-//!   exactly like CSVs.
-//! * **Wall-clock attribution** ([`PhaseTimers`]): real `Instant` time
-//!   per named phase. Non-deterministic by construction; it must only
-//!   ever be printed for a human (`perf-report`'s stderr) and never feed
-//!   a deterministic artifact.
-//!
-//! Like the registry, everything here is ordered: phases export in
-//! first-touch order, so serialization is byte-stable.
+//! required not to change. [`BatchHistogram`] and [`digest64`] are pure
+//! functions of the simulated execution: two runs of the same seed
+//! produce bitwise-equal values at any `--jobs`, so their JSON export
+//! (and its digest) can be pinned by golden files exactly like CSVs.
 
 use sim_core::Json;
-use std::time::{Duration, Instant};
 
 /// Number of log2 buckets in a [`BatchHistogram`] (lengths 1 .. 2^16+).
 pub const BATCH_BUCKETS: usize = 17;
@@ -115,67 +102,6 @@ pub fn digest64(s: &str) -> String {
     format!("{h:016x}")
 }
 
-/// Wall-clock attribution by named phase. **Non-deterministic**: values
-/// come from [`Instant`] and differ run to run; callers must keep them
-/// out of every deterministic artifact (see the module docs).
-#[derive(Debug, Clone, Default)]
-pub struct PhaseTimers {
-    phases: Vec<(String, Duration, u64)>,
-}
-
-impl PhaseTimers {
-    pub fn new() -> PhaseTimers {
-        PhaseTimers::default()
-    }
-
-    /// Time `f` and attribute its wall-clock to `phase`.
-    pub fn time<T>(&mut self, phase: &str, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let out = f();
-        self.record(phase, t0.elapsed());
-        out
-    }
-
-    /// Attribute an externally measured duration to `phase`.
-    pub fn record(&mut self, phase: &str, d: Duration) {
-        match self.phases.iter_mut().find(|(k, _, _)| k == phase) {
-            Some(slot) => {
-                slot.1 += d;
-                slot.2 += 1;
-            }
-            None => self.phases.push((phase.to_string(), d, 1)),
-        }
-    }
-
-    /// Total attributed wall-clock across phases.
-    pub fn total(&self) -> Duration {
-        self.phases.iter().map(|(_, d, _)| *d).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.phases.is_empty()
-    }
-
-    /// `{"phase":{"wall_s":..,"calls":..},..}`, seconds rounded to ms.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(
-            self.phases
-                .iter()
-                .map(|(k, d, n)| {
-                    let s = (d.as_secs_f64() * 1000.0).round() / 1000.0;
-                    (
-                        k.clone(),
-                        Json::Obj(vec![
-                            ("wall_s".into(), Json::Num(s)),
-                            ("calls".into(), Json::from(*n)),
-                        ]),
-                    )
-                })
-                .collect(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,18 +134,5 @@ mod tests {
         assert_eq!(digest64("a"), digest64("a"));
         assert_ne!(digest64("a"), digest64("b"));
         assert_eq!(digest64("abc").len(), 16);
-    }
-
-    #[test]
-    fn phase_timers_accumulate() {
-        let mut t = PhaseTimers::new();
-        let v = t.time("solve", || 42);
-        assert_eq!(v, 42);
-        t.record("solve", Duration::from_millis(5));
-        t.record("io", Duration::from_millis(1));
-        assert!(t.total() >= Duration::from_millis(6));
-        let json = t.to_json().to_string();
-        assert!(json.contains("\"solve\""));
-        assert!(json.contains("\"calls\":2"));
     }
 }

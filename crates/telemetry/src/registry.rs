@@ -143,14 +143,6 @@ impl Registry {
         }
     }
 
-    /// Add to a gauge (no-op when disabled).
-    #[inline]
-    pub fn add_gauge(&mut self, id: GaugeId, delta: f64) {
-        if self.enabled {
-            self.gauges[id.0].value += delta;
-        }
-    }
-
     /// Record one histogram sample (no-op when disabled).
     #[inline]
     pub fn observe(&mut self, id: HistogramId, x: f64) {

@@ -640,11 +640,6 @@ impl Machine {
         }
     }
 
-    /// Whether [`Machine::enable_perf`] was called.
-    pub fn perf_enabled(&self) -> bool {
-        self.perf.is_some()
-    }
-
     /// Deterministic perf snapshot for this machine: the engine's
     /// work-avoidance counters (always maintained) plus the step
     /// statistics gathered since [`Machine::enable_perf`] (zeroed stats
@@ -673,9 +668,6 @@ impl Machine {
         self.metrics = RunMetrics::new(self.vms.len());
         self.overhead = OverheadTracker::new(self.cfg.overhead);
         self.telemetry.reset();
-        for v in &mut self.vcpus {
-            v.run_quanta = 0;
-        }
         for i in 0..self.vcpus.len() {
             // Close the PMU windows so whole-run totals restart cleanly.
             let _ = self.sampler.totals(i);
@@ -692,14 +684,6 @@ impl Machine {
     /// Whole-run PMU totals for one VCPU.
     pub fn vcpu_totals(&self, vcpu: VcpuId) -> PmuSample {
         self.sampler.totals(vcpu.index())
-    }
-
-    /// Current node of a VCPU (running or queued).
-    pub fn vcpu_node(&self, vcpu: VcpuId) -> Option<NodeId> {
-        let v = &self.vcpus[vcpu.index()];
-        v.running_on
-            .or(v.queued_on)
-            .map(|p| self.topo.node_of_pcpu(p))
     }
 
     /// Run for `duration` of simulated time.
@@ -1328,7 +1312,6 @@ impl Machine {
                 continue;
             }
             let Some(vid) = p.current else { continue };
-            self.vcpus[vid.index()].run_quanta += 1;
             let v = &self.vcpus[vid.index()];
             let vm = &self.vms[v.vm.index()];
             // Workers borrow their thread's phase-cached profile with the
@@ -1543,11 +1526,11 @@ impl Machine {
             if self.vcpus[idx].admin_pinned {
                 continue;
             }
-            // A *hard* plan pins the VCPU to the node until the next
-            // period; the paper's partitioning is a one-shot migration
-            // (soft) whose persistence relies on the NUMA-aware load
-            // balance not dragging heavy VCPUs back across nodes.
-            self.vcpus[idx].assigned_node = if plan.hard { a.node } else { None };
+            // A policy assignment is a one-shot migration (the paper's
+            // soft partitioning) and never pins: its persistence relies on
+            // the NUMA-aware load balance not dragging heavy VCPUs back
+            // across nodes.
+            self.vcpus[idx].assigned_node = None;
             let Some(target) = a.node else { continue };
             // A VCPU already running on the right node is left alone; the
             // fault draw below therefore only covers real migrations.
@@ -2053,16 +2036,6 @@ mod debug_tests {
 }
 
 impl Machine {
-    /// Per-VCPU service received, in quanta (diagnostic).
-    pub fn vcpu_run_quanta(&self) -> Vec<u64> {
-        self.vcpus.iter().map(|v| v.run_quanta).collect()
-    }
-
-    /// Per-VCPU credits (diagnostic).
-    pub fn vcpu_credits(&self) -> Vec<i32> {
-        self.vcpus.iter().map(|v| v.credits).collect()
-    }
-
     /// Validate the scheduler state machine; returns a description of the
     /// first violation found. Used by tests (and cheap enough to call in
     /// debug builds after every step).
@@ -2348,7 +2321,6 @@ mod vprobe_test_policy {
             }
             PartitionPlan {
                 assignments,
-                hard: false,
                 page_migrations,
                 ..PartitionPlan::default()
             }

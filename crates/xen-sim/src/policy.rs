@@ -20,7 +20,8 @@ use pmu::PmuSample;
 pub struct VcpuView {
     pub id: VcpuId,
     pub vm: VmId,
-    /// Current partitioning restriction (None = may run anywhere).
+    /// Current node restriction, set by an administrative pin
+    /// (None = may run anywhere).
     pub assigned_node: Option<NodeId>,
 }
 
@@ -120,10 +121,6 @@ pub struct PartitionNote {
 #[derive(Debug, Clone, Default)]
 pub struct PartitionPlan {
     pub assignments: Vec<VcpuAssignment>,
-    /// When true, assignments pin VCPUs to their node until the next
-    /// period (an ablation mode); the paper's partitioning is a one-shot
-    /// migration, so the default is soft.
-    pub hard: bool,
     /// Page-migration requests (§VI extension); empty for the paper's
     /// schedulers.
     pub page_migrations: Vec<PageMigration>,

@@ -34,7 +34,7 @@ pub enum VcpuKind {
 ///
 /// Mirrors the paper's additions to `struct csched_vcpu`: the analyzer's
 /// `node_affinity`, `LLC_pressure`, and `vcpu_type` live policy-side; the
-/// machine holds the stock credit fields plus the partitioning pin
+/// machine holds the stock credit fields plus the administrative node pin
 /// (`assigned_node`).
 #[derive(Debug, Clone)]
 pub struct VcpuState {
@@ -63,13 +63,11 @@ pub struct VcpuState {
     pub timeslice_left: u32,
     /// Quanta of post-migration cache cold-start remaining.
     pub cold_quanta: u32,
-    /// Node this VCPU was pinned to by the partitioning pass, if any.
+    /// Node this VCPU is pinned to by an administrative pin, if any.
     pub assigned_node: Option<NodeId>,
     /// Permanent administrative pin (VmConfig::pin_node): survives every
     /// partitioning pass.
     pub admin_pinned: bool,
-    /// Total quanta this VCPU has executed (service received).
-    pub run_quanta: u64,
     /// Multiplicative memory-intensity fluctuation (Ornstein-Uhlenbeck
     /// around 1.0): real programs are bursty, so short PMU windows see
     /// noisy RPTI estimates while long windows average out.
@@ -95,7 +93,6 @@ impl VcpuState {
             cold_quanta: 0,
             assigned_node: None,
             admin_pinned: false,
-            run_quanta: 0,
             intensity_noise: 1.0,
         }
     }
@@ -123,8 +120,8 @@ impl VcpuState {
         }
     }
 
-    /// Whether the VCPU may run on a PCPU of `node`, honoring a
-    /// partitioning assignment if present.
+    /// Whether the VCPU may run on a PCPU of `node`, honoring an
+    /// administrative pin if present.
     pub fn allowed_on(&self, node: NodeId) -> bool {
         self.assigned_node.is_none_or(|n| n == node)
     }
