@@ -180,7 +180,6 @@ mod tests {
             .map(|i| xen_sim::VcpuView {
                 id: VcpuId::new(i),
                 vm: numa_topo::VmId::new(0),
-                assigned_node: None,
             })
             .collect();
         p.on_sample(AnalyzerView {
@@ -269,7 +268,6 @@ mod tests {
             vcpus: &[xen_sim::VcpuView {
                 id: VcpuId::new(0),
                 vm: numa_topo::VmId::new(0),
-                assigned_node: None,
             }],
         });
         assert!(plan.assignments.is_empty());
