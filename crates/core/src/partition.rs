@@ -103,7 +103,7 @@ pub fn partition_vcpus_explained(
         if explain {
             notes.push(PartitionNote {
                 vcpu,
-                node: Some(NodeId::from_index(min_node)),
+                node: NodeId::from_index(min_node),
                 rule: if source == min_node {
                     "min-load-local-group"
                 } else {

@@ -82,7 +82,7 @@ pub enum Decision {
     /// policy supplied no note for the assignment).
     Partition {
         vcpu: VcpuId,
-        node: Option<NodeId>,
+        node: NodeId,
         candidates: Vec<(usize, u64)>,
     },
     /// A page-migration grant: `bytes` of `vcpu`'s working set moved
@@ -286,7 +286,7 @@ fn write_decision_fields(w: &mut ObjWriter<'_>, decision: &Decision) {
             candidates,
         } => {
             w.u64("vcpu", ix(vcpu.index()))
-                .opt_u64("node", node.map(|n| ix(n.index())))
+                .u64("node", ix(node.index()))
                 .array("candidates", candidates, |cw, &(n, load)| {
                     cw.u64("node", ix(n)).u64("load", load);
                 });
@@ -380,10 +380,7 @@ mod tests {
                     candidates,
                 } => {
                     fields.push(("vcpu".into(), Json::from(vcpu.index())));
-                    fields.push((
-                        "node".into(),
-                        node.map(|n| Json::from(n.index())).unwrap_or(Json::Null),
-                    ));
+                    fields.push(("node".into(), Json::from(node.index())));
                     let cands = candidates
                         .iter()
                         .map(|&(n, load)| {
@@ -463,7 +460,7 @@ mod tests {
             "min-load-local-group",
             Decision::Partition {
                 vcpu: VcpuId::new(3),
-                node: Some(NodeId::new(1)),
+                node: NodeId::new(1),
                 candidates: vec![(0, 4), (1, 2)],
             },
         );
@@ -562,13 +559,8 @@ mod tests {
                 },
                 Decision::Partition {
                     vcpu: VcpuId::new(3),
-                    node: Some(NodeId::new(1)),
+                    node: NodeId::new(1),
                     candidates: vec![(0, x), (usize::MAX, 0)],
-                },
-                Decision::Partition {
-                    vcpu: VcpuId::new(4),
-                    node: None,
-                    candidates: vec![],
                 },
                 Decision::PageMigration {
                     vcpu: VcpuId::new(3),
