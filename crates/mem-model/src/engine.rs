@@ -1638,8 +1638,9 @@ fn mirror_dist_row(row: &mut [f64], key: u64, fracs: &[f64]) -> bool {
 /// non-negative fraction per node and sums to at most 1 (plus rounding).
 /// The split hands each home `misses × fraction` and the run node the
 /// remainder, so a larger fraction would assign more misses than the slot
-/// has.
-fn check_dist_row(key: u64, row: &[f64], n: usize) {
+/// has. [`ReferenceEngine`](crate::ReferenceEngine) checks every row with
+/// it too.
+pub(crate) fn check_dist_row(key: u64, row: &[f64], n: usize) {
     let sum: f64 = row.iter().sum();
     assert!(
         row.len() == n

@@ -15,8 +15,8 @@
 //! [`crate::engine`], not here.
 
 use crate::engine::{
-    round_to_u64, ContentionSnapshot, EngineParams, QuantumUsage, VcpuQuantumResult,
-    FIXED_POINT_ROUNDS,
+    check_dist_row, round_to_u64, ContentionSnapshot, EngineParams, QuantumUsage,
+    VcpuQuantumResult, FIXED_POINT_ROUNDS,
 };
 use crate::imc::ImcModel;
 use crate::latency::LatencyParams;
@@ -208,10 +208,7 @@ impl ReferenceEngine {
             members.clear();
         }
         for (i, u) in usages.iter().enumerate() {
-            debug_assert!(
-                (u.profile.node_access_dist.len()) == self.num_nodes,
-                "profile node distribution has wrong arity"
-            );
+            check_dist_row(u.key, &u.profile.node_access_dist, self.num_nodes);
             scratch.per_node[u.node.index()].push(i);
         }
         scratch.miss_rate.clear();
@@ -412,6 +409,61 @@ impl ReferenceEngine {
         self.scratch = scratch;
         self.results = results;
         &self.results
+    }
+}
+
+/// A standalone reference refuses the access rows `MemoryEngine` refuses,
+/// naming the slot, instead of overflowing in the split.
+#[cfg(test)]
+mod row_checks {
+    use super::*;
+    use crate::engine::AccessProfile;
+    use crate::MissCurve;
+    use numa_topo::{presets, NodeId};
+
+    fn step_row(dist: Vec<f64>) {
+        let p = AccessProfile {
+            rpti: 20.0,
+            base_cpi: 1.0,
+            miss_curve: MissCurve::new(0.05, 0.6, 16 << 20),
+            mlp: 1.0,
+            node_access_dist: dist,
+        };
+        let u = QuantumUsage {
+            key: 7,
+            node: NodeId::new(0),
+            runtime_share: 1.0,
+            profile: &p,
+            rpti_scale: 1.0,
+            cold_miss_boost: 1.0,
+            overhead_us: 0.0,
+        };
+        ReferenceEngine::new(&presets::xeon_e5620()).step(SimDuration::from_millis(1), &[u]);
+    }
+
+    macro_rules! refused_rows {
+        ($($name:ident: $row:expr,)*) => {$(
+            #[test]
+            #[should_panic(expected = "slot key 7: node_access_dist")]
+            fn $name() {
+                step_row($row);
+            }
+        )*};
+    }
+
+    refused_rows! {
+        infinite_fraction: vec![f64::INFINITY, 0.0],
+        nan_fraction: vec![f64::NAN, 0.5],
+        negative_fraction: vec![1.1, -0.1],
+        sum_above_one: vec![0.75, 0.75],
+        wrong_arity: vec![0.6, 0.4, 0.0],
+    }
+
+    #[test]
+    fn a_sum_an_ulp_above_one_is_accepted() {
+        let row = vec![0.45, (1.0f64 - 0.45).next_up()];
+        assert!(row.iter().sum::<f64>() > 1.0);
+        step_row(row);
     }
 }
 

@@ -10,13 +10,15 @@
 //!   whole experiment is reproducible from a single `u64` seed while every
 //!   subsystem still gets an independent stream;
 //! * lightweight statistics ([`stats`]) and time-series ([`series`])
-//!   containers used to collect experiment results.
+//!   containers used to collect experiment results, and the chunked
+//!   bounded FIFO ([`ring::Ring`]) the trace and decision logs keep.
 
 pub mod clock;
 pub mod error;
 pub mod faults;
 pub mod json;
 pub mod parallel;
+pub mod ring;
 pub mod rng;
 pub mod series;
 pub mod stats;

@@ -17,8 +17,8 @@
 //! feeds back into the schedule.
 
 use numa_topo::{NodeId, PcpuId, VcpuId};
+use sim_core::ring::Ring;
 use sim_core::{ObjWriter, SimTime};
-use std::collections::VecDeque;
 
 use crate::policy::PartitionNote;
 use crate::vcpu::Priority;
@@ -122,14 +122,10 @@ pub struct DecisionRecord {
     pub decision: Decision,
 }
 
-/// A bounded ring of decision records, mirroring [`crate::trace::TraceLog`].
+/// A bounded ring of decision records, kept in a [`Ring`].
 #[derive(Debug, Clone, Default)]
 pub struct ProvenanceLog {
-    enabled: bool,
-    capacity: usize,
-    records: VecDeque<DecisionRecord>,
-    dropped: u64,
-    recorded: u64,
+    records: Ring<DecisionRecord>,
 }
 
 impl ProvenanceLog {
@@ -142,39 +138,31 @@ impl ProvenanceLog {
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be nonzero");
         ProvenanceLog {
-            enabled: true,
-            capacity,
-            records: VecDeque::with_capacity(capacity.min(4096)),
-            dropped: 0,
-            recorded: 0,
+            records: Ring::new(capacity),
         }
     }
 
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.records.capacity() > 0
     }
 
     /// Record a decision (no-op when disabled). Oldest records drop once
-    /// the ring is full; timestamps must be non-decreasing.
+    /// the ring is full, with their candidate sets; timestamps must be
+    /// non-decreasing.
     pub fn record(&mut self, t: SimTime, rule: &'static str, decision: Decision) {
-        if !self.enabled {
+        if !self.is_enabled() {
             return;
         }
         debug_assert!(
             self.records.back().is_none_or(|r| r.t <= t),
             "decisions must be recorded in non-decreasing time order"
         );
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(DecisionRecord {
+        self.records.push(DecisionRecord {
             t,
-            seq: self.recorded,
+            seq: self.records.recorded(),
             rule,
             decision,
         });
-        self.recorded += 1;
     }
 
     pub fn len(&self) -> usize {
@@ -187,12 +175,12 @@ impl ProvenanceLog {
 
     /// Records dropped to the capacity bound; equals `recorded() - len()`.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.records.dropped()
     }
 
     /// Total records ever recorded, dropped or not.
     pub fn recorded(&self) -> u64 {
-        self.recorded
+        self.records.recorded()
     }
 
     pub fn iter(&self) -> impl Iterator<Item = &DecisionRecord> {

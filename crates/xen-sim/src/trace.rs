@@ -12,8 +12,8 @@
 //! the ring can be exported as a valid trace without sorting.
 
 use numa_topo::{NodeId, PcpuId, VcpuId};
+use sim_core::ring::Ring;
 use sim_core::SimTime;
-use std::collections::VecDeque;
 
 /// One injected fault, as seen by the trace. Variants map one-to-one onto
 /// the injection fields of [`FaultMetrics`](crate::metrics::FaultMetrics),
@@ -97,14 +97,10 @@ pub enum Event {
     Fault(FaultEvent),
 }
 
-/// A bounded ring of timestamped events.
+/// A bounded ring of timestamped events, kept in a [`Ring`].
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog {
-    enabled: bool,
-    capacity: usize,
-    events: VecDeque<(SimTime, Event)>,
-    dropped: u64,
-    recorded: u64,
+    events: Ring<(SimTime, Event)>,
 }
 
 impl TraceLog {
@@ -117,34 +113,25 @@ impl TraceLog {
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be nonzero");
         TraceLog {
-            enabled: true,
-            capacity,
-            events: VecDeque::with_capacity(capacity.min(4096)),
-            dropped: 0,
-            recorded: 0,
+            events: Ring::new(capacity),
         }
     }
 
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.events.capacity() > 0
     }
 
     /// Record an event (no-op when disabled). Oldest events are dropped
     /// once the ring is full; timestamps must be non-decreasing.
     pub fn record(&mut self, t: SimTime, e: Event) {
-        if !self.enabled {
+        if !self.is_enabled() {
             return;
         }
         debug_assert!(
             self.events.back().is_none_or(|(last, _)| *last <= t),
             "trace events must be recorded in non-decreasing time order"
         );
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back((t, e));
-        self.recorded += 1;
+        self.events.push((t, e));
     }
 
     pub fn len(&self) -> usize {
@@ -158,12 +145,12 @@ impl TraceLog {
     /// Events dropped because of the capacity bound. Always equals
     /// `recorded() - len()`.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.events.dropped()
     }
 
     /// Total events ever recorded, dropped or not.
     pub fn recorded(&self) -> u64 {
-        self.recorded
+        self.events.recorded()
     }
 
     pub fn iter(&self) -> impl Iterator<Item = &(SimTime, Event)> {

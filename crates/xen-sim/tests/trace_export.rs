@@ -1,8 +1,10 @@
 //! Trace-export and telemetry contracts at the `Machine` level.
 //!
-//! Two pins: (1) trace files and telemetry are deterministic — same seed,
-//! byte-identical output; (2) trace timestamps never go backwards, even on
-//! a stationary run where the engine skips every solve. That fault-injected
+//! Three pins: (1) trace files and telemetry are deterministic — same
+//! seed, byte-identical output; (2) trace timestamps never go backwards,
+//! even on a stationary run where the engine skips every solve; (3) a
+//! capped trace or decision log exports the tail of an uncapped one. That
+//! fault-injected
 //! runs are auditable (every injected fault traced, every event counter
 //! equal to the trace and to `RunMetrics`) is checked on Credit and
 //! vProbe-GD runs by `experiments::tracetool`'s tests.
@@ -155,4 +157,105 @@ fn telemetry_block_appears_only_when_enabled() {
     let mut doc = xen_sim::RunMetrics::from_json(&with).unwrap();
     doc.telemetry = None;
     assert_eq!(doc.to_json(), without);
+}
+
+/// The last `n` lines of `text`, newline-terminated like an export.
+fn tail_lines(text: &str, n: usize) -> String {
+    let lines: Vec<&str> = text.lines().collect();
+    lines[lines.len() - n..]
+        .iter()
+        .flat_map(|l| [*l, "\n"])
+        .collect()
+}
+
+/// A log capped mid-chunk exports exactly the tail of an uncapped log fed
+/// the same records: eviction keeps order, sequence numbers and bytes.
+#[test]
+fn capped_logs_export_the_tail_of_uncapped_ones() {
+    use numa_topo::{NodeId, PcpuId, VcpuId};
+    use sim_core::ring::CHUNK;
+    use sim_core::SimTime;
+    use xen_sim::provenance;
+    use xen_sim::{Decision, Event, FaultEvent, Priority, ProvenanceLog, StealCandidate, TraceLog};
+
+    let n = 3 * CHUNK + 123;
+    // Keeps the oldest record halfway into the second chunk.
+    let cap = CHUNK + CHUNK / 2 + 7;
+    let (mut trace_all, mut trace_cap) = (TraceLog::with_capacity(n), TraceLog::with_capacity(cap));
+    let (mut prov_all, mut prov_cap) = (
+        ProvenanceLog::with_capacity(n),
+        ProvenanceLog::with_capacity(cap),
+    );
+    for i in 0..n {
+        let t = SimTime::from_micros(i as u64 / 3);
+        let vcpu = VcpuId::new((i % 13) as u32);
+        let pcpu = PcpuId::new((i % 8) as u16);
+        let node = NodeId::new((i % 2) as u16);
+        let event = match i % 5 {
+            0 => Event::SwitchIn { vcpu, pcpu },
+            1 => Event::Steal {
+                thief: pcpu,
+                victim: PcpuId::new(0),
+                vcpu,
+                cross_node: i % 2 == 0,
+            },
+            2 => Event::PageMigration {
+                vcpu,
+                node,
+                bytes: i as u64 * 4096,
+            },
+            3 => Event::Fault(FaultEvent::MigrationDelayed {
+                vcpu,
+                node,
+                quanta: i as u64,
+            }),
+            _ => Event::SamplePeriod { periods: i as u64 },
+        };
+        trace_all.record(t, event.clone());
+        trace_cap.record(t, event);
+        let decision = if i % 2 == 0 {
+            Decision::Steal {
+                thief: pcpu,
+                thief_node: node,
+                would_idle: i % 3 == 0,
+                chosen: Some((PcpuId::new(1), vcpu)),
+                candidates: (0..i % 4)
+                    .map(|k| StealCandidate {
+                        pcpu: PcpuId::new(k as u16),
+                        vcpu,
+                        node,
+                        dist: 20,
+                        workload: k,
+                        pressure: i as f64 / 7.0,
+                        prio: Priority::Under,
+                    })
+                    .collect(),
+            }
+        } else {
+            Decision::Partition {
+                vcpu,
+                node,
+                candidates: vec![(0, i as u64), (1, 3)],
+            }
+        };
+        prov_all.record(t, "rule", decision.clone());
+        prov_cap.record(t, "rule", decision);
+    }
+    assert_eq!(
+        (trace_cap.len(), trace_cap.dropped()),
+        (cap, (n - cap) as u64)
+    );
+    assert_eq!(
+        (prov_cap.len(), prov_cap.dropped()),
+        (cap, (n - cap) as u64)
+    );
+    assert_eq!(trace_all.dropped() + prov_all.dropped(), 0);
+    assert_eq!(
+        xen_sim::to_jsonl(&trace_cap),
+        tail_lines(&xen_sim::to_jsonl(&trace_all), cap)
+    );
+    assert_eq!(
+        provenance::to_jsonl(&prov_cap),
+        tail_lines(&provenance::to_jsonl(&prov_all), cap)
+    );
 }
