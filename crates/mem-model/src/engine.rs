@@ -388,25 +388,6 @@ impl EnginePerf {
         0.0
     }
 
-    /// Fraction of steps answered by the whole-step skip.
-    pub fn skip_rate(&self) -> f64 {
-        if self.steps == 0 {
-            0.0
-        } else {
-            self.whole_step_skips as f64 / self.steps as f64
-        }
-    }
-
-    /// Mean fixed-point rounds per step that actually solved.
-    pub fn rounds_per_solving_step(&self) -> f64 {
-        let solving = self.steps - self.whole_step_skips;
-        if solving == 0 {
-            0.0
-        } else {
-            self.fp_rounds as f64 / solving as f64
-        }
-    }
-
     /// Add another engine's counters into this one. Summing per-host
     /// counters in host index order is the fleet aggregation primitive.
     pub fn accumulate(&mut self, o: EnginePerf) {
@@ -562,18 +543,6 @@ impl MemoryEngine {
     /// Deterministic; never part of the engine's outputs.
     pub fn perf(&self) -> EnginePerf {
         self.perf
-    }
-
-    /// Detach the pooled results buffer so a caller can apply it while
-    /// holding other borrows; hand it back via
-    /// [`MemoryEngine::put_back_results`] to keep the pooling.
-    pub fn take_results(&mut self) -> Vec<VcpuQuantumResult> {
-        std::mem::take(&mut self.results)
-    }
-
-    /// Return a buffer taken with [`MemoryEngine::take_results`].
-    pub fn put_back_results(&mut self, results: Vec<VcpuQuantumResult>) {
-        self.results = results;
     }
 
     /// Allocation-free form of [`MemoryEngine::step`]: the returned slice

@@ -178,17 +178,6 @@ impl ReferenceEngine {
         self.stationary
     }
 
-    /// Detach the pooled results buffer (see
-    /// [`crate::MemoryEngine::take_results`]).
-    pub fn take_results(&mut self) -> Vec<VcpuQuantumResult> {
-        std::mem::take(&mut self.results)
-    }
-
-    /// Return a buffer taken with [`ReferenceEngine::take_results`].
-    pub fn put_back_results(&mut self, results: Vec<VcpuQuantumResult>) {
-        self.results = results;
-    }
-
     /// Allocation-free form of [`ReferenceEngine::step`].
     pub fn step_ref(
         &mut self,

@@ -19,6 +19,7 @@
 use crate::metrics::RunMetrics;
 use crate::pcpu::PcpuState;
 use crate::policy::{AnalyzerView, PeriodFeedback, SchedPolicy, StealContext, VcpuView};
+use crate::provenance::{decision_from_note, Decision};
 use crate::trace::{Event, FaultEvent};
 use crate::vcpu::{Priority, VcpuKind, VcpuState};
 use crate::vm::{VmConfig, VmRuntime};
@@ -200,26 +201,28 @@ impl MachineBuilder {
         if self.cfg.sample_period.is_zero() {
             return Err(SimError::InvalidConfig("zero sampling period".into()));
         }
-        if self.topo.num_nodes() == 0 {
-            return Err(SimError::InvalidConfig("topology has no nodes".into()));
-        }
-        // Wake placement and node-targeted enqueue both rely on every
-        // node owning at least one PCPU.
-        for n in 0..self.topo.num_nodes() {
-            if self.topo.pcpus_of_node(NodeId::from_index(n)).is_empty() {
-                return Err(SimError::InvalidConfig(format!("node {n} has no PCPUs")));
-            }
-        }
         self.cfg.faults.validate()?;
         Machine::create(self.topo, self.cfg, policy, &self.vm_configs)
     }
 }
 
-/// The simulated machine.
+/// The simulated machine, in four parts (DESIGN §16): the `World` every
+/// simulated decision and result reads, whose clone is a fork
+/// ([`Machine::fork`]); per-quantum `Scratch` buffers, rebuilt rather than
+/// cloned; the `Observers` (metrics and sinks), which stepping code writes
+/// but never reads back; and the scheduling policy.
 pub struct Machine {
+    world: World,
+    scratch: Scratch,
+    obs: Observers,
+    policy: Box<dyn SchedPolicy>,
+}
+
+/// The simulated state: a fork of the machine is a clone of this.
+#[derive(Clone)]
+struct World {
     topo: Topology,
     cfg: MachineConfig,
-    policy: Box<dyn SchedPolicy>,
     engine: MemoryEngine,
     sampler: PeriodSampler,
     overhead: OverheadTracker,
@@ -230,8 +233,6 @@ pub struct Machine {
     pcpus: Vec<PcpuState>,
     /// Last sampled LLC access pressure per VCPU (Eq. 2 with α = 1000).
     pressure: Vec<f64>,
-    metrics: RunMetrics,
-    trace: crate::trace::TraceLog,
     timeslice_quanta: u32,
     /// Summed VM weight of all non-blocked VCPUs, maintained at the three
     /// blocked-flag transition sites so credit accounting need not rescan
@@ -243,16 +244,11 @@ pub struct Machine {
     idler_wakes: BinaryHeap<Reverse<(SimTime, u32)>>,
     /// The one profile every timer-idler burst executes.
     idler_profile: mem_model::AccessProfile,
-    /// Reusable per-quantum intensity-noise buffer (one factor per VCPU).
-    noise_scratch: Vec<f64>,
     /// The burstiness process's per-quantum reversion rate `theta` and
     /// shock scale `step` (see `update_intensity_noise`), fixed by the
     /// config.
     noise_theta: f64,
     noise_step: f64,
-    /// The per-quantum `usages` buffer, kept empty between quanta so its
-    /// allocation is reused (see `recycle`).
-    usage_buf: Vec<QuantumUsage<'static>>,
     /// Fault schedule source (draws nothing when faults are disabled).
     injector: FaultInjector,
     /// Cached `cfg.faults.enabled()`: gates every per-quantum fault hook so
@@ -265,8 +261,6 @@ pub struct Machine {
     failed_migrations: Vec<(VcpuId, NodeId)>,
     /// Injected-delay migrations waiting for their due time.
     delayed_moves: Vec<(SimTime, VcpuId, NodeId)>,
-    /// Reused buffer for landing due delayed migrations in arrival order.
-    delayed_scratch: Vec<(SimTime, VcpuId, NodeId)>,
     /// Per-VM `(next_fire_us, stride_us)` shuffle schedule; stride 0 means
     /// the VM never shuffles. The per-quantum modulo test fires exactly at
     /// grid points that are multiples of the period, i.e. every
@@ -274,14 +268,32 @@ pub struct Machine {
     shuffle_next: Vec<(u64, u64)>,
     /// Per-node throttle flags for the current sampling period.
     node_throttled: Vec<bool>,
-    /// Deterministic metric registry, snapshotted at every sampling period
-    /// and exported into [`RunMetrics::telemetry`] when enabled.
-    telemetry: Registry,
-    /// Ids of the metrics registered in [`Machine::register_telemetry`].
-    tids: TelemetryIds,
     /// Whether the policy reported fallback mode active at the previous
     /// period, for edge-detecting degrade/recover transitions.
     was_fallback: bool,
+}
+
+/// Per-quantum buffers: their contents matter for one quantum, so a fork starts them empty.
+#[derive(Default)]
+struct Scratch {
+    /// Per-quantum intensity-noise buffer (one factor per VCPU).
+    noise_scratch: Vec<f64>,
+    /// The per-quantum `usages` buffer, kept empty between quanta so its
+    /// allocation is reused (see `recycle`).
+    usage_buf: Vec<QuantumUsage<'static>>,
+    /// Buffer for landing due delayed migrations in arrival order.
+    delayed_scratch: Vec<(SimTime, VcpuId, NodeId)>,
+}
+
+/// What the run reports: stepping code writes these but never reads them back.
+struct Observers {
+    metrics: RunMetrics,
+    trace: crate::trace::TraceLog,
+    /// Deterministic metric registry, snapshotted at every sampling period
+    /// and exported into [`RunMetrics::telemetry`] when enabled.
+    telemetry: Registry,
+    /// Ids of the metrics registered in [`Observers::new`].
+    tids: TelemetryIds,
     /// Decision-provenance log: candidate sets, score components, and the
     /// rule behind every placement/steal/partition/degrade decision.
     /// Disabled by default (one branch per site).
@@ -312,6 +324,75 @@ struct TelemetryIds {
     h_rpti: HistogramId,
 }
 
+impl Observers {
+    /// Fresh observers for `num_vms` VMs: zeroed metrics, every sink off.
+    /// Registration order is the export order, so changing it changes the
+    /// `telemetry` JSON block.
+    fn new(num_vms: usize) -> Observers {
+        let mut telemetry = Registry::new();
+        Observers {
+            metrics: RunMetrics::new(num_vms),
+            trace: crate::trace::TraceLog::disabled(),
+            tids: TelemetryIds {
+                c_steals_local: telemetry.counter("steals_local"),
+                c_steals_remote: telemetry.counter("steals_remote"),
+                c_partition_moves: telemetry.counter("partition_moves"),
+                c_credit_boosts: telemetry.counter("credit_boosts"),
+                c_idler_wakes: telemetry.counter("idler_wakes"),
+                c_faults: telemetry.counter("faults_injected"),
+                c_degrade_enter: telemetry.counter("degrade_enter"),
+                c_degrade_recover: telemetry.counter("degrade_recover"),
+                c_rpti_friendly: telemetry.counter("rpti_friendly"),
+                c_rpti_fitting: telemetry.counter("rpti_fitting"),
+                c_rpti_thrashing: telemetry.counter("rpti_thrashing"),
+                g_active_vcpus: telemetry.gauge("active_vcpus"),
+                h_steal_latency: telemetry.histogram("steal_latency", 0.0, 50.0, 10),
+                h_migration_distance: telemetry.histogram("migration_distance", 0.0, 50.0, 10),
+                h_runq_depth: telemetry.histogram("runqueue_depth", 0.0, 16.0, 16),
+                h_rpti: telemetry.histogram("rpti", 0.0, 40.0, 20),
+            },
+            telemetry,
+            provenance: crate::provenance::ProvenanceLog::disabled(),
+            perf: None,
+        }
+    }
+
+    /// The sampling-period hook: close the telemetry period by recording
+    /// the period-end distributions (runqueue depth per PCPU, worker RPTI
+    /// and its Table 2 class) and snapshotting every metric's window into
+    /// its series.
+    fn close_period(&mut self, world: &World, now: SimTime) {
+        if self.telemetry.is_enabled() {
+            for p in 0..world.pcpus.len() {
+                let depth = world.pcpus[p].queue.len() as f64;
+                self.telemetry.observe(self.tids.h_runq_depth, depth);
+            }
+            let mut active = 0u64;
+            for i in 0..world.vcpus.len() {
+                if !world.vcpus[i].blocked {
+                    active += 1;
+                }
+                if world.vcpus[i].kind != VcpuKind::Worker {
+                    continue;
+                }
+                let rpti = world.pressure[i];
+                self.telemetry.observe(self.tids.h_rpti, rpti);
+                let class = if rpti < RPTI_FRIENDLY_MAX {
+                    self.tids.c_rpti_friendly
+                } else if rpti < RPTI_FITTING_MAX {
+                    self.tids.c_rpti_fitting
+                } else {
+                    self.tids.c_rpti_thrashing
+                };
+                self.telemetry.inc(class, 1);
+            }
+            self.telemetry
+                .set_gauge(self.tids.g_active_vcpus, active as f64);
+            self.telemetry.snapshot(now);
+        }
+    }
+}
+
 impl Machine {
     fn create(
         topo: Topology,
@@ -319,6 +400,8 @@ impl Machine {
         policy: Box<dyn SchedPolicy>,
         vm_configs: &[VmConfig],
     ) -> Result<Self, SimError> {
+        // Among other things: every node owns at least one PCPU, which
+        // wake placement and node-targeted enqueue rely on.
         topo.validate()?;
         let mut free = NodeFree::new(
             topo.nodes()
@@ -374,8 +457,6 @@ impl Machine {
                         vcpu.next_wake = SimTime::ZERO
                             + cfg.quantum * (vid.raw() as u64 % (period / cfg.quantum).max(1))
                             + cfg.quantum;
-                        vcpus.push(vcpu);
-                        continue;
                     }
                 }
                 vcpus.push(vcpu);
@@ -386,7 +467,6 @@ impl Machine {
         let timeslice_quanta = (cfg.timeslice / cfg.quantum).max(1) as u32;
         let num_vcpus = vcpus.len();
         let num_nodes = topo.num_nodes();
-        let metrics = RunMetrics::new(vms.len());
         let active_weight = vcpus
             .iter()
             .filter(|v| !v.blocked)
@@ -397,8 +477,6 @@ impl Machine {
             .filter(|v| v.blocked)
             .map(|v| Reverse((v.next_wake, v.id.raw())))
             .collect();
-        let mut telemetry = Registry::new();
-        let tids = Machine::register_telemetry(&mut telemetry);
         let q_us = cfg.quantum.as_micros();
         let noise_theta =
             (q_us as f64 / cfg.intensity_noise_corr.as_micros().max(1) as f64).min(1.0);
@@ -415,66 +493,54 @@ impl Machine {
                 None => (u64::MAX, 0),
             })
             .collect();
-        Ok(Machine {
+        let world = World {
             shuffle_next,
             active_weight,
             idler_wakes,
             idler_profile: mem_model::AccessProfile::cpu_only(1.0, num_nodes),
-            noise_scratch: Vec::with_capacity(num_vcpus),
             noise_theta,
             noise_step,
-            usage_buf: Vec::new(),
             injector: FaultInjector::new(cfg.faults.clone())?,
             faults_enabled: cfg.faults.enabled(),
             sample_validity: vec![1.0; num_vcpus],
             failed_migrations: Vec::new(),
             delayed_moves: Vec::new(),
-            delayed_scratch: Vec::new(),
             node_throttled: vec![false; num_nodes],
-            telemetry,
-            tids,
             was_fallback: false,
-            provenance: crate::provenance::ProvenanceLog::disabled(),
-            perf: None,
             engine: MemoryEngine::new(&topo),
             sampler: PeriodSampler::new(num_vcpus, num_nodes, cfg.sample_period),
             overhead: OverheadTracker::new(cfg.overhead),
             clock: Clock::new(cfg.quantum),
             rng: SimRng::seed_from(cfg.seed),
             pressure: vec![0.0; num_vcpus],
-            metrics,
-            trace: crate::trace::TraceLog::disabled(),
             timeslice_quanta,
             topo,
             cfg,
-            policy,
             vms,
             vcpus,
             pcpus,
-        })
+        };
+        Ok(Machine::assemble(world, policy))
     }
 
-    /// Register the machine's metric set. Registration order is the export
-    /// order, so changing it changes the `telemetry` JSON block.
-    fn register_telemetry(reg: &mut Registry) -> TelemetryIds {
-        TelemetryIds {
-            c_steals_local: reg.counter("steals_local"),
-            c_steals_remote: reg.counter("steals_remote"),
-            c_partition_moves: reg.counter("partition_moves"),
-            c_credit_boosts: reg.counter("credit_boosts"),
-            c_idler_wakes: reg.counter("idler_wakes"),
-            c_faults: reg.counter("faults_injected"),
-            c_degrade_enter: reg.counter("degrade_enter"),
-            c_degrade_recover: reg.counter("degrade_recover"),
-            c_rpti_friendly: reg.counter("rpti_friendly"),
-            c_rpti_fitting: reg.counter("rpti_fitting"),
-            c_rpti_thrashing: reg.counter("rpti_thrashing"),
-            g_active_vcpus: reg.gauge("active_vcpus"),
-            h_steal_latency: reg.histogram("steal_latency", 0.0, 50.0, 10),
-            h_migration_distance: reg.histogram("migration_distance", 0.0, 50.0, 10),
-            h_runq_depth: reg.histogram("runqueue_depth", 0.0, 16.0, 16),
-            h_rpti: reg.histogram("rpti", 0.0, 40.0, 20),
+    /// A machine around `world` with empty scratch buffers and fresh,
+    /// disabled observers.
+    fn assemble(world: World, policy: Box<dyn SchedPolicy>) -> Machine {
+        Machine {
+            scratch: Scratch::default(),
+            obs: Observers::new(world.vms.len()),
+            world,
+            policy,
         }
+    }
+
+    /// Fork the simulation: a machine with a clone of this one's simulated
+    /// state, driven by `policy` from here on, with fresh, disabled
+    /// observers; the two share nothing. When this machine's policy is
+    /// stateless (Credit), the fork's simulation steps exactly as this
+    /// machine's would after [`Machine::set_policy`] with the same policy.
+    pub fn fork(&self, policy: Box<dyn SchedPolicy>) -> Machine {
+        Machine::assemble(self.world.clone(), policy)
     }
 
     /// The machine's one recording path for scheduling events. Appends `e`
@@ -489,24 +555,24 @@ impl Machine {
             Event::Steal {
                 vcpu, cross_node, ..
             } => {
-                self.metrics.steals += 1;
-                self.metrics.steals_per_vm[self.vcpus[vcpu.index()].vm.index()] += 1;
+                self.obs.metrics.steals += 1;
+                self.obs.metrics.steals_per_vm[self.world.vcpus[vcpu.index()].vm.index()] += 1;
                 Some(if *cross_node {
-                    self.tids.c_steals_remote
+                    self.obs.tids.c_steals_remote
                 } else {
-                    self.tids.c_steals_local
+                    self.obs.tids.c_steals_local
                 })
             }
             Event::PartitionMove { .. } => {
-                self.metrics.partition_moves += 1;
-                Some(self.tids.c_partition_moves)
+                self.obs.metrics.partition_moves += 1;
+                Some(self.obs.tids.c_partition_moves)
             }
-            Event::IdlerWake { .. } => Some(self.tids.c_idler_wakes),
-            Event::CreditBoost { .. } => Some(self.tids.c_credit_boosts),
-            Event::Degrade { fallback: true } => Some(self.tids.c_degrade_enter),
-            Event::Degrade { fallback: false } => Some(self.tids.c_degrade_recover),
+            Event::IdlerWake { .. } => Some(self.obs.tids.c_idler_wakes),
+            Event::CreditBoost { .. } => Some(self.obs.tids.c_credit_boosts),
+            Event::Degrade { fallback: true } => Some(self.obs.tids.c_degrade_enter),
+            Event::Degrade { fallback: false } => Some(self.obs.tids.c_degrade_recover),
             Event::Fault(f) => {
-                let faults = &mut self.metrics.faults;
+                let faults = &mut self.obs.metrics.faults;
                 *match f {
                     FaultEvent::SampleLost { .. } => &mut faults.samples_lost,
                     FaultEvent::CounterNoise { .. } => &mut faults.counters_noised,
@@ -517,7 +583,7 @@ impl Machine {
                     FaultEvent::PcpuStall { .. } => &mut faults.pcpu_stalls,
                     FaultEvent::NodeThrottled { .. } => &mut faults.node_throttled_periods,
                 } += 1;
-                Some(self.tids.c_faults)
+                Some(self.obs.tids.c_faults)
             }
             Event::SwitchIn { .. }
             | Event::SwitchOut { .. }
@@ -525,13 +591,13 @@ impl Machine {
             | Event::PageMigration { .. } => None,
         };
         if let Some(id) = counter {
-            self.telemetry.inc(id, 1);
+            self.obs.telemetry.inc(id, 1);
         }
-        self.trace.record(t, e);
+        self.obs.trace.record(t, e);
     }
 
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        &self.world.topo
     }
 
     pub fn policy_name(&self) -> &str {
@@ -539,49 +605,50 @@ impl Machine {
     }
 
     pub fn now(&self) -> SimTime {
-        self.clock.now()
+        self.world.clock.now()
     }
 
     pub fn num_vcpus(&self) -> usize {
-        self.vcpus.len()
+        self.world.vcpus.len()
     }
 
     pub fn metrics(&self) -> &RunMetrics {
-        &self.metrics
+        &self.obs.metrics
     }
 
     /// Enable xentrace-style event tracing, keeping the most recent
     /// `capacity` events.
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = crate::trace::TraceLog::with_capacity(capacity);
+        self.obs.trace = crate::trace::TraceLog::with_capacity(capacity);
     }
 
     /// The trace log (empty unless [`Machine::enable_trace`] was called).
     pub fn trace(&self) -> &crate::trace::TraceLog {
-        &self.trace
+        &self.obs.trace
     }
 
     /// Enable the metric registry: counters/histograms start recording,
     /// period snapshots accumulate, and [`RunMetrics`] gains a `telemetry`
     /// JSON block at the next [`Machine::run`].
     pub fn enable_telemetry(&mut self) {
-        self.telemetry.set_enabled(true);
+        self.obs.telemetry.set_enabled(true);
     }
 
     /// The metric registry (inert unless [`Machine::enable_telemetry`] was
     /// called).
     pub fn telemetry(&self) -> &Registry {
-        &self.telemetry
+        &self.obs.telemetry
     }
 
     /// Human label for each VCPU (`"vm0/v2"` for workers, `"vm0/idler3"`
     /// for timer idlers), indexed by VCPU index; used by the trace
     /// exporters.
     pub fn vcpu_labels(&self) -> Vec<String> {
-        self.vcpus
+        self.world
+            .vcpus
             .iter()
             .map(|v| {
-                let vm = &self.vms[v.vm.index()];
+                let vm = &self.world.vms[v.vm.index()];
                 match v.kind {
                     VcpuKind::Worker => format!("{}/v{}", vm.name, v.vm_idx),
                     VcpuKind::TimerIdler => format!("{}/idler{}", vm.name, v.vm_idx),
@@ -592,7 +659,7 @@ impl Machine {
 
     /// Serialize the trace as JSON Lines (one event object per line).
     pub fn trace_jsonl(&self) -> String {
-        crate::export::to_jsonl(&self.trace)
+        crate::export::to_jsonl(&self.obs.trace)
     }
 
     /// Serialize the trace as a Chrome Trace Event file with per-PCPU
@@ -600,11 +667,11 @@ impl Machine {
     pub fn trace_chrome(&self) -> String {
         let labels = self.vcpu_labels();
         crate::export::to_chrome(
-            &self.trace,
+            &self.obs.trace,
             &crate::export::ChromeContext {
-                num_pcpus: self.pcpus.len(),
+                num_pcpus: self.world.pcpus.len(),
                 vcpu_labels: &labels,
-                end_us: self.clock.now().as_micros(),
+                end_us: self.world.clock.now().as_micros(),
             },
         )
     }
@@ -615,19 +682,19 @@ impl Machine {
     /// changes any decision: runs with provenance on are byte-identical in
     /// every metric, CSV, and trace output to runs with it off.
     pub fn enable_provenance(&mut self, capacity: usize) {
-        self.provenance = crate::provenance::ProvenanceLog::with_capacity(capacity);
+        self.obs.provenance = crate::provenance::ProvenanceLog::with_capacity(capacity);
         self.policy.set_explain(true);
     }
 
     /// The provenance log (empty unless [`Machine::enable_provenance`] was
     /// called).
     pub fn provenance(&self) -> &crate::provenance::ProvenanceLog {
-        &self.provenance
+        &self.obs.provenance
     }
 
     /// Serialize the provenance log as JSON Lines (one decision per line).
     pub fn provenance_jsonl(&self) -> String {
-        crate::provenance::to_jsonl(&self.provenance)
+        crate::provenance::to_jsonl(&self.obs.provenance)
     }
 
     /// Enable perf introspection: the engine's work-avoidance counters, exported into
@@ -635,9 +702,7 @@ impl Machine {
     /// observational only — enabling it changes no scheduling decision
     /// and no other output byte.
     pub fn enable_perf(&mut self) {
-        if self.perf.is_none() {
-            self.perf = Some(Box::default());
-        }
+        self.obs.perf.get_or_insert_with(Box::default);
     }
 
     /// Deterministic perf snapshot for this machine: the engine's
@@ -647,8 +712,8 @@ impl Machine {
     pub fn perf_snapshot(&self) -> crate::perf::PerfSnapshot {
         crate::perf::PerfSnapshot {
             hosts: 1,
-            engine: self.engine.perf(),
-            machine: self.perf.as_deref().cloned().unwrap_or_default(),
+            engine: self.world.engine.perf(),
+            machine: self.obs.perf.as_deref().cloned().unwrap_or_default(),
         }
     }
 
@@ -657,7 +722,7 @@ impl Machine {
     /// switching to the policy under test, as one would on a live host).
     pub fn set_policy(&mut self, policy: Box<dyn SchedPolicy>) {
         self.policy = policy;
-        if self.provenance.is_enabled() {
+        if self.obs.provenance.is_enabled() {
             self.policy.set_explain(true);
         }
     }
@@ -665,82 +730,65 @@ impl Machine {
     /// Zero all measurement state (but not scheduler/memory state): starts
     /// a fresh measurement window on a warm system.
     pub fn reset_metrics(&mut self) {
-        self.metrics = RunMetrics::new(self.vms.len());
-        self.overhead = OverheadTracker::new(self.cfg.overhead);
-        self.telemetry.reset();
-        for i in 0..self.vcpus.len() {
-            // Close the PMU windows so whole-run totals restart cleanly.
-            let _ = self.sampler.totals(i);
-        }
-        let num_vcpus = self.vcpus.len();
-        let num_nodes = self.topo.num_nodes();
-        self.sampler = PeriodSampler::new(num_vcpus, num_nodes, self.cfg.sample_period);
+        self.obs.metrics = RunMetrics::new(self.world.vms.len());
+        self.obs.telemetry.reset();
+        let w = &mut self.world;
+        w.overhead = OverheadTracker::new(w.cfg.overhead);
+        // A fresh sampler restarts the PMU windows and whole-run totals.
+        w.sampler = PeriodSampler::new(w.vcpus.len(), w.topo.num_nodes(), w.cfg.sample_period);
     }
 
     pub fn vm_id_by_name(&self, name: &str) -> Option<VmId> {
-        self.vms.iter().find(|v| v.name == name).map(|v| v.id)
+        self.world.vms.iter().find(|v| v.name == name).map(|v| v.id)
     }
 
     /// Whole-run PMU totals for one VCPU.
     pub fn vcpu_totals(&self, vcpu: VcpuId) -> PmuSample {
-        self.sampler.totals(vcpu.index())
+        self.world.sampler.totals(vcpu.index())
     }
 
     /// Run for `duration` of simulated time.
     pub fn run(&mut self, duration: SimDuration) -> &RunMetrics {
-        let quanta = duration / self.cfg.quantum;
+        let quanta = duration / self.world.cfg.quantum;
         for _ in 0..quanta {
             self.step_quantum();
         }
-        self.metrics.elapsed += self.cfg.quantum * quanta;
-        self.metrics.overhead_us = self.overhead.overhead_us();
-        self.metrics.busy_us = self.overhead.busy_us();
-        self.metrics.telemetry = self.telemetry.export();
-        if self.perf.is_some() {
-            self.metrics.perf = Some(self.perf_snapshot().to_json());
+        self.obs.metrics.elapsed += self.world.cfg.quantum * quanta;
+        self.obs.metrics.overhead_us = self.world.overhead.overhead_us();
+        self.obs.metrics.busy_us = self.world.overhead.busy_us();
+        self.obs.metrics.telemetry = self.obs.telemetry.export();
+        if self.obs.perf.is_some() {
+            self.obs.metrics.perf = Some(self.perf_snapshot().to_json());
         }
-        &self.metrics
+        &self.obs.metrics
     }
 
     /// Advance one quantum: timer events, scheduling, one memory-engine
     /// solve, credit debit, then the sampling-period check.
     fn step_quantum(&mut self) {
-        self.clock.step();
-        let now = self.clock.now();
+        self.world.clock.step();
+        let now = self.world.clock.now();
 
-        if self.faults_enabled {
+        if self.world.faults_enabled {
             self.fault_tick(now);
         }
 
         // Credit ticks (staggered per PCPU, as Xen offsets per-CPU timers
         // to avoid thundering herd) and per-VCPU staggered accounting.
         self.credit_ticks(now);
-        self.credit_accounting(now);
-        self.shuffle_tick(now);
+        self.world.credit_accounting(now);
+        self.world.shuffle_tick(now);
         self.wake_idlers(now);
         self.schedule_all();
 
-        if let Some(p) = self.perf.as_deref_mut() {
+        if let Some(p) = self.obs.perf.as_deref_mut() {
             p.plain_step();
         }
         self.execute_quantum(now);
-        self.debit_running();
+        self.world.debit_running();
 
-        if let Some(samples) = self.sampler.maybe_sample(now) {
+        if let Some(samples) = self.world.sampler.maybe_sample(now) {
             self.handle_sample(now, samples);
-        }
-    }
-
-    /// Guest thread shuffles, via the precomputed per-VM fire times: the
-    /// common quantum compares one integer per VM instead of taking a
-    /// modulo per VM.
-    fn shuffle_tick(&mut self, now: SimTime) {
-        let now_us = now.as_micros();
-        for (vm, slot) in self.vms.iter_mut().zip(self.shuffle_next.iter_mut()) {
-            if now_us == slot.0 {
-                vm.shuffle();
-                slot.0 += slot.1;
-            }
         }
     }
 
@@ -748,12 +796,12 @@ impl Machine {
     /// advance transient PCPU stalls, draw new ones, and land injected-delay
     /// migrations whose due time has arrived.
     fn fault_tick(&mut self, now: SimTime) {
-        for p in 0..self.pcpus.len() {
-            if self.pcpus[p].stall_left > 0 {
-                self.pcpus[p].stall_left -= 1;
-                self.metrics.faults.stalled_quanta += 1;
-            } else if let Some(quanta) = self.injector.pcpu_stall() {
-                self.pcpus[p].stall_left = quanta;
+        for p in 0..self.world.pcpus.len() {
+            if self.world.pcpus[p].stall_left > 0 {
+                self.world.pcpus[p].stall_left -= 1;
+                self.obs.metrics.faults.stalled_quanta += 1;
+            } else if let Some(quanta) = self.world.injector.pcpu_stall() {
+                self.world.pcpus[p].stall_left = quanta;
                 self.emit(
                     now,
                     Event::Fault(FaultEvent::PcpuStall {
@@ -763,15 +811,15 @@ impl Machine {
                 );
             }
         }
-        if !self.delayed_moves.is_empty() {
+        if !self.world.delayed_moves.is_empty() {
             // Split off the due entries in one linear pass (the index-based
             // `Vec::remove` scan this replaces was quadratic in the worst
             // case), landing them in arrival order exactly as the scan did
             // — the order matters because `apply_partition_move` draws from
             // the placement RNG.
-            let mut due = std::mem::take(&mut self.delayed_scratch);
+            let mut due = std::mem::take(&mut self.scratch.delayed_scratch);
             due.clear();
-            self.delayed_moves.retain(|&entry| {
+            self.world.delayed_moves.retain(|&entry| {
                 if entry.0 > now {
                     true
                 } else {
@@ -782,12 +830,12 @@ impl Machine {
             for &(_, vcpu, node) in &due {
                 // The VCPU may have blocked or been pinned since the
                 // request; a late migration of either would be wrong.
-                let v = &self.vcpus[vcpu.index()];
+                let v = &self.world.vcpus[vcpu.index()];
                 if !v.blocked && !v.admin_pinned {
                     self.apply_partition_move(vcpu, node, now);
                 }
             }
-            self.delayed_scratch = due;
+            self.scratch.delayed_scratch = due;
         }
     }
 
@@ -797,8 +845,8 @@ impl Machine {
     /// runtime information every 10 ms); credit debiting itself is precise
     /// per-quantum (see `debit_running`).
     fn credit_ticks(&mut self, now: SimTime) {
-        let tick = self.cfg.credit_tick.as_micros();
-        let quantum = self.cfg.quantum.as_micros();
+        let tick = self.world.cfg.credit_tick.as_micros();
+        let quantum = self.world.cfg.quantum.as_micros();
         let now_us = now.as_micros();
         let ticks_per = tick / quantum;
         // PCPU p's tick fires iff p ≡ now/quantum (mod tick/quantum), so
@@ -816,43 +864,775 @@ impl Machine {
             let slot = ((now_us / quantum) % ticks_per) as usize;
             let mut charge: Option<(bool, f64)> = None;
             let mut p = slot;
-            while p < self.pcpus.len() {
-                if self.pcpus[p].current.is_some() {
+            while p < self.world.pcpus.len() {
+                if self.world.pcpus[p].current.is_some() {
                     let (uses_pmu, lock_cost) = *charge.get_or_insert_with(|| {
-                        let runnable: usize = self.pcpus.iter().map(|x| x.workload()).sum();
+                        let runnable: usize = self.world.pcpus.iter().map(|x| x.workload()).sum();
                         (
                             self.policy.uses_pmu(),
                             self.policy.tick_overhead_us(runnable),
                         )
                     });
                     if uses_pmu {
-                        let cost = self.overhead.charge_sample();
-                        self.pcpus[p].pending_overhead_us += cost;
+                        let cost = self.world.overhead.charge_sample();
+                        self.world.pcpus[p].pending_overhead_us += cost;
                     }
                     // Policy-specific counter-update serialization (BRM's
                     // global lock). Not part of the Table III overhead
                     // budget: it is the comparison scheduler's own defect,
                     // not vProbe monitoring cost.
-                    self.pcpus[p].pending_overhead_us += lock_cost;
+                    self.world.pcpus[p].pending_overhead_us += lock_cost;
                 }
                 p += ticks_per as usize;
             }
             return;
         }
         let uses_pmu = self.policy.uses_pmu();
-        let runnable: usize = self.pcpus.iter().map(|p| p.workload()).sum();
+        let runnable: usize = self.world.pcpus.iter().map(|p| p.workload()).sum();
         let lock_cost = self.policy.tick_overhead_us(runnable);
-        for p in 0..self.pcpus.len() {
+        for p in 0..self.world.pcpus.len() {
             let offset = (p as u64 * quantum) % tick;
             if !(now_us.wrapping_sub(offset)).is_multiple_of(tick) {
                 continue;
             }
-            if self.pcpus[p].current.is_some() {
+            if self.world.pcpus[p].current.is_some() {
                 if uses_pmu {
-                    let cost = self.overhead.charge_sample();
-                    self.pcpus[p].pending_overhead_us += cost;
+                    let cost = self.world.overhead.charge_sample();
+                    self.world.pcpus[p].pending_overhead_us += cost;
                 }
-                self.pcpus[p].pending_overhead_us += lock_cost;
+                self.world.pcpus[p].pending_overhead_us += lock_cost;
+            }
+        }
+    }
+
+    /// Wake any timer idlers whose guest timer has fired. Wake placement is
+    /// Xen's NUMA-oblivious `csched_cpu_pick`: the first idle PCPU in id
+    /// order, else the least-loaded one — which concentrates wakeups (and
+    /// the preemption they cause) on low-numbered PCPUs.
+    fn wake_idlers(&mut self, now: SimTime) {
+        // Every blocked idler has exactly one `idler_wakes` entry, so the
+        // common no-wakeup quantum is a single heap peek.
+        let mut fired: Vec<usize> = Vec::new();
+        while let Some(&Reverse((t, i))) = self.world.idler_wakes.peek() {
+            if t > now {
+                break;
+            }
+            self.world.idler_wakes.pop();
+            fired.push(i as usize);
+        }
+        // Wake placement sees the queues earlier wakeups already touched,
+        // so process in VCPU-index order exactly as the full scan did.
+        fired.sort_unstable();
+        for i in fired {
+            debug_assert!(self.world.vcpus[i].blocked && self.world.vcpus[i].next_wake <= now);
+            let pcpu = self
+                .world
+                .pcpus
+                .iter()
+                .filter(|p| self.world.vcpus[i].allowed_on(p.node))
+                .min_by_key(|p| (!p.is_idle(), p.workload(), p.id.index()))
+                .map(|p| p.id)
+                .expect("machine has PCPUs");
+            let v = &mut self.world.vcpus[i];
+            v.blocked = false;
+            v.burst_left = 1;
+            v.priority = v.wake_priority();
+            v.queued_on = Some(pcpu);
+            let vcpu = v.id;
+            let boosted = v.priority == Priority::Boost;
+            self.world.active_weight += self.world.vms[v.vm.index()].weight as u64;
+            self.world.pcpus[pcpu.index()].queue.push(vcpu);
+            self.emit(now, Event::IdlerWake { vcpu, pcpu });
+            if boosted {
+                self.emit(now, Event::CreditBoost { vcpu, pcpu });
+            }
+            if self.obs.provenance.is_enabled() {
+                let num_candidates = self
+                    .world
+                    .pcpus
+                    .iter()
+                    .filter(|p| self.world.vcpus[i].allowed_on(p.node))
+                    .count();
+                self.obs.provenance.record(
+                    now,
+                    "first-idle-least-loaded",
+                    Decision::WakePlacement {
+                        vcpu,
+                        chosen: pcpu,
+                        num_candidates,
+                    },
+                );
+            }
+        }
+    }
+
+    fn schedule_all(&mut self) {
+        for p in 0..self.world.pcpus.len() {
+            self.schedule_pcpu(PcpuId::from_index(p));
+        }
+        // Idle-with-queued-work signal for load-balance quality.
+        let any_idle = self.world.pcpus.iter().any(|p| p.current.is_none());
+        let any_queued = self.world.pcpus.iter().any(|p| !p.queue.is_empty());
+        if any_idle && any_queued {
+            self.obs.metrics.idle_with_work_quanta += 1;
+        }
+    }
+
+    fn schedule_pcpu(&mut self, pid: PcpuId) {
+        // A transiently stalled PCPU (injected fault) makes no scheduling
+        // decisions: whatever it holds stays pinned until the stall ends.
+        if self.world.pcpus[pid.index()].stall_left > 0 {
+            return;
+        }
+        let node = self.world.pcpus[pid.index()].node;
+        // Decide whether the current VCPU keeps the PCPU.
+        if let Some(cur) = self.world.pcpus[pid.index()].current {
+            // A timer idler whose burst is spent blocks until its next
+            // guest-timer firing.
+            if self.world.vcpus[cur.index()].kind == VcpuKind::TimerIdler
+                && self.world.vcpus[cur.index()].burst_left == 0
+            {
+                self.world.pcpus[pid.index()].current = None;
+                let vm = &self.world.vms[self.world.vcpus[cur.index()].vm.index()];
+                let period = vm.idler_period.expect("idler implies period");
+                let weight = vm.weight as u64;
+                let v = &mut self.world.vcpus[cur.index()];
+                v.running_on = None;
+                v.blocked = true;
+                v.next_wake = self.world.clock.now() + period;
+                self.world.active_weight -= weight;
+                let wake = Reverse((v.next_wake, cur.raw()));
+                self.world.idler_wakes.push(wake);
+            } else {
+                let vcpus = &self.world.vcpus;
+                let v = &vcpus[cur.index()];
+                let preempted = self.world.pcpus[pid.index()]
+                    .queue
+                    .head_priority(|x| vcpus[x.index()].priority)
+                    .is_some_and(|h| h < v.priority);
+                let keep = v.timeslice_left > 0 && v.allowed_on(node) && !preempted;
+                if keep {
+                    self.world.vcpus[cur.index()].timeslice_left -= 1;
+                    return;
+                }
+                // Deschedule.
+                self.world.pcpus[pid.index()].current = None;
+                let vstate = &mut self.world.vcpus[cur.index()];
+                vstate.running_on = None;
+                if vstate.allowed_on(node) {
+                    vstate.queued_on = Some(pid);
+                    self.world.pcpus[pid.index()].queue.push(cur);
+                } else {
+                    let target = vstate
+                        .assigned_node
+                        .expect("not allowed implies assignment");
+                    self.enqueue_on_node(cur, target);
+                }
+            }
+            // Either way, `cur` has left the PCPU.
+            self.emit(
+                self.world.clock.now(),
+                Event::SwitchOut {
+                    vcpu: cur,
+                    pcpu: pid,
+                },
+            );
+        }
+
+        // Pick next: prefer own BOOST/UNDER work; steal when the best the
+        // queue offers is OVER work or nothing (Xen's balance trigger).
+        let head = {
+            let vcpus = &self.world.vcpus;
+            self.world.pcpus[pid.index()]
+                .queue
+                .head_priority(|x| vcpus[x.index()].priority)
+        };
+        if head.is_none() || head == Some(Priority::Over) {
+            let min_prio = if head.is_some() {
+                Priority::Under // have OVER work; only better work is worth a steal
+            } else {
+                Priority::Over // idle; take anything
+            };
+            let would_idle = head.is_none();
+            if let Some((victim, vcpu)) = self.try_steal(pid, min_prio, would_idle) {
+                // Injected fault: the balance operation loses the race for
+                // the victim's queue lock and gives up (Xen retries at the
+                // next balance trigger, and so do we).
+                if self.world.faults_enabled && self.world.injector.steal_failed() {
+                    self.emit(
+                        self.world.clock.now(),
+                        Event::Fault(FaultEvent::StealFailed { thief: pid }),
+                    );
+                } else {
+                    self.perform_steal(pid, victim, vcpu, head.is_none());
+                    return;
+                }
+            }
+        }
+        let popped = {
+            let vcpus = &self.world.vcpus;
+            self.world.pcpus[pid.index()]
+                .queue
+                .pop_best(|x| vcpus[x.index()].priority)
+        };
+        if let Some((vcpu, _prio)) = popped {
+            self.world.vcpus[vcpu.index()].queued_on = None;
+            self.switch_in(pid, vcpu);
+        }
+    }
+
+    fn perform_steal(&mut self, pid: PcpuId, victim: PcpuId, vcpu: VcpuId, was_idle: bool) {
+        let removed = self.world.pcpus[victim.index()].queue.remove(vcpu);
+        debug_assert!(removed, "stolen vcpu must be queued on victim");
+        self.world.vcpus[vcpu.index()].queued_on = None;
+        if was_idle {
+            self.obs.metrics.idle_steals += 1;
+        }
+        let victim_node = self.world.pcpus[victim.index()].node;
+        let thief_node = self.world.pcpus[pid.index()].node;
+        // "Steal latency" as NUMA distance victim → thief: the cost proxy
+        // for how far the stolen VCPU's cache state has to travel.
+        self.obs.telemetry.observe(
+            self.obs.tids.h_steal_latency,
+            self.world.topo.distance().get(victim_node, thief_node) as f64,
+        );
+        self.emit(
+            self.world.clock.now(),
+            Event::Steal {
+                thief: pid,
+                victim,
+                vcpu,
+                cross_node: victim_node != thief_node,
+            },
+        );
+        self.switch_in(pid, vcpu);
+    }
+
+    fn try_steal(
+        &mut self,
+        thief: PcpuId,
+        min_prio: Priority,
+        would_idle: bool,
+    ) -> Option<(PcpuId, VcpuId)> {
+        let thief_node = self.world.pcpus[thief.index()].node;
+        let mut victims: Vec<(PcpuId, usize, Vec<VcpuId>)> =
+            Vec::with_capacity(self.world.pcpus.len() - 1);
+        let mut total_runnable = 0usize;
+        for p in &self.world.pcpus {
+            total_runnable += p.workload();
+            if p.id == thief {
+                continue;
+            }
+            // BOOST VCPUs are excluded: a boosted wakeup is about to be
+            // run by its own (tickled) PCPU within microseconds on real
+            // Xen; it is only observably queued here because of the 1 ms
+            // quantum. Stealing one would waste the balance operation on a
+            // VCPU that blocks again almost immediately.
+            let candidates: Vec<VcpuId> = p
+                .queue
+                .iter_at_least(min_prio, |x| self.world.vcpus[x.index()].priority)
+                .filter(|v| {
+                    let st = &self.world.vcpus[v.index()];
+                    st.priority != Priority::Boost && st.allowed_on(thief_node)
+                })
+                .collect();
+            victims.push((p.id, p.workload(), candidates));
+        }
+        self.obs.metrics.steal_attempts += 1;
+        if victims.iter().all(|(_, _, c)| c.is_empty()) {
+            self.obs.metrics.steal_attempts_empty += 1;
+        }
+        // Serialization cost of the balance decision (BRM's global lock).
+        let cost = self.policy.decision_overhead_us(total_runnable);
+        if cost > 0.0 {
+            self.world.pcpus[thief.index()].pending_overhead_us += cost;
+        }
+        let ctx = StealContext {
+            topo: &self.world.topo,
+            idle_pcpu: thief,
+            victims: &victims,
+            pressure: &self.world.pressure,
+            would_idle,
+        };
+        if !self.obs.provenance.is_enabled() {
+            return self.policy.steal(ctx);
+        }
+        // Provenance path: identical call (the context is a cheap by-ref
+        // copy), then flatten the candidate set with its score components
+        // and ask the policy which rule fired. Records only decisions that
+        // had at least one candidate; the all-empty case is already
+        // counted by `steal_attempts_empty`.
+        let choice = self.policy.steal(ctx.clone());
+        let thief_node_of = |p: PcpuId| self.world.topo.node_of_pcpu(p);
+        let mut candidates: Vec<crate::provenance::StealCandidate> = Vec::new();
+        for (pid, workload, cands) in &victims {
+            let node = thief_node_of(*pid);
+            let dist = self.world.topo.distance().get(node, thief_node);
+            for &v in cands {
+                candidates.push(crate::provenance::StealCandidate {
+                    pcpu: *pid,
+                    vcpu: v,
+                    node,
+                    dist,
+                    workload: *workload,
+                    pressure: self.world.pressure[v.index()],
+                    prio: self.world.vcpus[v.index()].priority,
+                });
+            }
+        }
+        if !candidates.is_empty() {
+            let rule = self.policy.explain_steal(&ctx, &choice);
+            self.obs.provenance.record(
+                self.world.clock.now(),
+                rule,
+                Decision::Steal {
+                    thief,
+                    thief_node,
+                    would_idle,
+                    chosen: choice,
+                    candidates,
+                },
+            );
+        }
+        choice
+    }
+
+    fn switch_in(&mut self, pid: PcpuId, vcpu: VcpuId) {
+        let node = self.world.pcpus[pid.index()].node;
+        let last_pcpu = self.world.vcpus[vcpu.index()].last_pcpu;
+        let migrated = last_pcpu != Some(pid);
+        let last_node = last_pcpu.map(|lp| self.world.topo.node_of_pcpu(lp));
+        let cross_node = last_node.is_some_and(|n| n != node);
+        // Timer-idler wake placements are wakeups, not load-balance
+        // migrations: they carry no cache/memory state worth tracking, so
+        // only workers count toward the migration metrics.
+        let is_worker = self.world.vcpus[vcpu.index()].kind == VcpuKind::Worker;
+        if let Some(from) = last_node.filter(|_| migrated && is_worker) {
+            self.obs.metrics.migrations += 1;
+            self.obs.telemetry.observe(
+                self.obs.tids.h_migration_distance,
+                self.world.topo.distance().get(from, node) as f64,
+            );
+            if cross_node {
+                self.obs.metrics.cross_node_migrations += 1;
+                // The whole LLC working set must be refetched on the new
+                // node: the cold window scales with its size (~1 ms/MB).
+                let v = &self.world.vcpus[vcpu.index()];
+                let ws_mb = (self.world.vms[v.vm.index()]
+                    .thread_for_slot(v.vm_idx)
+                    .profile_at(self.world.clock.now())
+                    .miss_curve
+                    .ws_bytes
+                    / (1024 * 1024)) as u32;
+                self.world.vcpus[vcpu.index()].cold_quanta =
+                    (self.world.cfg.cold_quanta + ws_mb).min(self.world.cfg.cold_quanta_max);
+            }
+        }
+        let mut cost = self.world.cfg.context_switch_us;
+        if migrated {
+            cost += self.world.cfg.migration_extra_us;
+        }
+        self.world.pcpus[pid.index()].pending_overhead_us += cost;
+        let v = &mut self.world.vcpus[vcpu.index()];
+        v.running_on = Some(pid);
+        v.last_pcpu = Some(pid);
+        v.timeslice_left = self.world.timeslice_quanta;
+        self.world.pcpus[pid.index()].current = Some(vcpu);
+        self.emit(self.world.clock.now(), Event::SwitchIn { vcpu, pcpu: pid });
+    }
+
+    /// Queue a VCPU on a uniformly random PCPU of `node`.
+    ///
+    /// Deliberately *not* least-loaded: a periodic pass that always lands
+    /// migrated VCPUs on the emptiest queue would hand them a systematic
+    /// queue-jump over VCPUs the pass never touches, distorting CPU shares
+    /// in favour of whatever the policy migrates most often. Random
+    /// placement is share-neutral; intra-node imbalance is the stealing
+    /// path's job.
+    fn enqueue_on_node(&mut self, vcpu: VcpuId, node: NodeId) {
+        let pcpus = self.world.topo.pcpus_of_node(node);
+        let pick = self.world.rng.index(pcpus.len());
+        let target = pcpus[pick.expect("every node has PCPUs")];
+        self.obs.provenance.record(
+            self.world.clock.now(),
+            "uniform-random",
+            Decision::Placement {
+                vcpu,
+                node,
+                chosen: target,
+                num_candidates: pcpus.len(),
+            },
+        );
+        self.world.vcpus[vcpu.index()].queued_on = Some(target);
+        self.world.pcpus[target.index()].queue.push(vcpu);
+    }
+
+    fn execute_quantum(&mut self, now: SimTime) {
+        self.world
+            .update_intensity_noise(&mut self.scratch.noise_scratch);
+        let noise = &self.scratch.noise_scratch;
+        let mut usages: Vec<QuantumUsage> = recycle(std::mem::take(&mut self.scratch.usage_buf));
+        for p in &mut self.world.pcpus {
+            // A stalled PCPU makes no forward progress this quantum.
+            if p.stall_left > 0 {
+                continue;
+            }
+            let Some(vid) = p.current else { continue };
+            let v = &self.world.vcpus[vid.index()];
+            let vm = &self.world.vms[v.vm.index()];
+            // Workers borrow their thread's phase-cached profile with the
+            // burstiness factor applied engine-side; rebuilding the profile
+            // here (as the code once did) costs two allocations per running
+            // VCPU per quantum.
+            let (profile, rpti_scale) = match v.kind {
+                VcpuKind::Worker => (
+                    vm.thread_for_slot(v.vm_idx).profile_at(now),
+                    noise[vid.index()],
+                ),
+                // A timer-idler burst is kernel housekeeping: brief,
+                // CPU-only, no LLC footprint worth modeling.
+                VcpuKind::TimerIdler => (&self.world.idler_profile, 1.0),
+            };
+            usages.push(QuantumUsage {
+                key: vid.raw() as u64,
+                node: p.node,
+                // An injected node-throttle period slows every VCPU on the
+                // node (all-false without faults, leaving the share at 1).
+                runtime_share: if self.world.node_throttled[p.node.index()] {
+                    self.world.cfg.faults.node_throttle_factor
+                } else {
+                    1.0
+                },
+                profile,
+                rpti_scale,
+                cold_miss_boost: if v.cold_quanta > 0 {
+                    self.world.cfg.cold_miss_boost
+                } else {
+                    1.0
+                },
+                overhead_us: std::mem::take(&mut p.pending_overhead_us),
+            });
+        }
+        // The results borrow only the engine; the loop below writes other
+        // `World` fields and the metrics.
+        let results = self.world.engine.step_ref(self.world.cfg.quantum, &usages);
+        self.scratch.usage_buf = recycle(usages);
+        for r in results {
+            let vid = VcpuId::new(r.key as u32);
+            let v = &mut self.world.vcpus[vid.index()];
+            if v.cold_quanta > 0 {
+                v.cold_quanta -= 1;
+            }
+            if v.kind == VcpuKind::TimerIdler {
+                // Idler bursts consume PCPU time but are guest-kernel
+                // housekeeping, not application work: they count toward
+                // machine busy time (Table III's denominator) only.
+                if v.burst_left > 0 {
+                    v.burst_left -= 1;
+                }
+                self.world.overhead.add_busy_time(self.world.cfg.quantum);
+                continue;
+            }
+            self.world.sampler.record(
+                vid.index(),
+                r.instructions,
+                r.llc_refs,
+                r.llc_misses,
+                r.local_accesses,
+                r.remote_accesses,
+                &r.node_accesses,
+            );
+            let m = &mut self.obs.metrics.per_vm[v.vm.index()];
+            m.instructions += r.instructions;
+            m.llc_refs += r.llc_refs;
+            m.llc_misses += r.llc_misses;
+            m.local_accesses += r.local_accesses;
+            m.remote_accesses += r.remote_accesses;
+            m.busy_us += self.world.cfg.quantum.as_micros();
+            self.world.overhead.add_busy_time(self.world.cfg.quantum);
+        }
+    }
+
+    fn handle_sample(&mut self, now: SimTime, mut samples: Vec<PmuSample>) {
+        // Counter attribution error: relative sd shrinks with the square
+        // root of the window length.
+        let cfg = &self.world.cfg;
+        if cfg.attribution_noise > 0.0 {
+            let window_quanta = (cfg.sample_period.as_micros() / cfg.quantum.as_micros()).max(1);
+            let sd = cfg.attribution_noise / (window_quanta as f64).sqrt();
+            for s in &mut samples {
+                let f = self.world.rng.normal_clamped(1.0, sd, 0.2, 3.0);
+                s.llc_refs = (s.llc_refs as f64 * f).round() as u64;
+            }
+        }
+        // Injected PMU faults corrupt what the analyzer (and the series
+        // below) sees; ground-truth per-VM metrics accumulate in
+        // `execute_quantum` from engine results and are untouched.
+        if self.world.faults_enabled {
+            self.inject_sample_faults(now, &mut samples);
+        }
+        self.emit(
+            now,
+            Event::SamplePeriod {
+                periods: self.world.sampler.periods_completed(),
+            },
+        );
+        // Refresh the machine-cached per-VCPU pressures (Eq. 2).
+        for (v, s) in samples.iter().enumerate() {
+            self.world.pressure[v] = s.llc_access_pressure(1_000.0);
+        }
+        // Per-VM remote-ratio and throughput series for this period.
+        let period_s = self.world.cfg.sample_period.as_secs_f64();
+        for vm in &self.world.vms {
+            let (mut local, mut remote, mut instr) = (0u64, 0u64, 0u64);
+            for &vid in &vm.vcpu_ids {
+                local += samples[vid.index()].local_accesses;
+                remote += samples[vid.index()].remote_accesses;
+                instr += samples[vid.index()].instructions;
+            }
+            let ratio = if local + remote == 0 {
+                0.0
+            } else {
+                remote as f64 / (local + remote) as f64
+            };
+            self.obs.metrics.remote_ratio_series[vm.id.index()].push(now, ratio);
+            self.obs.metrics.throughput_series[vm.id.index()].push(now, instr as f64 / period_s);
+        }
+
+        if self.policy.uses_pmu() {
+            let cost = self.world.overhead.charge_analysis();
+            self.world.pcpus[0].pending_overhead_us += cost;
+        }
+
+        let views: Vec<VcpuView> = self
+            .world
+            .vcpus
+            .iter()
+            .map(|v| VcpuView { id: v.id, vm: v.vm })
+            .collect();
+        // Deliver period-health signals before the analysis pass. With
+        // faults disabled this reports all-valid samples and no failures,
+        // and the default implementation ignores it.
+        let failed_last_period = std::mem::take(&mut self.world.failed_migrations);
+        self.policy.on_period_feedback(&PeriodFeedback {
+            sample_validity: &self.world.sample_validity,
+            failed_migrations: &failed_last_period,
+        });
+        let plan = self.policy.on_sample(AnalyzerView {
+            topo: &self.world.topo,
+            samples: &samples,
+            vcpus: &views,
+        });
+        // Degradation bookkeeping (all-default for the paper's policies).
+        let report = plan.report;
+        self.obs.metrics.faults.periods_skipped += u64::from(report.period_skipped);
+        self.obs.metrics.faults.fallback_periods += u64::from(report.fallback_active);
+        self.obs.metrics.faults.fallbacks_triggered += u64::from(report.fallback_entered);
+        self.obs.metrics.faults.migration_retries += u64::from(report.migration_retries);
+        // Edge-detect degrade-mode transitions for the trace and counters.
+        if report.fallback_entered {
+            self.emit(now, Event::Degrade { fallback: true });
+            self.obs.provenance.record(
+                now,
+                "confidence-dark-streak",
+                Decision::Degrade { fallback: true },
+            );
+        }
+        if self.world.was_fallback && !report.fallback_active {
+            self.emit(now, Event::Degrade { fallback: false });
+            self.obs.provenance.record(
+                now,
+                "confidence-recovered",
+                Decision::Degrade { fallback: false },
+            );
+        }
+        self.world.was_fallback = report.fallback_active;
+
+        // Partition provenance: the policy's per-assignment notes (explain
+        // mode only) become decision records at the period instant. Notes
+        // never affect application below.
+        for note in &plan.notes {
+            self.obs
+                .provenance
+                .record(now, note.rule, decision_from_note(note));
+        }
+
+        for a in plan.assignments {
+            let idx = a.vcpu.index();
+            // Administrative pins outrank any policy decision.
+            if self.world.vcpus[idx].admin_pinned {
+                continue;
+            }
+            // A policy assignment is a one-shot migration (the paper's
+            // soft partitioning) and never pins: its persistence relies on
+            // the NUMA-aware load balance not dragging heavy VCPUs back
+            // across nodes.
+            let target = a.node;
+            // A VCPU already running on the right node is left alone; the
+            // fault draw below therefore only covers real migrations.
+            let running_on = self.world.vcpus[idx].running_on;
+            if self.world.vcpu_on_node(running_on, target) {
+                continue;
+            }
+            if self.world.faults_enabled {
+                match self.world.injector.migration_fault() {
+                    MigrationFault::Failed => {
+                        self.world.failed_migrations.push((a.vcpu, target));
+                        self.emit(
+                            now,
+                            Event::Fault(FaultEvent::MigrationFailed {
+                                vcpu: a.vcpu,
+                                node: target,
+                            }),
+                        );
+                        continue;
+                    }
+                    MigrationFault::Delayed(quanta) => {
+                        let due = now + self.world.cfg.quantum * u64::from(quanta);
+                        self.world.delayed_moves.push((due, a.vcpu, target));
+                        self.emit(
+                            now,
+                            Event::Fault(FaultEvent::MigrationDelayed {
+                                vcpu: a.vcpu,
+                                node: target,
+                                quanta: u64::from(quanta),
+                            }),
+                        );
+                        continue;
+                    }
+                    MigrationFault::None => {}
+                }
+            }
+            self.apply_partition_move(a.vcpu, target, now);
+        }
+
+        self.apply_page_migrations(now, plan.page_migrations);
+
+        self.obs.close_period(&self.world, now);
+    }
+
+    /// Migrate one VCPU to `target` per Algorithm 1: a VCPU already
+    /// running there is left alone, but a queued one is re-placed on the
+    /// node (losing its queue position) — this per-pass disruption is what
+    /// makes very short sampling periods expensive (Fig. 8's left arm).
+    /// Shared by the sampling-period pass and the injected-delay path.
+    fn apply_partition_move(&mut self, vcpu: VcpuId, target: NodeId, now: SimTime) {
+        let idx = vcpu.index();
+        let v = &self.world.vcpus[idx];
+        if self.world.vcpu_on_node(v.running_on, target) {
+            return;
+        }
+        let was_cross = !self.world.vcpu_on_node(v.queued_on, target) || v.running_on.is_some();
+        if let Some(pid) = self.world.vcpus[idx].running_on {
+            self.world.pcpus[pid.index()].current = None;
+            self.world.vcpus[idx].running_on = None;
+            self.emit(now, Event::SwitchOut { vcpu, pcpu: pid });
+        } else if let Some(pid) = self.world.vcpus[idx].queued_on {
+            self.world.pcpus[pid.index()].queue.remove(vcpu);
+            self.world.vcpus[idx].queued_on = None;
+        }
+        self.enqueue_on_node(vcpu, target);
+        if was_cross {
+            self.emit(now, Event::PartitionMove { vcpu, node: target });
+        }
+        if self.policy.uses_pmu() {
+            let cost = self.world.overhead.charge_migration();
+            self.world.pcpus[0].pending_overhead_us += cost;
+        }
+    }
+
+    /// Corrupt the period's samples per the fault schedule (only called
+    /// with faults enabled) and draw the coming period's node throttles.
+    fn inject_sample_faults(&mut self, now: SimTime, samples: &mut [PmuSample]) {
+        let num_nodes = self.world.topo.num_nodes();
+        for (i, s) in samples.iter_mut().enumerate() {
+            let vcpu = VcpuId::new(i as u32);
+            if self.world.injector.sample_lost() {
+                *s = PmuSample::zeroed(num_nodes);
+                self.world.sample_validity[i] = 0.0;
+                self.emit(now, Event::Fault(FaultEvent::SampleLost { vcpu }));
+                continue;
+            }
+            self.world.sample_validity[i] = 1.0;
+            if let Some(f) = self.world.injector.multiplex_factor() {
+                s.scale_llc(f);
+                self.emit(now, Event::Fault(FaultEvent::CounterNoise { vcpu }));
+            }
+            if self.world.injector.affinity_corrupted() {
+                let k = self.world.injector.affinity_rotation(num_nodes);
+                s.rotate_node_accesses(k);
+                self.emit(now, Event::Fault(FaultEvent::AffinityCorrupted { vcpu }));
+            }
+        }
+        for n in 0..num_nodes {
+            let throttled = self.world.injector.node_throttled();
+            self.world.node_throttled[n] = throttled;
+            if throttled {
+                self.emit(
+                    now,
+                    Event::Fault(FaultEvent::NodeThrottled {
+                        node: NodeId::from_index(n),
+                    }),
+                );
+            }
+        }
+    }
+
+    fn apply_page_migrations(
+        &mut self,
+        now: SimTime,
+        page_migrations: Vec<crate::policy::PageMigration>,
+    ) {
+        // §VI extension: page migrations requested by the policy. The copy
+        // engine moves ~2 bytes/ns; its time is charged as overhead on the
+        // PCPU where the migrated VCPU would run (the VM stalls on the
+        // moving pages).
+        for pm in page_migrations {
+            let v = &self.world.vcpus[pm.vcpu.index()];
+            if v.kind != VcpuKind::Worker {
+                continue;
+            }
+            let (vm, vm_idx) = (v.vm, v.vm_idx);
+            let charged_pcpu = v.running_on.or(v.queued_on).unwrap_or(PcpuId::new(0));
+            let moved =
+                self.world.vms[vm.index()].migrate_thread_pages(vm_idx, pm.to_node, pm.max_bytes);
+            if moved > 0 {
+                self.obs.metrics.page_migrations += 1;
+                self.obs.metrics.page_migration_bytes += moved;
+                self.world.pcpus[charged_pcpu.index()].pending_overhead_us +=
+                    moved as f64 / 2_000.0;
+                self.emit(
+                    now,
+                    Event::PageMigration {
+                        vcpu: pm.vcpu,
+                        node: pm.to_node,
+                        bytes: moved,
+                    },
+                );
+                self.obs.provenance.record(
+                    now,
+                    "budget-grant",
+                    Decision::PageMigration {
+                        vcpu: pm.vcpu,
+                        node: pm.to_node,
+                        bytes: moved,
+                    },
+                );
+            }
+        }
+    }
+}
+
+impl World {
+    /// Guest thread shuffles, via the precomputed per-VM fire times: the
+    /// common quantum compares one integer per VM instead of taking a
+    /// modulo per VM.
+    fn shuffle_tick(&mut self, now: SimTime) {
+        let now_us = now.as_micros();
+        for (vm, slot) in self.vms.iter_mut().zip(self.shuffle_next.iter_mut()) {
+            if now_us == slot.0 {
+                vm.shuffle();
+                slot.0 += slot.1;
             }
         }
     }
@@ -939,461 +1719,17 @@ impl Machine {
         }
     }
 
-    /// Wake any timer idlers whose guest timer has fired. Wake placement is
-    /// Xen's NUMA-oblivious `csched_cpu_pick`: the first idle PCPU in id
-    /// order, else the least-loaded one — which concentrates wakeups (and
-    /// the preemption they cause) on low-numbered PCPUs.
-    fn wake_idlers(&mut self, now: SimTime) {
-        // Every blocked idler has exactly one `idler_wakes` entry, so the
-        // common no-wakeup quantum is a single heap peek.
-        let mut fired: Vec<usize> = Vec::new();
-        while let Some(&Reverse((t, i))) = self.idler_wakes.peek() {
-            if t > now {
-                break;
-            }
-            self.idler_wakes.pop();
-            fired.push(i as usize);
-        }
-        // Wake placement sees the queues earlier wakeups already touched,
-        // so process in VCPU-index order exactly as the full scan did.
-        fired.sort_unstable();
-        for i in fired {
-            debug_assert!(self.vcpus[i].blocked && self.vcpus[i].next_wake <= now);
-            let pcpu = self
-                .pcpus
-                .iter()
-                .filter(|p| self.vcpus[i].allowed_on(p.node))
-                .min_by_key(|p| (!p.is_idle(), p.workload(), p.id.index()))
-                .map(|p| p.id)
-                .expect("machine has PCPUs");
-            let v = &mut self.vcpus[i];
-            v.blocked = false;
-            v.burst_left = 1;
-            v.priority = v.wake_priority();
-            v.queued_on = Some(pcpu);
-            let vcpu = v.id;
-            let boosted = v.priority == Priority::Boost;
-            self.active_weight += self.vms[v.vm.index()].weight as u64;
-            self.pcpus[pcpu.index()].queue.push(vcpu);
-            self.emit(now, Event::IdlerWake { vcpu, pcpu });
-            if boosted {
-                self.emit(now, Event::CreditBoost { vcpu, pcpu });
-            }
-            if self.provenance.is_enabled() {
-                let num_candidates = self
-                    .pcpus
-                    .iter()
-                    .filter(|p| self.vcpus[i].allowed_on(p.node))
-                    .count();
-                self.provenance.record(
-                    now,
-                    "first-idle-least-loaded",
-                    crate::provenance::Decision::WakePlacement {
-                        vcpu,
-                        chosen: pcpu,
-                        num_candidates,
-                    },
-                );
-            }
-        }
-    }
-
-    fn schedule_all(&mut self) {
-        for p in 0..self.pcpus.len() {
-            self.schedule_pcpu(PcpuId::from_index(p));
-        }
-        // Idle-with-queued-work signal for load-balance quality.
-        let any_idle = self.pcpus.iter().any(|p| p.current.is_none());
-        let any_queued = self.pcpus.iter().any(|p| !p.queue.is_empty());
-        if any_idle && any_queued {
-            self.metrics.idle_with_work_quanta += 1;
-        }
-    }
-
-    fn schedule_pcpu(&mut self, pid: PcpuId) {
-        // A transiently stalled PCPU (injected fault) makes no scheduling
-        // decisions: whatever it holds stays pinned until the stall ends.
-        if self.pcpus[pid.index()].stall_left > 0 {
-            return;
-        }
-        let node = self.pcpus[pid.index()].node;
-        // Decide whether the current VCPU keeps the PCPU.
-        if let Some(cur) = self.pcpus[pid.index()].current {
-            // A timer idler whose burst is spent blocks until its next
-            // guest-timer firing.
-            if self.vcpus[cur.index()].kind == VcpuKind::TimerIdler
-                && self.vcpus[cur.index()].burst_left == 0
-            {
-                self.pcpus[pid.index()].current = None;
-                let vm = &self.vms[self.vcpus[cur.index()].vm.index()];
-                let period = vm.idler_period.expect("idler implies period");
-                let weight = vm.weight as u64;
-                let v = &mut self.vcpus[cur.index()];
-                v.running_on = None;
-                v.blocked = true;
-                v.next_wake = self.clock.now() + period;
-                self.active_weight -= weight;
-                self.idler_wakes.push(Reverse((v.next_wake, cur.raw())));
-            } else {
-                let vcpus = &self.vcpus;
-                let v = &vcpus[cur.index()];
-                let preempted = self.pcpus[pid.index()]
-                    .queue
-                    .head_priority(|x| vcpus[x.index()].priority)
-                    .is_some_and(|h| h < v.priority);
-                let keep = v.timeslice_left > 0 && v.allowed_on(node) && !preempted;
-                if keep {
-                    self.vcpus[cur.index()].timeslice_left -= 1;
-                    return;
-                }
-                // Deschedule.
-                self.pcpus[pid.index()].current = None;
-                let vstate = &mut self.vcpus[cur.index()];
-                vstate.running_on = None;
-                if vstate.allowed_on(node) {
-                    vstate.queued_on = Some(pid);
-                    self.pcpus[pid.index()].queue.push(cur);
-                } else {
-                    let target = vstate
-                        .assigned_node
-                        .expect("not allowed implies assignment");
-                    self.enqueue_on_node(cur, target);
-                }
-            }
-            // Either way, `cur` has left the PCPU.
-            self.emit(
-                self.clock.now(),
-                Event::SwitchOut {
-                    vcpu: cur,
-                    pcpu: pid,
-                },
-            );
-        }
-
-        // Pick next: prefer own BOOST/UNDER work; steal when the best the
-        // queue offers is OVER work or nothing (Xen's balance trigger).
-        let head = {
-            let vcpus = &self.vcpus;
-            self.pcpus[pid.index()]
-                .queue
-                .head_priority(|x| vcpus[x.index()].priority)
-        };
-        if head.is_none() || head == Some(Priority::Over) {
-            let min_prio = if head.is_some() {
-                Priority::Under // have OVER work; only better work is worth a steal
-            } else {
-                Priority::Over // idle; take anything
-            };
-            let would_idle = head.is_none();
-            if let Some((victim, vcpu)) = self.try_steal(pid, min_prio, would_idle) {
-                // Injected fault: the balance operation loses the race for
-                // the victim's queue lock and gives up (Xen retries at the
-                // next balance trigger, and so do we).
-                if self.faults_enabled && self.injector.steal_failed() {
-                    self.emit(
-                        self.clock.now(),
-                        Event::Fault(FaultEvent::StealFailed { thief: pid }),
-                    );
-                } else {
-                    self.perform_steal(pid, victim, vcpu, head.is_none());
-                    return;
-                }
-            }
-        }
-        let popped = {
-            let vcpus = &self.vcpus;
-            self.pcpus[pid.index()]
-                .queue
-                .pop_best(|x| vcpus[x.index()].priority)
-        };
-        if let Some((vcpu, _prio)) = popped {
-            self.vcpus[vcpu.index()].queued_on = None;
-            self.switch_in(pid, vcpu);
-        }
-    }
-
-    fn perform_steal(&mut self, pid: PcpuId, victim: PcpuId, vcpu: VcpuId, was_idle: bool) {
-        let removed = self.pcpus[victim.index()].queue.remove(vcpu);
-        debug_assert!(removed, "stolen vcpu must be queued on victim");
-        self.vcpus[vcpu.index()].queued_on = None;
-        if was_idle {
-            self.metrics.idle_steals += 1;
-        }
-        let victim_node = self.pcpus[victim.index()].node;
-        let thief_node = self.pcpus[pid.index()].node;
-        // "Steal latency" as NUMA distance victim → thief: the cost proxy
-        // for how far the stolen VCPU's cache state has to travel.
-        self.telemetry.observe(
-            self.tids.h_steal_latency,
-            self.topo.distance().get(victim_node, thief_node) as f64,
-        );
-        self.emit(
-            self.clock.now(),
-            Event::Steal {
-                thief: pid,
-                victim,
-                vcpu,
-                cross_node: victim_node != thief_node,
-            },
-        );
-        self.switch_in(pid, vcpu);
-    }
-
-    fn try_steal(
-        &mut self,
-        thief: PcpuId,
-        min_prio: Priority,
-        would_idle: bool,
-    ) -> Option<(PcpuId, VcpuId)> {
-        let thief_node = self.pcpus[thief.index()].node;
-        let mut victims: Vec<(PcpuId, usize, Vec<VcpuId>)> =
-            Vec::with_capacity(self.pcpus.len() - 1);
-        let mut total_runnable = 0usize;
-        for p in &self.pcpus {
-            total_runnable += p.workload();
-            if p.id == thief {
-                continue;
-            }
-            // BOOST VCPUs are excluded: a boosted wakeup is about to be
-            // run by its own (tickled) PCPU within microseconds on real
-            // Xen; it is only observably queued here because of the 1 ms
-            // quantum. Stealing one would waste the balance operation on a
-            // VCPU that blocks again almost immediately.
-            let candidates: Vec<VcpuId> = p
-                .queue
-                .iter_at_least(min_prio, |x| self.vcpus[x.index()].priority)
-                .filter(|v| {
-                    let st = &self.vcpus[v.index()];
-                    st.priority != Priority::Boost && st.allowed_on(thief_node)
-                })
-                .collect();
-            victims.push((p.id, p.workload(), candidates));
-        }
-        self.metrics.steal_attempts += 1;
-        if victims.iter().all(|(_, _, c)| c.is_empty()) {
-            self.metrics.steal_attempts_empty += 1;
-        }
-        // Serialization cost of the balance decision (BRM's global lock).
-        let cost = self.policy.decision_overhead_us(total_runnable);
-        if cost > 0.0 {
-            self.pcpus[thief.index()].pending_overhead_us += cost;
-        }
-        let ctx = StealContext {
-            topo: &self.topo,
-            idle_pcpu: thief,
-            victims: &victims,
-            pressure: &self.pressure,
-            would_idle,
-        };
-        if !self.provenance.is_enabled() {
-            return self.policy.steal(ctx);
-        }
-        // Provenance path: identical call (the context is a cheap by-ref
-        // copy), then flatten the candidate set with its score components
-        // and ask the policy which rule fired. Records only decisions that
-        // had at least one candidate; the all-empty case is already
-        // counted by `steal_attempts_empty`.
-        let choice = self.policy.steal(ctx.clone());
-        let thief_node_of = |p: PcpuId| self.topo.node_of_pcpu(p);
-        let mut candidates: Vec<crate::provenance::StealCandidate> = Vec::new();
-        for (pid, workload, cands) in &victims {
-            let node = thief_node_of(*pid);
-            let dist = self.topo.distance().get(node, thief_node);
-            for &v in cands {
-                candidates.push(crate::provenance::StealCandidate {
-                    pcpu: *pid,
-                    vcpu: v,
-                    node,
-                    dist,
-                    workload: *workload,
-                    pressure: self.pressure[v.index()],
-                    prio: self.vcpus[v.index()].priority,
-                });
-            }
-        }
-        if !candidates.is_empty() {
-            let rule = self.policy.explain_steal(&ctx, &choice);
-            self.provenance.record(
-                self.clock.now(),
-                rule,
-                crate::provenance::Decision::Steal {
-                    thief,
-                    thief_node,
-                    would_idle,
-                    chosen: choice,
-                    candidates,
-                },
-            );
-        }
-        choice
-    }
-
-    fn switch_in(&mut self, pid: PcpuId, vcpu: VcpuId) {
-        let node = self.pcpus[pid.index()].node;
-        let migrated = self.vcpus[vcpu.index()].last_pcpu != Some(pid);
-        let cross_node = self.vcpus[vcpu.index()]
-            .last_pcpu
-            .is_some_and(|lp| self.topo.node_of_pcpu(lp) != node);
-        // Timer-idler wake placements are wakeups, not load-balance
-        // migrations: they carry no cache/memory state worth tracking, so
-        // only workers count toward the migration metrics.
-        let is_worker = self.vcpus[vcpu.index()].kind == VcpuKind::Worker;
-        if migrated && is_worker && self.vcpus[vcpu.index()].last_pcpu.is_some() {
-            self.metrics.migrations += 1;
-            let from = self
-                .topo
-                .node_of_pcpu(self.vcpus[vcpu.index()].last_pcpu.expect("checked above"));
-            self.telemetry.observe(
-                self.tids.h_migration_distance,
-                self.topo.distance().get(from, node) as f64,
-            );
-            if cross_node {
-                self.metrics.cross_node_migrations += 1;
-                // The whole LLC working set must be refetched on the new
-                // node: the cold window scales with its size (~1 ms/MB).
-                let v = &self.vcpus[vcpu.index()];
-                let ws_mb = (self.vms[v.vm.index()]
-                    .thread_for_slot(v.vm_idx)
-                    .profile_at(self.clock.now())
-                    .miss_curve
-                    .ws_bytes
-                    / (1024 * 1024)) as u32;
-                self.vcpus[vcpu.index()].cold_quanta =
-                    (self.cfg.cold_quanta + ws_mb).min(self.cfg.cold_quanta_max);
-            }
-        }
-        let mut cost = self.cfg.context_switch_us;
-        if migrated {
-            cost += self.cfg.migration_extra_us;
-        }
-        self.pcpus[pid.index()].pending_overhead_us += cost;
-        let v = &mut self.vcpus[vcpu.index()];
-        v.running_on = Some(pid);
-        v.last_pcpu = Some(pid);
-        v.timeslice_left = self.timeslice_quanta;
-        self.pcpus[pid.index()].current = Some(vcpu);
-        self.emit(self.clock.now(), Event::SwitchIn { vcpu, pcpu: pid });
-    }
-
-    /// Queue a VCPU on a uniformly random PCPU of `node`.
-    ///
-    /// Deliberately *not* least-loaded: a periodic pass that always lands
-    /// migrated VCPUs on the emptiest queue would hand them a systematic
-    /// queue-jump over VCPUs the pass never touches, distorting CPU shares
-    /// in favour of whatever the policy migrates most often. Random
-    /// placement is share-neutral; intra-node imbalance is the stealing
-    /// path's job.
-    fn enqueue_on_node(&mut self, vcpu: VcpuId, node: NodeId) {
-        let pcpus = self.topo.pcpus_of_node(node);
-        let target = pcpus[self.rng.index(pcpus.len()).expect("every node has PCPUs")];
-        if self.provenance.is_enabled() {
-            self.provenance.record(
-                self.clock.now(),
-                "uniform-random",
-                crate::provenance::Decision::Placement {
-                    vcpu,
-                    node,
-                    chosen: target,
-                    num_candidates: pcpus.len(),
-                },
-            );
-        }
-        self.vcpus[vcpu.index()].queued_on = Some(target);
-        self.pcpus[target.index()].queue.push(vcpu);
-    }
-
-    fn execute_quantum(&mut self, now: SimTime) {
-        self.update_intensity_noise();
-        let noise = &self.noise_scratch;
-        let mut usages: Vec<QuantumUsage> = recycle(std::mem::take(&mut self.usage_buf));
-        for p in &mut self.pcpus {
-            // A stalled PCPU makes no forward progress this quantum.
-            if p.stall_left > 0 {
-                continue;
-            }
-            let Some(vid) = p.current else { continue };
-            let v = &self.vcpus[vid.index()];
-            let vm = &self.vms[v.vm.index()];
-            // Workers borrow their thread's phase-cached profile with the
-            // burstiness factor applied engine-side; rebuilding the profile
-            // here (as the code once did) costs two allocations per running
-            // VCPU per quantum.
-            let (profile, rpti_scale) = match v.kind {
-                VcpuKind::Worker => (
-                    vm.thread_for_slot(v.vm_idx).profile_at(now),
-                    noise[vid.index()],
-                ),
-                // A timer-idler burst is kernel housekeeping: brief,
-                // CPU-only, no LLC footprint worth modeling.
-                VcpuKind::TimerIdler => (&self.idler_profile, 1.0),
-            };
-            usages.push(QuantumUsage {
-                key: vid.raw() as u64,
-                node: p.node,
-                // An injected node-throttle period slows every VCPU on the
-                // node (all-false without faults, leaving the share at 1).
-                runtime_share: if self.node_throttled[p.node.index()] {
-                    self.cfg.faults.node_throttle_factor
-                } else {
-                    1.0
-                },
-                profile,
-                rpti_scale,
-                cold_miss_boost: if v.cold_quanta > 0 {
-                    self.cfg.cold_miss_boost
-                } else {
-                    1.0
-                },
-                overhead_us: std::mem::take(&mut p.pending_overhead_us),
-            });
-        }
-        self.engine.step_ref(self.cfg.quantum, &usages);
-        self.usage_buf = recycle(usages);
-        let results = self.engine.take_results();
-        for r in &results {
-            let vid = VcpuId::new(r.key as u32);
-            let v = &mut self.vcpus[vid.index()];
-            if v.cold_quanta > 0 {
-                v.cold_quanta -= 1;
-            }
-            if v.kind == VcpuKind::TimerIdler {
-                // Idler bursts consume PCPU time but are guest-kernel
-                // housekeeping, not application work: they count toward
-                // machine busy time (Table III's denominator) only.
-                if v.burst_left > 0 {
-                    v.burst_left -= 1;
-                }
-                self.overhead.add_busy_time(self.cfg.quantum);
-                continue;
-            }
-            self.sampler.record(
-                vid.index(),
-                r.instructions,
-                r.llc_refs,
-                r.llc_misses,
-                r.local_accesses,
-                r.remote_accesses,
-                &r.node_accesses,
-            );
-            let m = &mut self.metrics.per_vm[v.vm.index()];
-            m.instructions += r.instructions;
-            m.llc_refs += r.llc_refs;
-            m.llc_misses += r.llc_misses;
-            m.local_accesses += r.local_accesses;
-            m.remote_accesses += r.remote_accesses;
-            m.busy_us += self.cfg.quantum.as_micros();
-            self.overhead.add_busy_time(self.cfg.quantum);
-        }
-        self.engine.put_back_results(results);
+    fn vcpu_on_node(&self, pcpu: Option<PcpuId>, node: NodeId) -> bool {
+        pcpu.is_some_and(|pid| self.topo.node_of_pcpu(pid) == node)
     }
 
     /// Advance each worker's burstiness process one quantum (discrete
     /// Ornstein-Uhlenbeck reverting to 1.0), leaving the current factors in
-    /// `noise_scratch` (reused across quanta instead of reallocated).
-    fn update_intensity_noise(&mut self) {
-        self.noise_scratch.clear();
+    /// `noise` (reused across quanta instead of reallocated).
+    fn update_intensity_noise(&mut self, noise: &mut Vec<f64>) {
+        noise.clear();
         if self.cfg.intensity_noise_sd <= 0.0 {
-            self.noise_scratch.resize(self.vcpus.len(), 1.0);
+            noise.resize(self.vcpus.len(), 1.0);
             return;
         }
         let (theta, step) = (self.noise_theta, self.noise_step);
@@ -1404,313 +1740,7 @@ impl Machine {
                     (v.intensity_noise + theta * (1.0 - v.intensity_noise) + step * eps)
                         .clamp(0.4, 1.8);
             }
-            self.noise_scratch.push(v.intensity_noise);
-        }
-    }
-
-    fn handle_sample(&mut self, now: SimTime, mut samples: Vec<PmuSample>) {
-        // Counter attribution error: relative sd shrinks with the square
-        // root of the window length.
-        if self.cfg.attribution_noise > 0.0 {
-            let window_quanta =
-                (self.cfg.sample_period.as_micros() / self.cfg.quantum.as_micros()).max(1);
-            let sd = self.cfg.attribution_noise / (window_quanta as f64).sqrt();
-            for s in &mut samples {
-                let f = self.rng.normal_clamped(1.0, sd, 0.2, 3.0);
-                s.llc_refs = (s.llc_refs as f64 * f).round() as u64;
-            }
-        }
-        // Injected PMU faults corrupt what the analyzer (and the series
-        // below) sees; ground-truth per-VM metrics accumulate in
-        // `execute_quantum` from engine results and are untouched.
-        if self.faults_enabled {
-            self.inject_sample_faults(now, &mut samples);
-        }
-        self.emit(
-            now,
-            Event::SamplePeriod {
-                periods: self.sampler.periods_completed(),
-            },
-        );
-        // Refresh the machine-cached per-VCPU pressures (Eq. 2).
-        for (v, s) in samples.iter().enumerate() {
-            self.pressure[v] = s.llc_access_pressure(1_000.0);
-        }
-        // Per-VM remote-ratio and throughput series for this period.
-        let period_s = self.cfg.sample_period.as_secs_f64();
-        for vm in &self.vms {
-            let (mut local, mut remote, mut instr) = (0u64, 0u64, 0u64);
-            for &vid in &vm.vcpu_ids {
-                local += samples[vid.index()].local_accesses;
-                remote += samples[vid.index()].remote_accesses;
-                instr += samples[vid.index()].instructions;
-            }
-            let ratio = if local + remote == 0 {
-                0.0
-            } else {
-                remote as f64 / (local + remote) as f64
-            };
-            self.metrics.remote_ratio_series[vm.id.index()].push(now, ratio);
-            self.metrics.throughput_series[vm.id.index()].push(now, instr as f64 / period_s);
-        }
-
-        if self.policy.uses_pmu() {
-            let cost = self.overhead.charge_analysis();
-            self.pcpus[0].pending_overhead_us += cost;
-        }
-
-        let views: Vec<VcpuView> = self
-            .vcpus
-            .iter()
-            .map(|v| VcpuView { id: v.id, vm: v.vm })
-            .collect();
-        // Deliver period-health signals before the analysis pass. With
-        // faults disabled this reports all-valid samples and no failures,
-        // and the default implementation ignores it.
-        let failed_last_period = std::mem::take(&mut self.failed_migrations);
-        self.policy.on_period_feedback(&PeriodFeedback {
-            sample_validity: &self.sample_validity,
-            failed_migrations: &failed_last_period,
-        });
-        let plan = self.policy.on_sample(AnalyzerView {
-            topo: &self.topo,
-            samples: &samples,
-            vcpus: &views,
-        });
-        // Degradation bookkeeping (all-default for the paper's policies).
-        let report = plan.report;
-        self.metrics.faults.periods_skipped += u64::from(report.period_skipped);
-        self.metrics.faults.fallback_periods += u64::from(report.fallback_active);
-        self.metrics.faults.fallbacks_triggered += u64::from(report.fallback_entered);
-        self.metrics.faults.migration_retries += u64::from(report.migration_retries);
-        // Edge-detect degrade-mode transitions for the trace and counters.
-        if report.fallback_entered {
-            self.emit(now, Event::Degrade { fallback: true });
-            if self.provenance.is_enabled() {
-                self.provenance.record(
-                    now,
-                    "confidence-dark-streak",
-                    crate::provenance::Decision::Degrade { fallback: true },
-                );
-            }
-        }
-        if self.was_fallback && !report.fallback_active {
-            self.emit(now, Event::Degrade { fallback: false });
-            if self.provenance.is_enabled() {
-                self.provenance.record(
-                    now,
-                    "confidence-recovered",
-                    crate::provenance::Decision::Degrade { fallback: false },
-                );
-            }
-        }
-        self.was_fallback = report.fallback_active;
-
-        // Partition provenance: the policy's per-assignment notes (explain
-        // mode only) become decision records at the period instant. Notes
-        // never affect application below.
-        if self.provenance.is_enabled() {
-            for note in &plan.notes {
-                self.provenance
-                    .record(now, note.rule, crate::provenance::decision_from_note(note));
-            }
-        }
-
-        for a in plan.assignments {
-            let idx = a.vcpu.index();
-            // Administrative pins outrank any policy decision.
-            if self.vcpus[idx].admin_pinned {
-                continue;
-            }
-            // A policy assignment is a one-shot migration (the paper's
-            // soft partitioning) and never pins: its persistence relies on
-            // the NUMA-aware load balance not dragging heavy VCPUs back
-            // across nodes.
-            let target = a.node;
-            // A VCPU already running on the right node is left alone; the
-            // fault draw below therefore only covers real migrations.
-            if self.vcpu_on_node(self.vcpus[idx].running_on, target) {
-                continue;
-            }
-            if self.faults_enabled {
-                match self.injector.migration_fault() {
-                    MigrationFault::Failed => {
-                        self.failed_migrations.push((a.vcpu, target));
-                        self.emit(
-                            now,
-                            Event::Fault(FaultEvent::MigrationFailed {
-                                vcpu: a.vcpu,
-                                node: target,
-                            }),
-                        );
-                        continue;
-                    }
-                    MigrationFault::Delayed(quanta) => {
-                        let due = now + self.cfg.quantum * u64::from(quanta);
-                        self.delayed_moves.push((due, a.vcpu, target));
-                        self.emit(
-                            now,
-                            Event::Fault(FaultEvent::MigrationDelayed {
-                                vcpu: a.vcpu,
-                                node: target,
-                                quanta: u64::from(quanta),
-                            }),
-                        );
-                        continue;
-                    }
-                    MigrationFault::None => {}
-                }
-            }
-            self.apply_partition_move(a.vcpu, target, now);
-        }
-
-        self.apply_page_migrations(now, plan.page_migrations);
-
-        // Close the telemetry period: record the period-end distributions
-        // (runqueue depth per PCPU, worker RPTI and its Table 2 class) and
-        // snapshot every metric's window into its series.
-        if self.telemetry.is_enabled() {
-            for p in 0..self.pcpus.len() {
-                let depth = self.pcpus[p].queue.len() as f64;
-                self.telemetry.observe(self.tids.h_runq_depth, depth);
-            }
-            let mut active = 0u64;
-            for i in 0..self.vcpus.len() {
-                if !self.vcpus[i].blocked {
-                    active += 1;
-                }
-                if self.vcpus[i].kind != VcpuKind::Worker {
-                    continue;
-                }
-                let rpti = self.pressure[i];
-                self.telemetry.observe(self.tids.h_rpti, rpti);
-                let class = if rpti < RPTI_FRIENDLY_MAX {
-                    self.tids.c_rpti_friendly
-                } else if rpti < RPTI_FITTING_MAX {
-                    self.tids.c_rpti_fitting
-                } else {
-                    self.tids.c_rpti_thrashing
-                };
-                self.telemetry.inc(class, 1);
-            }
-            self.telemetry
-                .set_gauge(self.tids.g_active_vcpus, active as f64);
-            self.telemetry.snapshot(now);
-        }
-    }
-
-    fn vcpu_on_node(&self, pcpu: Option<PcpuId>, node: NodeId) -> bool {
-        pcpu.is_some_and(|pid| self.topo.node_of_pcpu(pid) == node)
-    }
-
-    /// Migrate one VCPU to `target` per Algorithm 1: a VCPU already
-    /// running there is left alone, but a queued one is re-placed on the
-    /// node (losing its queue position) — this per-pass disruption is what
-    /// makes very short sampling periods expensive (Fig. 8's left arm).
-    /// Shared by the sampling-period pass and the injected-delay path.
-    fn apply_partition_move(&mut self, vcpu: VcpuId, target: NodeId, now: SimTime) {
-        let idx = vcpu.index();
-        if self.vcpu_on_node(self.vcpus[idx].running_on, target) {
-            return;
-        }
-        let was_cross = !self.vcpu_on_node(self.vcpus[idx].queued_on, target)
-            || self.vcpus[idx].running_on.is_some();
-        if let Some(pid) = self.vcpus[idx].running_on {
-            self.pcpus[pid.index()].current = None;
-            self.vcpus[idx].running_on = None;
-            self.emit(now, Event::SwitchOut { vcpu, pcpu: pid });
-        } else if let Some(pid) = self.vcpus[idx].queued_on {
-            self.pcpus[pid.index()].queue.remove(vcpu);
-            self.vcpus[idx].queued_on = None;
-        }
-        self.enqueue_on_node(vcpu, target);
-        if was_cross {
-            self.emit(now, Event::PartitionMove { vcpu, node: target });
-        }
-        if self.policy.uses_pmu() {
-            let cost = self.overhead.charge_migration();
-            self.pcpus[0].pending_overhead_us += cost;
-        }
-    }
-
-    /// Corrupt the period's samples per the fault schedule (only called
-    /// with faults enabled) and draw the coming period's node throttles.
-    fn inject_sample_faults(&mut self, now: SimTime, samples: &mut [PmuSample]) {
-        let num_nodes = self.topo.num_nodes();
-        for (i, s) in samples.iter_mut().enumerate() {
-            let vcpu = VcpuId::new(i as u32);
-            if self.injector.sample_lost() {
-                *s = PmuSample::zeroed(num_nodes);
-                self.sample_validity[i] = 0.0;
-                self.emit(now, Event::Fault(FaultEvent::SampleLost { vcpu }));
-                continue;
-            }
-            self.sample_validity[i] = 1.0;
-            if let Some(f) = self.injector.multiplex_factor() {
-                s.scale_llc(f);
-                self.emit(now, Event::Fault(FaultEvent::CounterNoise { vcpu }));
-            }
-            if self.injector.affinity_corrupted() {
-                let k = self.injector.affinity_rotation(num_nodes);
-                s.rotate_node_accesses(k);
-                self.emit(now, Event::Fault(FaultEvent::AffinityCorrupted { vcpu }));
-            }
-        }
-        for n in 0..num_nodes {
-            let throttled = self.injector.node_throttled();
-            self.node_throttled[n] = throttled;
-            if throttled {
-                self.emit(
-                    now,
-                    Event::Fault(FaultEvent::NodeThrottled {
-                        node: NodeId::from_index(n),
-                    }),
-                );
-            }
-        }
-    }
-
-    fn apply_page_migrations(
-        &mut self,
-        now: SimTime,
-        page_migrations: Vec<crate::policy::PageMigration>,
-    ) {
-        // §VI extension: page migrations requested by the policy. The copy
-        // engine moves ~2 bytes/ns; its time is charged as overhead on the
-        // PCPU where the migrated VCPU would run (the VM stalls on the
-        // moving pages).
-        for pm in page_migrations {
-            let v = &self.vcpus[pm.vcpu.index()];
-            if v.kind != VcpuKind::Worker {
-                continue;
-            }
-            let (vm, vm_idx) = (v.vm, v.vm_idx);
-            let charged_pcpu = v.running_on.or(v.queued_on).unwrap_or(PcpuId::new(0));
-            let moved = self.vms[vm.index()].migrate_thread_pages(vm_idx, pm.to_node, pm.max_bytes);
-            if moved > 0 {
-                self.metrics.page_migrations += 1;
-                self.metrics.page_migration_bytes += moved;
-                self.pcpus[charged_pcpu.index()].pending_overhead_us += moved as f64 / 2_000.0;
-                self.emit(
-                    now,
-                    Event::PageMigration {
-                        vcpu: pm.vcpu,
-                        node: pm.to_node,
-                        bytes: moved,
-                    },
-                );
-                if self.provenance.is_enabled() {
-                    self.provenance.record(
-                        now,
-                        "budget-grant",
-                        crate::provenance::Decision::PageMigration {
-                            vcpu: pm.vcpu,
-                            node: pm.to_node,
-                            bytes: moved,
-                        },
-                    );
-                }
-            }
+            noise.push(v.intensity_noise);
         }
     }
 }
@@ -2035,7 +2065,7 @@ impl Machine {
     /// first violation found. Used by tests (and cheap enough to call in
     /// debug builds after every step).
     pub fn check_invariants(&self) -> Result<(), String> {
-        for v in &self.vcpus {
+        for v in &self.world.vcpus {
             // A VCPU is in exactly one of: running, queued, blocked-idle.
             let states = u8::from(v.running_on.is_some())
                 + u8::from(v.queued_on.is_some())
@@ -2044,19 +2074,19 @@ impl Machine {
                 return Err(format!("{} is in {} states at once", v.id, states));
             }
             if let Some(p) = v.running_on {
-                if self.pcpus[p.index()].current != Some(v.id) {
+                if self.world.pcpus[p.index()].current != Some(v.id) {
                     return Err(format!(
                         "{} claims to run on {p} which runs {:?}",
                         v.id,
-                        self.pcpus[p.index()].current
+                        self.world.pcpus[p.index()].current
                     ));
                 }
-                if !v.allowed_on(self.topo.node_of_pcpu(p)) {
+                if !v.allowed_on(self.world.topo.node_of_pcpu(p)) {
                     return Err(format!("{} runs on {p} outside its pinned node", v.id));
                 }
             }
             if let Some(p) = v.queued_on {
-                if !self.pcpus[p.index()].queue.iter().any(|q| q == v.id) {
+                if !self.world.pcpus[p.index()].queue.iter().any(|q| q == v.id) {
                     return Err(format!("{} claims queue {p} but is not in it", v.id));
                 }
             }
@@ -2067,14 +2097,14 @@ impl Machine {
                 return Err(format!("{} credits {} out of clamp", v.id, v.credits));
             }
         }
-        for p in &self.pcpus {
+        for p in &self.world.pcpus {
             if let Some(cur) = p.current {
-                if self.vcpus[cur.index()].running_on != Some(p.id) {
+                if self.world.vcpus[cur.index()].running_on != Some(p.id) {
                     return Err(format!("{} runs {} which disagrees", p.id, cur));
                 }
             }
             for q in p.queue.iter() {
-                if self.vcpus[q.index()].queued_on != Some(p.id) {
+                if self.world.vcpus[q.index()].queued_on != Some(p.id) {
                     return Err(format!("{} queues {} which disagrees", p.id, q));
                 }
             }
@@ -2598,5 +2628,71 @@ mod fault_tests {
             stalled_instr < clean_instr,
             "stalls must cost throughput: {stalled_instr} vs {clean_instr}"
         );
+    }
+}
+
+#[cfg(test)]
+mod fork_tests {
+    use super::*;
+    use crate::credit::CreditPolicy;
+    use mem_model::AllocPolicy;
+    use numa_topo::presets;
+    use workloads::{hungry, npb, speccpu};
+
+    const GB: u64 = 1024 * 1024 * 1024;
+
+    fn machine(seed: u64, faults: FaultConfig) -> Machine {
+        let mut vm1 = VmConfig::new("vm1", 8, 8 * GB, AllocPolicy::MostFree, vec![npb::lu()]);
+        vm1.shuffle_period = Some(SimDuration::from_millis(700));
+        MachineBuilder::new(presets::xeon_e5620())
+            .policy(Box::new(CreditPolicy::new()))
+            .seed(seed)
+            .faults(faults)
+            .add_vm(vm1)
+            .add_vm(VmConfig::new(
+                "vm2",
+                8,
+                5 * GB,
+                AllocPolicy::MostFree,
+                vec![speccpu::soplex(); 4],
+            ))
+            .add_vm(VmConfig::new(
+                "vm3",
+                8,
+                GB,
+                AllocPolicy::MostFree,
+                vec![hungry::hungry_loop(); 8],
+            ))
+            .build()
+            .unwrap()
+    }
+
+    /// Every field a simulated decision or result reads lives in `World`:
+    /// a Credit fork taken mid-period (and mid-fault-schedule) steps
+    /// exactly as the machine it was forked from. A field left out of the
+    /// clone shows up as a diff here.
+    #[test]
+    fn a_credit_fork_steps_exactly_like_its_source() {
+        for seed in [1, 42, 2026] {
+            for faults in [FaultConfig::none(), FaultConfig::uniform(0.05, seed)] {
+                let mut source = machine(seed, faults.clone());
+                source.run(SimDuration::from_millis(1_537));
+                let mut fork = source.fork(Box::new(CreditPolicy::new()));
+                assert!(fork.metrics().per_vm.iter().all(|v| v.instructions == 0));
+                assert!(!fork.trace().is_enabled() && !fork.provenance().is_enabled());
+                // The source steps first: a state shared with the fork
+                // would make the second run diverge.
+                for m in [&mut source, &mut fork] {
+                    m.reset_metrics();
+                    m.run(SimDuration::from_secs(1));
+                    m.check_invariants().unwrap();
+                }
+                let json = source.metrics().to_json();
+                assert_eq!(json, fork.metrics().to_json(), "seed {seed}, {faults:?}");
+                if faults.enabled() {
+                    assert!(source.metrics().faults.injected() > 0, "faults fire");
+                }
+            }
+        }
     }
 }
