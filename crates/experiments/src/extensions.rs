@@ -14,7 +14,7 @@
 //!   and the §VI dynamic bounds instead of the static 3/20.
 
 use crate::report::{f3, pct, Table};
-use crate::runner::{build_machine, RunOptions, Scheduler, SetupKind};
+use crate::runner::{warm_then_measure, RunOptions, SetupKind};
 use mem_model::AllocPolicy;
 use numa_topo::{presets, NodeId};
 use sim_core::SimError;
@@ -184,37 +184,28 @@ pub struct AblationRow {
     pub instr_rate: f64,
 }
 
-/// Run each ablation on workload *mix* in the paper's setup (warm start
-/// under Credit, like [`crate::runner::run_workload`]) and report VM1's
-/// instruction rate. The paper configuration runs once and is the
-/// baseline row of all three comparisons.
+/// Run each ablation on workload *mix* in the paper's setup (the four
+/// vProbe variants fork one machine warmed under Credit, like
+/// [`crate::runner::run_all_schedulers`]) and report VM1's instruction
+/// rate. The paper configuration runs once and is the baseline row of all
+/// three comparisons.
 pub fn run_ablations(opts: &RunOptions) -> Result<Vec<AblationRow>, SimError> {
-    // One policy constructor per case, called inside the worker (trait
-    // objects are not `Send`); the case order fixes the result order. The
-    // first case is the paper's vProbe: soft partitioning, static 3/20.
-    let cases: Vec<fn() -> Box<dyn SchedPolicy>> = vec![
-        || Box::new(variants::vprobe(2, Bounds::default())),
-        || Box::new(variants::vprobe(2, Bounds::new(1.5, 10.0))),
-        || Box::new(variants::vprobe(2, Bounds::new(6.0, 40.0))),
-        || Box::new(VProbePolicy::new(2, Bounds::default()).with_dynamic_bounds()),
-    ];
-    let rates = sim_core::parallel::parallel_try_map(cases, |policy| {
-        let mut machine = build_machine(
-            Scheduler::Credit,
-            SetupKind::PaperEval,
-            speccpu::mix(),
-            speccpu::mix(),
-            opts,
-        )?;
-        if !opts.warmup.is_zero() {
-            machine.run(opts.warmup);
-        }
-        machine.set_policy(policy());
-        machine.reset_metrics();
-        machine.run(opts.duration);
-        let m = machine.metrics();
-        Ok(m.per_vm[0].instr_per_second(m.elapsed))
-    })?;
+    // The policy order fixes the result order. The first is the paper's
+    // vProbe: soft partitioning, static 3/20.
+    let policies = |n| -> Vec<Box<dyn SchedPolicy>> {
+        vec![
+            Box::new(variants::vprobe(n, Bounds::default())),
+            Box::new(variants::vprobe(n, Bounds::new(1.5, 10.0))),
+            Box::new(variants::vprobe(n, Bounds::new(6.0, 40.0))),
+            Box::new(VProbePolicy::new(n, Bounds::default()).with_dynamic_bounds()),
+        ]
+    };
+    let mix = speccpu::mix;
+    let runs = warm_then_measure(SetupKind::PaperEval, mix(), mix(), opts, policies)?;
+    let rates: Vec<f64> = runs
+        .iter()
+        .map(|m| m.per_vm[0].instr_per_second(m.elapsed))
+        .collect();
     let [paper, alpha_half, alpha_double, dynamic] = rates[..] else {
         unreachable!("one rate per case");
     };

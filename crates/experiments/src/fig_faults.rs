@@ -14,7 +14,7 @@
 //! grows.
 
 use crate::report::{f3, Table};
-use crate::runner::{run_workload, RunOptions, Scheduler, SetupKind};
+use crate::runner::{run_schedulers, RunOptions, Scheduler, SetupKind};
 use sim_core::{FaultConfig, Json, SimError};
 use workloads::speccpu;
 
@@ -64,36 +64,24 @@ pub fn run_grid(
     opts: &RunOptions,
 ) -> Result<Vec<FaultPoint>, SimError> {
     let fault_seed = opts.faults.seed;
-    let grid: Vec<(Scheduler, f64)> = schedulers
-        .iter()
-        .flat_map(|&s| rates.iter().map(move |&r| (s, r)))
-        .collect();
-    let runs = sim_core::parallel::parallel_try_map(grid, |(s, rate)| {
+    // At one rate the Credit warmup is the same for every scheduler, so
+    // each rate warms one machine and forks it per scheduler.
+    let per_rate = sim_core::parallel::parallel_try_map(rates.to_vec(), |rate| {
         let mut o = opts.clone();
         o.faults = FaultConfig::uniform(rate, fault_seed);
-        let r = run_workload(
-            s,
-            SetupKind::PaperEval,
-            vec![speccpu::soplex(); 4],
-            vec![speccpu::soplex(); 4],
-            &o,
-        )?;
-        Ok((s, rate, r))
+        let soplex = || vec![speccpu::soplex(); 4];
+        run_schedulers(schedulers, SetupKind::PaperEval, soplex(), soplex(), &o)
     })?;
-    let points = runs
-        .iter()
-        .map(|(s, rate, r)| {
-            // The first point of each scheduler group is its lowest swept
-            // rate: the normalization baseline.
-            let baseline = runs
-                .iter()
-                .find(|(bs, _, _)| bs == s)
-                .map(|(_, _, b)| b.instr_rate)
-                .unwrap_or(r.instr_rate);
+    let mut points = Vec::with_capacity(schedulers.len() * rates.len());
+    for (i, &scheduler) in schedulers.iter().enumerate() {
+        for (&fault_rate, runs) in rates.iter().zip(&per_rate) {
+            let r = &runs[i];
+            // The lowest swept rate, the first, is the normalization baseline.
+            let baseline = per_rate[0][i].instr_rate;
             let f = &r.metrics.faults;
-            FaultPoint {
-                scheduler: *s,
-                fault_rate: *rate,
+            points.push(FaultPoint {
+                scheduler,
+                fault_rate,
                 instr_rate: r.instr_rate,
                 slowdown: baseline / r.instr_rate.max(f64::MIN_POSITIVE),
                 remote_ratio: r.remote_ratio,
@@ -101,9 +89,9 @@ pub fn run_grid(
                 periods_skipped: f.periods_skipped,
                 fallback_periods: f.fallback_periods,
                 migration_retries: f.migration_retries,
-            }
-        })
-        .collect();
+            });
+        }
+    }
     Ok(points)
 }
 
@@ -163,7 +151,7 @@ pub fn to_json(points: &[FaultPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::ALL_SCHEDULERS;
+    use crate::runner::{run_workload, ALL_SCHEDULERS};
     use sim_core::SimDuration;
 
     fn quick() -> RunOptions {

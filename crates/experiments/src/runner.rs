@@ -192,6 +192,60 @@ pub fn build_machine(
         .build()
 }
 
+/// The paper's protocol (§V-A): build the setup under Credit and warm it
+/// once, then measure each policy (made for the node count) on a fork of
+/// the warm machine, in parallel; metrics come back in policy order.
+/// Credit is stateless, so every fork starts where its own warmup would.
+pub(crate) fn warm_then_measure(
+    setup: SetupKind,
+    vm1_workloads: Vec<WorkloadSpec>,
+    vm2_workloads: Vec<WorkloadSpec>,
+    opts: &RunOptions,
+    policies: impl FnOnce(usize) -> Vec<Box<dyn SchedPolicy>>,
+) -> Result<Vec<RunMetrics>, SimError> {
+    let mut warm = build_machine(Scheduler::Credit, setup, vm1_workloads, vm2_workloads, opts)?;
+    warm.run(opts.warmup);
+    let policies = policies(warm.topology().num_nodes());
+    // A `Machine` is `Send` but not `Sync`: fork here, measure on the workers.
+    let forks: Vec<Machine> = policies.into_iter().map(|p| warm.fork(p)).collect();
+    Ok(sim_core::parallel::parallel_map(forks, |mut machine| {
+        machine.reset_metrics();
+        machine.run(opts.duration).clone()
+    }))
+}
+
+/// [`warm_then_measure`] for each of `schedulers`, measuring VM1.
+pub(crate) fn run_schedulers(
+    schedulers: &[Scheduler],
+    setup: SetupKind,
+    vm1_workloads: Vec<WorkloadSpec>,
+    vm2_workloads: Vec<WorkloadSpec>,
+    opts: &RunOptions,
+) -> Result<Vec<WorkloadRun>, SimError> {
+    let policies = |n| schedulers.iter().map(|s| s.policy(n, opts.seed)).collect();
+    let runs = warm_then_measure(setup, vm1_workloads, vm2_workloads, opts, policies)?;
+    Ok(schedulers
+        .iter()
+        .zip(runs)
+        .map(|(&scheduler, metrics)| {
+            let vm1 = &metrics.per_vm[0];
+            WorkloadRun {
+                scheduler,
+                instr_rate: vm1.instr_per_second(metrics.elapsed),
+                instructions: vm1.instructions,
+                total_accesses: vm1.total_accesses(),
+                remote_accesses: vm1.remote_accesses,
+                remote_ratio: vm1.remote_ratio(),
+                overhead_percent: metrics.overhead_percent(),
+                migrations: metrics.migrations,
+                cross_node_migrations: metrics.cross_node_migrations,
+                partition_moves: metrics.partition_moves,
+                metrics,
+            }
+        })
+        .collect())
+}
+
 /// Run one (scheduler, workload) configuration and measure VM1.
 pub fn run_workload(
     scheduler: Scheduler,
@@ -200,42 +254,19 @@ pub fn run_workload(
     vm2_workloads: Vec<WorkloadSpec>,
     opts: &RunOptions,
 ) -> Result<WorkloadRun, SimError> {
-    let mut machine = build_machine(Scheduler::Credit, setup, vm1_workloads, vm2_workloads, opts)?;
-    if !opts.warmup.is_zero() {
-        machine.run(opts.warmup);
-    }
-    machine.set_policy(scheduler.policy(machine.topology().num_nodes(), opts.seed));
-    machine.reset_metrics();
-    machine.run(opts.duration);
-    let metrics = machine.metrics().clone();
-    let vm1 = &metrics.per_vm[0];
-    Ok(WorkloadRun {
-        scheduler,
-        instr_rate: vm1.instr_per_second(metrics.elapsed),
-        instructions: vm1.instructions,
-        total_accesses: vm1.total_accesses(),
-        remote_accesses: vm1.remote_accesses,
-        remote_ratio: vm1.remote_ratio(),
-        overhead_percent: metrics.overhead_percent(),
-        migrations: metrics.migrations,
-        cross_node_migrations: metrics.cross_node_migrations,
-        partition_moves: metrics.partition_moves,
-        metrics,
-    })
+    let mut runs = run_schedulers(&[scheduler], setup, vm1_workloads, vm2_workloads, opts)?;
+    Ok(runs.remove(0))
 }
 
-/// Run all five schedulers on one workload. The five runs are
-/// independent and execute in parallel (see [`sim_core::parallel`]); the
-/// result order always matches [`ALL_SCHEDULERS`].
+/// Run all five schedulers on one workload, forked from one warm machine;
+/// the result order always matches [`ALL_SCHEDULERS`].
 pub fn run_all_schedulers(
     setup: SetupKind,
     vm1_workloads: Vec<WorkloadSpec>,
     vm2_workloads: Vec<WorkloadSpec>,
     opts: &RunOptions,
 ) -> Result<Vec<WorkloadRun>, SimError> {
-    sim_core::parallel::parallel_try_map(ALL_SCHEDULERS.to_vec(), |s| {
-        run_workload(s, setup, vm1_workloads.clone(), vm2_workloads.clone(), opts)
-    })
+    run_schedulers(&ALL_SCHEDULERS, setup, vm1_workloads, vm2_workloads, opts)
 }
 
 #[cfg(test)]
@@ -323,5 +354,43 @@ mod tests {
         assert!((a.normalized_time_vs(&a) - 1.0).abs() < 1e-9);
         assert!((a.normalized_total_vs(&a) - 1.0).abs() < 1e-9);
         assert!((a.normalized_remote_vs(&a) - 1.0).abs() < 1e-9);
+    }
+
+    /// A fork of the warm machine is the warm machine: for each scheduler,
+    /// switching a fork and switching the warm machine itself give the
+    /// same metrics, trace and decisions, with every sink on from the
+    /// switch.
+    #[test]
+    fn forking_measures_what_switching_in_place_would() {
+        let opts = RunOptions {
+            duration: SimDuration::from_secs(2),
+            warmup: SimDuration::from_secs(1),
+            ..RunOptions::default()
+        };
+        let warm = || {
+            let soplex = || vec![speccpu::soplex(); 4];
+            let setup = SetupKind::PaperEval;
+            let mut m = build_machine(Scheduler::Credit, setup, soplex(), soplex(), &opts).unwrap();
+            m.run(opts.warmup);
+            m
+        };
+        let observe = |m: &mut Machine| {
+            m.reset_metrics();
+            m.enable_trace(1 << 20);
+            m.enable_telemetry();
+            m.enable_provenance(1 << 20);
+            m.enable_perf();
+            m.run(opts.duration);
+            (m.metrics().to_json(), m.trace_jsonl(), m.provenance_jsonl())
+        };
+        let source = warm();
+        for s in ALL_SCHEDULERS {
+            let mut switched = warm();
+            switched.set_policy(s.policy(2, opts.seed));
+            let want = observe(&mut switched);
+            let got = observe(&mut source.fork(s.policy(2, opts.seed)));
+            assert!(!want.1.is_empty() && !want.2.is_empty(), "{}", s.name());
+            assert!(got == want, "{} fork differs from set_policy", s.name());
+        }
     }
 }
