@@ -246,6 +246,7 @@ pub fn render_ablations(rows: &[AblationRow]) -> Table {
 mod tests {
     use super::*;
     use sim_core::SimDuration;
+    use std::sync::OnceLock;
 
     fn quick() -> RunOptions {
         RunOptions {
@@ -255,9 +256,22 @@ mod tests {
         }
     }
 
+    /// The page-migration study at `quick()` options, run once per test
+    /// process and shared by every test that reads it.
+    fn page_migration() -> &'static [PageMigRow] {
+        static ROWS: OnceLock<Vec<PageMigRow>> = OnceLock::new();
+        ROWS.get_or_init(|| run_page_migration(&quick()).unwrap())
+    }
+
+    /// The socket-scaling study at `quick()` options, shared the same way.
+    fn scaling() -> &'static [ScalingRow] {
+        static ROWS: OnceLock<Vec<ScalingRow>> = OnceLock::new();
+        ROWS.get_or_init(|| run_scaling(&quick()).unwrap())
+    }
+
     #[test]
     fn page_migration_moves_memory_and_cuts_remote_traffic() {
-        let rows = run_page_migration(&quick()).unwrap();
+        let rows = page_migration();
         let get = |n: &str| rows.iter().find(|r| r.policy == n).unwrap();
         assert_eq!(get("Credit").migrated_mb, 0.0);
         assert_eq!(get("vProbe").migrated_mb, 0.0);
@@ -273,9 +287,8 @@ mod tests {
 
     #[test]
     fn page_migration_beats_plain_vprobe_on_misplaced_memory() {
-        let mut o = quick();
-        o.duration = SimDuration::from_secs(15);
-        let rows = run_page_migration(&o).unwrap();
+        // `quick()` already runs 15 s, the span this claim needs.
+        let rows = page_migration();
         let get = |n: &str| rows.iter().find(|r| r.policy == n).unwrap();
         assert!(
             get("vProbe+pm").instr_rate > get("vProbe").instr_rate,
@@ -287,7 +300,7 @@ mod tests {
 
     #[test]
     fn vprobe_helps_on_four_sockets_too() {
-        let rows = run_scaling(&quick()).unwrap();
+        let rows = scaling();
         for nodes in [2usize, 4] {
             let credit = rows
                 .iter()
@@ -324,9 +337,7 @@ mod tests {
 
     #[test]
     fn render_shapes() {
-        let rows = run_page_migration(&quick()).unwrap();
-        assert_eq!(render_page_migration(&rows).num_rows(), 3);
-        let rows = run_scaling(&quick()).unwrap();
-        assert_eq!(render_scaling(&rows).num_rows(), 4);
+        assert_eq!(render_page_migration(page_migration()).num_rows(), 3);
+        assert_eq!(render_scaling(scaling()).num_rows(), 4);
     }
 }

@@ -128,6 +128,7 @@ mod tests {
     use super::*;
     use crate::runner::Scheduler;
     use sim_core::SimDuration;
+    use std::sync::OnceLock;
 
     fn quick() -> RunOptions {
         RunOptions {
@@ -135,6 +136,17 @@ mod tests {
             warmup: SimDuration::from_secs(4),
             ..RunOptions::default()
         }
+    }
+
+    /// The soplex sweep at `quick()` options, run once per test process
+    /// and shared by every test that reads it.
+    fn soplex() -> &'static WorkloadBars {
+        static SWEEP: OnceLock<WorkloadBars> = OnceLock::new();
+        SWEEP.get_or_init(|| {
+            let (name, vm1, vm2) = workload_set().remove(0);
+            let runs = run_all_schedulers(SetupKind::PaperEval, vm1, vm2, &quick()).unwrap();
+            normalize(&name, runs)
+        })
     }
 
     #[test]
@@ -150,9 +162,7 @@ mod tests {
 
     #[test]
     fn soplex_shape_vprobe_beats_credit() {
-        let (name, vm1, vm2) = workload_set().remove(0);
-        let runs = run_all_schedulers(SetupKind::PaperEval, vm1, vm2, &quick()).unwrap();
-        let wb = normalize(&name, runs);
+        let wb = soplex();
         let vprobe = wb.bars.iter().find(|b| b.scheduler == "vProbe").unwrap();
         assert!(
             vprobe.norm_time < 1.0,
@@ -180,9 +190,7 @@ mod tests {
 
     #[test]
     fn render_emits_five_rows_per_workload() {
-        let (name, vm1, vm2) = workload_set().remove(0);
-        let runs = run_all_schedulers(SetupKind::PaperEval, vm1, vm2, &quick()).unwrap();
-        let t = render(&[normalize(&name, runs)], "Fig. 4");
+        let t = render(std::slice::from_ref(soplex()), "Fig. 4");
         assert_eq!(t.num_rows(), 5);
     }
 }

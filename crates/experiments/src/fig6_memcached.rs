@@ -98,6 +98,7 @@ pub fn render(points: &[Fig6Point]) -> Table {
 mod tests {
     use super::*;
     use sim_core::SimDuration;
+    use std::sync::OnceLock;
 
     fn quick() -> RunOptions {
         RunOptions {
@@ -107,6 +108,13 @@ mod tests {
         }
     }
 
+    /// Level 80 at `quick()` options, run once per test process and
+    /// shared by every test that reads it.
+    fn level_80() -> &'static [Fig6Point] {
+        static POINTS: OnceLock<Vec<Fig6Point>> = OnceLock::new();
+        POINTS.get_or_init(|| run_levels(&[80], &quick()).unwrap())
+    }
+
     #[test]
     fn sweep_levels_match_paper() {
         assert_eq!(MEMCACHED_CONCURRENCIES, [16, 32, 48, 64, 80, 96, 112]);
@@ -114,7 +122,7 @@ mod tests {
 
     #[test]
     fn single_level_produces_five_points() {
-        let pts = run_levels(&[80], &quick()).unwrap();
+        let pts = level_80();
         assert_eq!(pts.len(), 5);
         assert!(pts.iter().all(|p| p.concurrency == 80));
         assert!(
@@ -127,7 +135,7 @@ mod tests {
     #[test]
     fn vprobe_wins_at_the_papers_peak_level() {
         // The paper's biggest gain is at concurrency 80.
-        let pts = run_levels(&[80], &quick()).unwrap();
+        let pts = level_80();
         let vprobe = pts.iter().find(|p| p.scheduler == "vProbe").unwrap();
         assert!(
             vprobe.norm_time < 1.0,

@@ -96,6 +96,7 @@ pub fn render(points: &[Fig7Point]) -> Table {
 mod tests {
     use super::*;
     use sim_core::SimDuration;
+    use std::sync::OnceLock;
 
     fn quick() -> RunOptions {
         RunOptions {
@@ -103,6 +104,13 @@ mod tests {
             warmup: SimDuration::from_secs(4),
             ..RunOptions::default()
         }
+    }
+
+    /// Level 2,000 at `quick()` options, run once per test process and
+    /// shared by every test that reads it.
+    fn level_2000() -> &'static [Fig7Point] {
+        static POINTS: OnceLock<Vec<Fig7Point>> = OnceLock::new();
+        POINTS.get_or_init(|| run_levels(&[2_000], &quick()).unwrap())
     }
 
     #[test]
@@ -113,7 +121,7 @@ mod tests {
     #[test]
     fn vprobe_outperforms_credit_at_2000_connections() {
         // The paper's biggest redis gain (26.0 %) is at 2 000 connections.
-        let pts = run_levels(&[2_000], &quick()).unwrap();
+        let pts = level_2000();
         assert_eq!(pts.len(), 5);
         let vprobe = pts.iter().find(|p| p.scheduler == "vProbe").unwrap();
         assert!(
@@ -132,8 +140,7 @@ mod tests {
 
     #[test]
     fn render_shape() {
-        let pts = run_levels(&[2_000], &quick()).unwrap();
-        let t = render(&pts);
+        let t = render(level_2000());
         assert_eq!(t.num_rows(), 5);
     }
 }

@@ -11,7 +11,9 @@
 //!   subsystem still gets an independent stream;
 //! * lightweight statistics ([`stats`]) and time-series ([`series`])
 //!   containers used to collect experiment results, and the chunked
-//!   bounded FIFO ([`ring::Ring`]) the trace and decision logs keep.
+//!   bounded FIFO of timestamped, varint-encoded byte records
+//!   ([`ring::Ring`]) in which the trace and decision logs keep their
+//!   records.
 
 pub mod clock;
 pub mod error;

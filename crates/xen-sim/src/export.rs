@@ -18,19 +18,15 @@ use telemetry::{Arg, ChromeTrace};
 /// Serialize a trace as JSON Lines: one event object per line, each with
 /// `t_us` (microsecond timestamp) and `kind`, plus event-specific fields.
 pub fn to_jsonl(log: &TraceLog) -> String {
-    // Events average 56.6–56.8 bytes a line on the `observed-faults`
-    // machine (seeds 7, 42, 99, 1234). Reserving just under that avoids
-    // the regrow a loose bound leaves near the end, which fragmented the
-    // heap enough to raise that run's peak RSS by 0.9 MB. Over the chunked
-    // logs the reserves still pay: upper bounds (64 here, 60 in
-    // `to_chrome`, 300 in `provenance::to_jsonl`) peaked 0.2 MB lower at
-    // seed 42 but 3.0 MB higher at seed 1234 and 2.6 MB higher at seed 7
-    // (35 s simbench runs).
+    // A flat reserve of 56 bytes a line, just under the 56.6–56.8 bytes
+    // a line of the `observed-faults` machine (seeds 7, 42, 1234), so this
+    // buffer regrows once near the end; see `provenance::to_jsonl` for why
+    // that beats an exact reserve.
     let mut out = String::with_capacity(log.len() * 56);
     for (t, e) in log.iter() {
         ObjWriter::write(&mut out, |w| {
             w.u64("t_us", t.as_micros());
-            write_event_fields(w, e);
+            write_event_fields(w, &e);
         });
         out.push('\n');
     }
@@ -134,7 +130,7 @@ pub struct ChromeContext<'a> {
 /// closed at `end_us` if still running), instants for per-PCPU scheduler
 /// decisions, and a final "events" track for machine-wide occurrences.
 pub fn to_chrome(log: &TraceLog, ctx: &ChromeContext) -> String {
-    // 51.9–52.4 bytes of Chrome file per trace event on the same runs;
+    // 52.1–52.4 bytes of Chrome file per trace event on the same runs;
     // see `to_jsonl`.
     let mut t = ChromeTrace::with_capacity(log.len() * 51);
     for p in 0..ctx.num_pcpus {
@@ -162,7 +158,7 @@ pub fn to_chrome(log: &TraceLog, ctx: &ChromeContext) -> String {
     let ix = |i: usize| i as u64;
     for (time, e) in log.iter() {
         let ts = time.as_micros();
-        match e {
+        match &e {
             Event::SwitchIn { vcpu, pcpu } => {
                 // A missing SwitchOut (dropped from the ring) leaves a
                 // stale open span; close it at the hand-over instant.
@@ -331,7 +327,7 @@ mod tests {
         let mut out = String::new();
         for (t, e) in log.iter() {
             let mut fields: Vec<(String, Json)> = vec![("t_us".into(), Json::from(t.as_micros()))];
-            let kind: &str = match e {
+            let kind: &str = match &e {
                 Event::SwitchIn { .. } => "switch_in",
                 Event::SwitchOut { .. } => "switch_out",
                 Event::Steal { .. } => "steal",
@@ -343,13 +339,13 @@ mod tests {
                 Event::Degrade { .. } => "degrade",
                 Event::Fault(f) => f.kind(),
             };
-            if let Event::Fault(_) = e {
+            if let Event::Fault(_) = &e {
                 fields.push(("kind".into(), Json::from("fault")));
                 fields.push(("fault".into(), Json::from(kind)));
             } else {
                 fields.push(("kind".into(), Json::from(kind)));
             }
-            match e {
+            match &e {
                 Event::SwitchIn { vcpu, pcpu } | Event::SwitchOut { vcpu, pcpu } => {
                     fields.push(("vcpu".into(), Json::from(vcpu.index())));
                     fields.push(("pcpu".into(), Json::from(pcpu.index())));
@@ -443,7 +439,7 @@ mod tests {
 
         for (time, e) in log.iter() {
             let ts = time.as_micros();
-            match e {
+            match &e {
                 Event::SwitchIn { vcpu, pcpu } => {
                     // A missing SwitchOut (dropped from the ring) leaves a
                     // stale open span; close it at the hand-over instant.

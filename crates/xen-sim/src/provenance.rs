@@ -17,7 +17,7 @@
 //! feeds back into the schedule.
 
 use numa_topo::{NodeId, PcpuId, VcpuId};
-use sim_core::ring::Ring;
+use sim_core::ring::{Reader, Ring, Writer};
 use sim_core::{ObjWriter, SimTime};
 
 use crate::policy::PartitionNote;
@@ -111,21 +111,25 @@ impl Decision {
 }
 
 /// One recorded decision: when, in what order, under which rule, and the
-/// full choice context.
+/// full choice context, as [`ProvenanceLog::iter`] decodes it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecisionRecord {
     pub t: SimTime,
-    /// Global decision sequence number (0-based, never reused).
+    /// Global decision sequence number (0-based, never reused). Not
+    /// stored: the `i`-th held record's is `dropped() + i`.
     pub seq: u64,
     /// Stable name of the rule that fired (e.g. "local-heaviest-min-pressure").
     pub rule: &'static str,
     pub decision: Decision,
 }
 
-/// A bounded ring of decision records, kept in a [`Ring`].
+/// A bounded ring of decisions, each kept as a compact byte record in a
+/// [`Ring`] (see [`ProvenanceLog::record`] for the format).
 #[derive(Debug, Clone, Default)]
 pub struct ProvenanceLog {
-    records: Ring<DecisionRecord>,
+    records: Ring,
+    /// Every rule name recorded so far; a record stores its index.
+    rules: Vec<&'static str>,
 }
 
 impl ProvenanceLog {
@@ -139,6 +143,7 @@ impl ProvenanceLog {
         assert!(capacity > 0, "capacity must be nonzero");
         ProvenanceLog {
             records: Ring::new(capacity),
+            rules: Vec::new(),
         }
     }
 
@@ -149,19 +154,26 @@ impl ProvenanceLog {
     /// Record a decision (no-op when disabled). Oldest records drop once
     /// the ring is full, with their candidate sets; timestamps must be
     /// non-decreasing.
+    ///
+    /// The payload is the rule's index in the log's table of rule names,
+    /// the decision's tag (0–5 in [`Decision`] order) and its fields in
+    /// declaration order: ids and counts as varints, bools as one byte,
+    /// `chosen` as a presence byte before its ids, a candidate list as its
+    /// length and then each candidate inline, `pressure` as its raw bits.
     pub fn record(&mut self, t: SimTime, rule: &'static str, decision: Decision) {
         if !self.is_enabled() {
             return;
         }
-        debug_assert!(
-            self.records.back().is_none_or(|r| r.t <= t),
-            "decisions must be recorded in non-decreasing time order"
-        );
-        self.records.push(DecisionRecord {
-            t,
-            seq: self.records.recorded(),
-            rule,
-            decision,
+        let rule_ix = match self.rules.iter().position(|&r| r == rule) {
+            Some(i) => i,
+            None => {
+                self.rules.push(rule);
+                self.rules.len() - 1
+            }
+        };
+        self.records.push(t, |w| {
+            w.varint(rule_ix as u64);
+            encode(w, &decision);
         });
     }
 
@@ -183,13 +195,154 @@ impl ProvenanceLog {
         self.records.recorded()
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = &DecisionRecord> {
-        self.records.iter()
+    /// The held records, oldest first, decoded.
+    pub fn iter(&self) -> impl Iterator<Item = DecisionRecord> + '_ {
+        let first_seq = self.dropped();
+        self.records
+            .iter()
+            .zip(first_seq..)
+            .map(|((t, mut r), seq)| DecisionRecord {
+                t,
+                seq,
+                rule: self.rules[r.varint() as usize],
+                decision: decode(&mut r),
+            })
     }
 
     /// Count records matching a predicate.
     pub fn count(&self, pred: impl Fn(&Decision) -> bool) -> usize {
-        self.records.iter().filter(|r| pred(&r.decision)).count()
+        self.iter().filter(|r| pred(&r.decision)).count()
+    }
+}
+
+fn encode(w: &mut Writer<'_>, decision: &Decision) {
+    let ix = |i: usize| i as u64;
+    match decision {
+        Decision::Steal {
+            thief,
+            thief_node,
+            would_idle,
+            chosen,
+            candidates,
+        } => {
+            w.varint(0)
+                .varint(ix(thief.index()))
+                .varint(ix(thief_node.index()))
+                .bool(*would_idle)
+                .bool(chosen.is_some());
+            if let Some((victim, vcpu)) = chosen {
+                w.varint(ix(victim.index())).varint(ix(vcpu.index()));
+            }
+            w.varint(ix(candidates.len()));
+            for c in candidates {
+                w.varint(ix(c.pcpu.index()))
+                    .varint(ix(c.vcpu.index()))
+                    .varint(ix(c.node.index()))
+                    .varint(u64::from(c.dist))
+                    .varint(ix(c.workload))
+                    .f64(c.pressure)
+                    .varint(c.prio as u64);
+            }
+        }
+        Decision::WakePlacement {
+            vcpu,
+            chosen,
+            num_candidates,
+        } => {
+            w.varint(1)
+                .varint(ix(vcpu.index()))
+                .varint(ix(chosen.index()))
+                .varint(ix(*num_candidates));
+        }
+        Decision::Placement {
+            vcpu,
+            node,
+            chosen,
+            num_candidates,
+        } => {
+            w.varint(2)
+                .varint(ix(vcpu.index()))
+                .varint(ix(node.index()))
+                .varint(ix(chosen.index()))
+                .varint(ix(*num_candidates));
+        }
+        Decision::Partition {
+            vcpu,
+            node,
+            candidates,
+        } => {
+            w.varint(3)
+                .varint(ix(vcpu.index()))
+                .varint(ix(node.index()))
+                .varint(ix(candidates.len()));
+            for &(n, load) in candidates {
+                w.varint(ix(n)).varint(load);
+            }
+        }
+        Decision::PageMigration { vcpu, node, bytes } => {
+            w.varint(4)
+                .varint(ix(vcpu.index()))
+                .varint(ix(node.index()))
+                .varint(*bytes);
+        }
+        Decision::Degrade { fallback } => {
+            w.varint(5).bool(*fallback);
+        }
+    }
+}
+
+fn decode(r: &mut Reader<'_>) -> Decision {
+    let tag = r.varint();
+    let vcpu = |r: &mut Reader<'_>| VcpuId::new(r.varint() as u32);
+    let pcpu = |r: &mut Reader<'_>| PcpuId::new(r.varint() as u16);
+    let node = |r: &mut Reader<'_>| NodeId::new(r.varint() as u16);
+    let count = |r: &mut Reader<'_>| r.varint() as usize;
+    match tag {
+        0 => Decision::Steal {
+            thief: pcpu(r),
+            thief_node: node(r),
+            would_idle: r.bool(),
+            chosen: r.bool().then(|| (pcpu(r), vcpu(r))),
+            candidates: (0..count(r))
+                .map(|_| StealCandidate {
+                    pcpu: pcpu(r),
+                    vcpu: vcpu(r),
+                    node: node(r),
+                    dist: r.varint() as u32,
+                    workload: count(r),
+                    pressure: r.f64(),
+                    prio: match r.varint() {
+                        0 => Priority::Boost,
+                        1 => Priority::Under,
+                        2 => Priority::Over,
+                        p => unreachable!("priority {p}"),
+                    },
+                })
+                .collect(),
+        },
+        1 => Decision::WakePlacement {
+            vcpu: vcpu(r),
+            chosen: pcpu(r),
+            num_candidates: count(r),
+        },
+        2 => Decision::Placement {
+            vcpu: vcpu(r),
+            node: node(r),
+            chosen: pcpu(r),
+            num_candidates: count(r),
+        },
+        3 => Decision::Partition {
+            vcpu: vcpu(r),
+            node: node(r),
+            candidates: (0..count(r)).map(|_| (count(r), r.varint())).collect(),
+        },
+        4 => Decision::PageMigration {
+            vcpu: vcpu(r),
+            node: node(r),
+            bytes: r.varint(),
+        },
+        5 => Decision::Degrade { fallback: r.bool() },
+        _ => unreachable!("decision record tag {tag}"),
     }
 }
 
@@ -206,9 +359,19 @@ pub fn decision_from_note(note: &PartitionNote) -> Decision {
 /// Serialize a provenance log as JSON Lines: one decision per line with
 /// `t_us`, `seq`, `kind`, `rule`, then kind-specific fields.
 pub fn to_jsonl(log: &ProvenanceLog) -> String {
-    // Decisions average 253–376 bytes a line on the `observed-faults`
-    // machine (seeds 7, 42, 99, 1234); see `export::to_jsonl` for why
-    // the reserve sits just under the typical size.
+    // Flat reserves per record: 250 bytes here, 56 in `export::to_jsonl`
+    // and 51 in `export::to_chrome`. A decision line grows with its steal
+    // candidates (253, 291 and 376 bytes at seeds 42, 1234 and 7 of
+    // simbench's `observed-faults`), so this buffer regrows on those runs,
+    // and so do the two trace exports. A reserve computed from the held
+    // records (a per-kind base plus a per-candidate term, 1–8 % above each
+    // export's length) never regrew, yet peaked at 13.2 and 15.3 MB at
+    // seeds 1234 and 7 against 9.9 and 12.0 MB for these (8.95 against
+    // 9.25 MB at seed 42; 10 s runs). The allocator explains it: a regrown trace
+    // export frees a buffer twice its length, which lets the next exports
+    // reuse the same heap pages, while an exact one leaves the largest
+    // (decision) export to map fresh pages beside those the Chrome export
+    // left in the heap.
     let mut out = String::with_capacity(log.len() * 250);
     for r in log.iter() {
         ObjWriter::write(&mut out, |w| {
@@ -293,7 +456,143 @@ fn write_decision_fields(w: &mut ObjWriter<'_>, decision: &Decision) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::tests::{draw, times};
+    use proptest::prelude::*;
+    use proptest::TestRng;
     use sim_core::{Json, SimDuration};
+
+    /// Variant `k % 6` of [`Decision`] with drawn fields: ids up to their
+    /// type's maximum, counts up to `usize::MAX`, pressures of any bit
+    /// pattern and up to four candidates.
+    fn decision(rng: &mut TestRng, k: usize) -> Decision {
+        let vcpu = |rng: &mut TestRng| VcpuId::new(draw(rng, u32::MAX.into()) as u32);
+        let pcpu = |rng: &mut TestRng| PcpuId::new(draw(rng, u16::MAX.into()) as u16);
+        let node = |rng: &mut TestRng| NodeId::new(draw(rng, u16::MAX.into()) as u16);
+        let count = |rng: &mut TestRng| draw(rng, usize::MAX as u64) as usize;
+        let flag = |rng: &mut TestRng| rng.below(2) == 1;
+        let n = rng.below(5) as usize;
+        match k % 6 {
+            0 => Decision::Steal {
+                thief: pcpu(rng),
+                thief_node: node(rng),
+                would_idle: flag(rng),
+                chosen: flag(rng).then(|| (pcpu(rng), vcpu(rng))),
+                candidates: (0..n)
+                    .map(|_| StealCandidate {
+                        pcpu: pcpu(rng),
+                        vcpu: vcpu(rng),
+                        node: node(rng),
+                        dist: draw(rng, u32::MAX.into()) as u32,
+                        workload: count(rng),
+                        pressure: f64::from_bits(rng.next_u64()),
+                        prio: [Priority::Boost, Priority::Under, Priority::Over]
+                            [rng.below(3) as usize],
+                    })
+                    .collect(),
+            },
+            1 => Decision::WakePlacement {
+                vcpu: vcpu(rng),
+                chosen: pcpu(rng),
+                num_candidates: count(rng),
+            },
+            2 => Decision::Placement {
+                vcpu: vcpu(rng),
+                node: node(rng),
+                chosen: pcpu(rng),
+                num_candidates: count(rng),
+            },
+            3 => Decision::Partition {
+                vcpu: vcpu(rng),
+                node: node(rng),
+                candidates: (0..n).map(|_| (count(rng), draw(rng, u64::MAX))).collect(),
+            },
+            4 => Decision::PageMigration {
+                vcpu: vcpu(rng),
+                node: node(rng),
+                bytes: draw(rng, u64::MAX),
+            },
+            _ => Decision::Degrade {
+                fallback: flag(rng),
+            },
+        }
+    }
+
+    const RULES: [&str; 3] = ["local-heaviest-min-pressure", "policy-default", ""];
+
+    /// `n` records cycling through every variant and three rules.
+    fn records(seed: u64, n: usize) -> Vec<DecisionRecord> {
+        let mut rng = TestRng::new(seed);
+        let ts = times(&mut rng, n);
+        ts.into_iter()
+            .enumerate()
+            .map(|(k, t)| DecisionRecord {
+                t,
+                seq: k as u64,
+                rule: RULES[rng.below(3) as usize],
+                decision: decision(&mut rng, k),
+            })
+            .collect()
+    }
+
+    fn log_of(capacity: usize, records: &[DecisionRecord]) -> ProvenanceLog {
+        let mut log = ProvenanceLog::with_capacity(capacity);
+        for r in records {
+            log.record(r.t, r.rule, r.decision.clone());
+        }
+        log
+    }
+
+    /// A record with each candidate pressure replaced by its bits, so NaN
+    /// payloads compare exactly.
+    fn exact(mut r: DecisionRecord) -> (DecisionRecord, Vec<u64>) {
+        let mut bits = Vec::new();
+        if let Decision::Steal { candidates, .. } = &mut r.decision {
+            for c in candidates {
+                bits.push(c.pressure.to_bits());
+                c.pressure = 0.0;
+            }
+        }
+        (r, bits)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every decision decodes to exactly what was recorded, with its
+        /// time, rule and sequence number, pressures bit for bit.
+        #[test]
+        fn records_round_trip(seed in 0u64..u64::MAX, n in 6usize..300) {
+            let records = records(seed, n);
+            let log = log_of(n, &records);
+            prop_assert!(log.iter().map(exact).eq(records.iter().cloned().map(exact)));
+        }
+    }
+
+    /// A capped log holds exactly the tail of an uncapped one, sequence
+    /// numbers included, at capacity 1 and one record either side of the
+    /// first chunk boundary.
+    #[test]
+    fn capped_log_holds_the_uncapped_tail() {
+        let records = records(11, 5_000);
+        let mut all = ProvenanceLog::with_capacity(records.len());
+        let mut per_chunk = 0;
+        for r in &records {
+            all.record(r.t, r.rule, r.decision.clone());
+            if all.records.chunk_count() == 1 {
+                per_chunk += 1;
+            }
+        }
+        assert!(all.records.chunk_count() > 2 && per_chunk > 50);
+        let held: Vec<_> = all.iter().map(exact).collect();
+        for cap in [1, per_chunk - 1, per_chunk + 1] {
+            let log = log_of(cap, &records);
+            assert!(log
+                .iter()
+                .map(exact)
+                .eq(held[records.len() - cap..].iter().cloned()));
+            assert_eq!(log.dropped(), (records.len() - cap) as u64, "cap {cap}");
+        }
+    }
 
     /// The tree-building `to_jsonl` the streaming writer replaced.
     fn oracle_jsonl(log: &ProvenanceLog) -> String {

@@ -92,7 +92,7 @@ fn same_seed_gives_byte_identical_trace_files() {
 fn trace_times_are_non_decreasing_on_a_stationary_run() {
     let mut m = build_quiescent(42);
     m.run(SimDuration::from_secs(2));
-    let times: Vec<_> = m.trace().iter().map(|(t, _)| *t).collect();
+    let times: Vec<_> = m.trace().iter().map(|(t, _)| t).collect();
     assert!(!times.is_empty());
     assert!(
         times.windows(2).all(|w| w[0] <= w[1]),
@@ -169,18 +169,20 @@ fn tail_lines(text: &str, n: usize) -> String {
 }
 
 /// A log capped mid-chunk exports exactly the tail of an uncapped log fed
-/// the same records: eviction keeps order, sequence numbers and bytes.
+/// the same records: eviction keeps order, times, sequence numbers and
+/// bytes.
 #[test]
 fn capped_logs_export_the_tail_of_uncapped_ones() {
     use numa_topo::{NodeId, PcpuId, VcpuId};
-    use sim_core::ring::CHUNK;
     use sim_core::SimTime;
     use xen_sim::provenance;
     use xen_sim::{Decision, Event, FaultEvent, Priority, ProvenanceLog, StealCandidate, TraceLog};
 
-    let n = 3 * CHUNK + 123;
-    // Keeps the oldest record halfway into the second chunk.
-    let cap = CHUNK + CHUNK / 2 + 7;
+    // At 5–8 bytes an event and 15–60 a decision, the uncapped logs fill
+    // several 16 KiB chunks, and the capped ones evict whole chunks and
+    // keep their oldest record partway into one.
+    let n = 12_411;
+    let cap = 6_151;
     let (mut trace_all, mut trace_cap) = (TraceLog::with_capacity(n), TraceLog::with_capacity(cap));
     let (mut prov_all, mut prov_cap) = (
         ProvenanceLog::with_capacity(n),
